@@ -6,9 +6,14 @@ result is again a factor, else zero".  The commutators ab - ba with
 
     L(n) = dim V_n - dim W_n.
 
-The rank of W_n is computed by streaming the (sparse, entries in {-1, 0, 1})
-commutator vectors through an exact rational row echelon.  Empty-side pairs
-contribute nothing (a*empty = empty*a), so generation skips them.
+Each commutator is e_ab - e_ba, or a single +-e_x when only one of the two
+products is a factor.  Such signed incidence rows have an exact rank over
+any field: read as a graph on the factors, each component spans its
+sum-zero vectors, plus everything once a single-entry row touches it.  The
+rank of W_n is that union-find count over the streamed commutators (see
+linalg.signed_incidence_rank).  The route still enumerates the literal
+pairs (a, b) with |a| + |b| = n.  Empty-side pairs contribute nothing
+(a*empty = empty*a), so generation skips them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Iterator, Mapping, Optional
 
 from .complexity import FactorSet, saturated_factor_set
 from .errors import UncertifiedData
-from .linalg import RowBasis, rank_mod
+from .linalg import signed_incidence_rank
 
 
 @dataclass(frozen=True)
@@ -72,46 +77,26 @@ def commutator_vectors(
                 if ab is not None:
                     vec[ab] = 1
                 if ba is not None:
-                    vec[ba] = vec.get(ba, 0) - 1
-                if vec:
-                    yield vec
-                else:
-                    yield {}
+                    vec[ba] = -1
+                yield vec
 
 
 def commutator_span(fs_by_len: Mapping[int, FactorSet], n: int) -> CommutatorSpan:
     basis = factor_basis(fs_by_len[n])
-    echelon = RowBasis(basis.dim)
     count = 0
-    for sparse in commutator_vectors(fs_by_len, n, basis):
-        count += 1
-        if not sparse:
-            continue
-        dense = [0] * basis.dim
-        for j, x in sparse.items():
-            dense[j] = x
-        echelon.insert(dense)
-    return CommutatorSpan(n, echelon.rank, count)
+
+    def counted():
+        nonlocal count
+        for vec in commutator_vectors(fs_by_len, n, basis):
+            count += 1
+            yield vec
+
+    rank = signed_incidence_rank(counted(), basis.dim)
+    return CommutatorSpan(n, rank, count)
 
 
 def commutator_rank(fs_by_len: Mapping[int, FactorSet], n: int) -> int:
     return commutator_span(fs_by_len, n).rank
-
-
-def commutator_rank_mod(fs_by_len: Mapping[int, FactorSet], n: int, p: int) -> int:
-    """Same rank over Z/p; used as an independent cross-check."""
-    basis = factor_basis(fs_by_len[n])
-
-    def dense_rows():
-        for sparse in commutator_vectors(fs_by_len, n, basis):
-            if not sparse:
-                continue
-            dense = [0] * basis.dim
-            for j, x in sparse.items():
-                dense[j] = x
-            yield dense
-
-    return rank_mod(dense_rows(), basis.dim, p)
 
 
 def lie_via_algebra(fs_by_len: Mapping[int, FactorSet], n: int) -> int:

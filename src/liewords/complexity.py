@@ -7,6 +7,11 @@ For a factor set F of length n, the quantities of interest are:
 * abelian count a(n): distinct letter-count vectors over F
 * full-class count L(n): rotation classes entirely inside F
 
+Each factor is canonicalized once, by Booth's least rotation, and the
+factors are tallied per class.  c(n) is the number of classes; a class
+lies entirely inside F exactly when its tally equals the length of its
+primitive root, which is the number of distinct rotations of any member.
+
 L is the quantity the rest of the package cross-checks by algebraic rank
 and by automata counting.  All functions are pure; rows can be computed
 in parallel safely.
@@ -34,12 +39,6 @@ class FactorSet:
     members: frozenset[str]
     window: int
     certified: bool
-
-
-@dataclass(frozen=True)
-class ConjugacyClass:
-    canonical: str
-    members: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,6 @@ def least_rotation(v: str, order: Optional[Mapping[str, int]] = None) -> str:
     return v[k:] + v[:k]
 
 
-def rotations(v: str) -> list[str]:
-    return [v[i:] + v[:i] for i in range(len(v))]
-
-
-def conjugacy_class(v: str, order: Optional[Mapping[str, int]] = None) -> ConjugacyClass:
-    return ConjugacyClass(least_rotation(v, order), frozenset(rotations(v)))
-
-
 def is_primitive(v: str) -> bool:
     """A word is primitive iff it occurs exactly twice in its own square."""
     if not v:
@@ -129,26 +120,24 @@ def primitive_root(v: str) -> str:
     return v[:period]
 
 
+def _class_counts(fs: FactorSet) -> tuple[int, int]:
+    """(c(n), L(n)) from one Booth call per factor and a tally of the
+    factors per rotation class."""
+    if fs.n == 0:
+        return 1, 1
+    sizes = Counter(least_rotation(v) for v in fs.members)
+    full = sum(1 for canon, m in sizes.items() if m == len(primitive_root(canon)))
+    return len(sizes), full
+
+
 def lie_complexity(fs: FactorSet) -> int:
     """Number of rotation classes entirely contained in the factor set."""
-    if fs.n == 0:
-        return 1
-    members = fs.members
-    full = set()
-    for v in members:
-        canon = least_rotation(v)
-        if canon in full:
-            continue
-        if all(r in members for r in rotations(v)):
-            full.add(canon)
-    return len(full)
+    return _class_counts(fs)[1]
 
 
 def cyclic_complexity(fs: FactorSet) -> int:
     """Number of rotation classes meeting the factor set."""
-    if fs.n == 0:
-        return 1
-    return len({least_rotation(v) for v in fs.members})
+    return _class_counts(fs)[0]
 
 
 def abelian_complexity(fs: FactorSet) -> int:
@@ -156,16 +145,22 @@ def abelian_complexity(fs: FactorSet) -> int:
     return len({frozenset(Counter(v).items()) for v in fs.members})
 
 
-def complexity_row(generator, n: int, **window_opts) -> ComplexityRow:
-    fs = saturated_factor_set(generator, n, **window_opts)
+def _row(fs: FactorSet) -> ComplexityRow:
+    # the class tally is freed before the abelian count allocates; holding
+    # both at once raises the peak memory of a table
+    c, L = _class_counts(fs)
     return ComplexityRow(
-        n=n,
+        n=fs.n,
         p=len(fs.members),
-        c=cyclic_complexity(fs),
+        c=c,
         a=abelian_complexity(fs),
-        L=lie_complexity(fs),
+        L=L,
         certified=fs.certified,
     )
+
+
+def complexity_row(generator, n: int, **window_opts) -> ComplexityRow:
+    return _row(saturated_factor_set(generator, n, **window_opts))
 
 
 def complexity_table(generator, ns: Iterable[int], **window_opts) -> list[ComplexityRow]:
@@ -176,17 +171,7 @@ def complexity_table(generator, ns: Iterable[int], **window_opts) -> list[Comple
     for n in sorted(ns):
         window, certified = saturation_window(generator, n, start=w, **window_opts)
         w = max(w, window)
-        fs = factor_set(generator.prefix(window), n, certified=certified)
-        rows.append(
-            ComplexityRow(
-                n=n,
-                p=len(fs.members),
-                c=cyclic_complexity(fs),
-                a=abelian_complexity(fs),
-                L=lie_complexity(fs),
-                certified=fs.certified,
-            )
-        )
+        rows.append(_row(factor_set(generator.prefix(window), n, certified=certified)))
     return rows
 
 

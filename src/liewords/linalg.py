@@ -1,4 +1,5 @@
-"""Exact rational row reduction used by the rank and representation code."""
+"""Exact rank computations: a rational row echelon for the representation
+code and a union-find rank for the commutator rows of the rank route."""
 
 from __future__ import annotations
 
@@ -83,32 +84,35 @@ class RowBasis:
         return combo
 
 
-def rank_of(vectors, width: int) -> int:
-    basis = RowBasis(width)
-    for v in vectors:
-        basis.insert(v)
-    return basis.rank
+def signed_incidence_rank(rows, width: int) -> int:
+    """Rank of sparse rows each of shape {i: x, j: -x}, {i: x} or {}, x != 0.
 
+    Rows e_i - e_j are the edges of a graph on the coordinates 0..width-1,
+    and a one-entry row e_i grounds the component of i.  The rows span the
+    sum-zero vectors of every component and all vectors of a grounded
+    one, so the rank is width minus the number of ungrounded components.
+    That count holds over every field; no elimination is needed.
+    """
+    parent = list(range(width))
+    grounded = [False] * width
 
-def rank_mod(vectors, width: int, p: int) -> int:
-    """Rank over the field Z/p; a fast independent check of rank_of."""
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    rank = 0
-    for vec in vectors:
-        res = [x % p for x in vec]
-        for r, piv in enumerate(pivots):
-            c = res[piv]
-            if c:
-                row = rows[r]
-                for i in range(width):
-                    if row[i]:
-                        res[i] = (res[i] - c * row[i]) % p
-        pivot = next((i for i, x in enumerate(res) if x), None)
-        if pivot is None:
-            continue
-        inv = pow(res[pivot], p - 2, p)
-        rows.append([x * inv % p for x in res])
-        pivots.append(pivot)
-        rank += 1
-    return rank
+    def find(i):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    for row in rows:
+        items = list(row.items())
+        if len(items) == 1 and items[0][1]:
+            grounded[find(items[0][0])] = True
+        elif len(items) == 2 and items[0][1] and items[0][1] + items[1][1] == 0:
+            a, b = find(items[0][0]), find(items[1][0])
+            if a != b:
+                parent[a] = b
+                grounded[b] = grounded[b] or grounded[a]
+        elif items:
+            raise ValueError("row %r is not a signed incidence row" % (row,))
+    return width - sum(1 for i in range(width) if parent[i] == i and not grounded[i])

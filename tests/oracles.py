@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own algorithms: the
 rotation-class counts come from a suffix automaton plus a vectorized
-rotate-by-one walk, and the small-scale count checks every rotation of
-every factor explicitly.  Agreement between these and the package is an
-algorithm-level check, not a restatement.
+rotate-by-one walk, the small-scale counts check every rotation of every
+factor explicitly, and ranks come from Gaussian elimination over Z/p.
+Agreement between these and the package is an algorithm-level check, not
+a restatement.
 """
 
 from __future__ import annotations
@@ -27,6 +28,34 @@ def naive_lie_count(window: str, n: int) -> int:
         if orbit <= facs:
             classes.add(orbit)
     return len(classes)
+
+
+def naive_cyclic_count(window: str, n: int) -> int:
+    """Rotation classes of length n meeting the factor set of window, each
+    class taken as the set of its rotations."""
+    if n == 0:
+        return 1
+    facs = {window[i : i + n] for i in range(len(window) - n + 1)}
+    return len({frozenset((v + v)[t : t + n] for t in range(n)) for v in facs})
+
+
+def rank_mod(rows, width: int, p: int) -> int:
+    """Rank of dense integer rows over the field Z/p, by row echelon."""
+    echelon: list[tuple[int, list[int]]] = []
+    for vec in rows:
+        if len(vec) != width:
+            raise ValueError("row width %d != %d" % (len(vec), width))
+        res = [x % p for x in vec]
+        for piv, row in echelon:
+            c = res[piv]
+            if c:
+                res = [(x - c * y) % p for x, y in zip(res, row)]
+        pivot = next((i for i, x in enumerate(res) if x), None)
+        if pivot is None:
+            continue
+        inv = pow(res[pivot], p - 2, p)
+        echelon.append((pivot, [x * inv % p for x in res]))
+    return len(echelon)
 
 
 class _Sam:

@@ -114,7 +114,7 @@ def test_accept_4_class_count_bounded_by_cyclic_and_abelian(tables):
 def test_accept_5_rank_route_equals_direct_route():
     started = time.monotonic()
     for name in ("thue-morse", "fibonacci"):
-        rows = algebra_report(get_word(name), 12)
+        rows = algebra_report(get_word(name), 48)
         for r in rows:
             assert r.lie_algebra == r.lie_direct, (name, r.n)
     elapsed = time.monotonic() - started

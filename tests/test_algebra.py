@@ -1,15 +1,32 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from liewords.algebra import (
     algebra_report,
     algebra_rows_to_tsv,
     commutator_span,
+    commutator_vectors,
+    factor_basis,
     factor_sets_up_to,
     lie_via_algebra,
 )
 from liewords.bundled import get_word
 from liewords.complexity import lie_complexity
-from liewords.linalg import RowBasis
+from liewords.linalg import RowBasis, signed_incidence_rank
+
+from oracles import rank_mod
+
+PRIME = 2**31 - 1
+
+
+def _dense(sparse, width):
+    row = [0] * width
+    for j, x in sparse.items():
+        row[j] = x
+    return row
 
 
 def test_row_basis_exact_rank():
@@ -57,3 +74,50 @@ def test_dimension_of_full_slice():
     rows = algebra_report(get_word("thue-morse"), 4)
     # dim V_n is the factor count p(n)
     assert [r.dim_v for r in rows] == [1, 2, 4, 6, 10]
+
+
+def test_incidence_rank_matches_exact_echelon():
+    # the words and lengths of algebra-check, cut to what an echelon can do quickly
+    for name, max_n in (
+        ("thue-morse", 10),
+        ("vtm", 10),
+        ("fibonacci", 10),
+        ("tribonacci", 10),
+        ("twelve", 6),
+    ):
+        fs_by_len = factor_sets_up_to(get_word(name), max_n)
+        for n in range(max_n + 1):
+            basis = factor_basis(fs_by_len[n])
+            rows = [_dense(v, basis.dim) for v in commutator_vectors(fs_by_len, n, basis)]
+            echelon = RowBasis(basis.dim)
+            for row in rows:
+                echelon.insert(row)
+            rank = commutator_span(fs_by_len, n).rank
+            assert rank == echelon.rank, (name, n)
+            assert rank == rank_mod(rows, basis.dim, PRIME), (name, n)
+
+
+@st.composite
+def incidence_rows(draw):
+    width = draw(st.integers(min_value=2, max_value=10))
+    index = st.integers(min_value=0, max_value=width - 1)
+    edge = st.tuples(index, index).filter(lambda e: e[0] != e[1]).map(lambda e: {e[0]: 1, e[1]: -1})
+    single = st.tuples(index, st.sampled_from((1, -1))).map(lambda e: {e[0]: e[1]})
+    rows = draw(st.lists(st.one_of(edge, single, st.just({})), max_size=20))
+    return width, rows
+
+
+@given(incidence_rows())
+def test_signed_incidence_rank_matches_rational_rank(case):
+    width, rows = case
+    echelon = RowBasis(width)
+    for row in rows:
+        echelon.insert(_dense(row, width))
+    assert signed_incidence_rank(rows, width) == echelon.rank
+
+
+def test_signed_incidence_rank_refuses_other_rows():
+    with pytest.raises(ValueError):
+        signed_incidence_rank([{0: 1, 1: 1}], 2)
+    with pytest.raises(ValueError):
+        signed_incidence_rank([{0: 1, 1: -1, 2: 1}], 3)

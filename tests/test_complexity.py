@@ -22,7 +22,7 @@ from liewords.complexity import (
 from liewords.errors import EmptyWord, UncertifiedData
 from liewords.words import saturation_window
 
-from oracles import naive_lie_count, sam_lie_counts
+from oracles import naive_cyclic_count, naive_lie_count, sam_lie_counts
 
 
 def test_factor_set_by_hand():
@@ -92,6 +92,25 @@ def test_lie_count_matches_naive_oracle(n):
     fs = saturated_factor_set(tm, n)
     window = tm.prefix(saturation_window(tm, n)[0]).letters
     assert lie_complexity(fs) == naive_lie_count(window, n)
+
+
+# random ternary strings, and powers of short blocks with a random tail,
+# so that periodic factors such as 0101 are common
+_ternary = st.text(alphabet="012", max_size=40)
+_periodic = st.builds(
+    lambda block, reps, tail: (block * reps + tail)[:40],
+    st.text(alphabet="012", min_size=1, max_size=4),
+    st.integers(min_value=2, max_value=20),
+    st.text(alphabet="012", max_size=8),
+)
+
+
+@given(st.one_of(_ternary, _periodic), st.data())
+def test_class_counts_match_naive_orbits(s, data):
+    n = data.draw(st.integers(min_value=0, max_value=min(12, len(s))))
+    fs = factor_set(s, n)
+    assert lie_complexity(fs) == naive_lie_count(s, n)
+    assert cyclic_complexity(fs) == naive_cyclic_count(s, n)
 
 
 def test_lie_counts_match_suffix_automaton_on_fibonacci():
