@@ -5,7 +5,8 @@ logic pipeline), the staged construction, and the power scans.  Output
 is deterministic for a fixed invocation: tables are sorted and all set
 iteration happens over sorted copies.
 
-Exit codes: 0 success, 1 contract violation or tool error, 2 usage.
+Exit codes: 0 success, 1 contract violation, tool error or unreadable
+input file, 2 usage.
 """
 
 from __future__ import annotations
@@ -340,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ToolError as e:
+    except (ToolError, OSError, UnicodeDecodeError) as e:
         sys.stderr.write("%s: %s\n" % (type(e).__name__, e))
         return 1
 

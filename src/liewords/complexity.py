@@ -7,10 +7,14 @@ For a factor set F of length n, the quantities of interest are:
 * abelian count a(n): distinct letter-count vectors over F
 * full-class count L(n): rotation classes entirely inside F
 
-Each factor is canonicalized once, by Booth's least rotation, and the
-factors are tallied per class.  c(n) is the number of classes; a class
-lies entirely inside F exactly when its tally equals the length of its
-primitive root, which is the number of distinct rotations of any member.
+Each factor is canonicalized once, by its least rotation, and the
+factors are tallied per class.  The least rotation compares only the
+rotations that start with the longest run of the least letter, using
+C-level string search and slice comparison.  c(n) is the number of
+classes; a class lies entirely inside F exactly when its tally equals
+the length of its primitive root, which is the number of distinct
+rotations of any member.  a(n) keys each factor by its vector of
+`str.count` values over the letters of F.
 
 L is the quantity the rest of the package cross-checks by algebraic rank
 and by automata counting.  All functions are pure; rows can be computed
@@ -78,32 +82,71 @@ def _rank_seq(v: str, order: Optional[Mapping[str, int]]):
         raise KeyError("letter %s has no declared rank" % exc) from None
 
 
-def least_rotation(v: str, order: Optional[Mapping[str, int]] = None) -> str:
-    """Lexicographically least cyclic rotation (Booth's algorithm).
+def _least_start(s: str) -> int:
+    """Start of the least rotation of s, found with C-level string search.
 
-    `order` maps letters to ranks; omitted, codepoint order is used.
+    The least rotation begins with the longest cyclic run m^r of the least
+    letter m.  r comes from galloping and bisecting on `m*k in s+s`; the
+    candidates are the occurrences of m^r starting in s, compared as slices
+    of s+s.  A candidate equal to the best so far shows that s is a power
+    whose rotations repeat with that shift, so no later one is smaller.
+    """
+    n = len(s)
+    m = min(set(s))
+    ss = s + s
+    r = 1
+    run = m
+    if m + m in ss:
+        if s.count(m) == n:
+            return 0
+        lo, hi = 2, 4
+        while hi < n and m * hi in ss:
+            lo, hi = hi, 2 * hi
+        hi = min(hi, n)
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if m * mid in ss:
+                lo = mid
+            else:
+                hi = mid
+        r = lo
+        run = m * r
+    # every occurrence of m^r is a whole run, so the next one starts after
+    # the letter that ends this one
+    end = n + r - 1
+    best = ss.find(run, 0, end)
+    i = ss.find(run, best + r + 1, end)
+    if i == -1:
+        return best
+    least = ss[best : best + n]
+    while i != -1:
+        cand = ss[i : i + n]
+        if cand < least:
+            best, least = i, cand
+        elif cand == least:
+            break
+        i = ss.find(run, i + r + 1, end)
+    return best
+
+
+def least_rotation(v: str, order: Optional[Mapping[str, int]] = None) -> str:
+    """Lexicographically least cyclic rotation.
+
+    Only the rotations that start with the longest run of the least letter
+    are compared (the candidate idea of Shiloach 1981), with `str.find` and
+    slice comparison.  `order` maps letters to ranks; omitted, codepoint
+    order is used.  With `order`, the word is first recoded letter by
+    letter into characters that sort like the ranks.
     """
     if not v:
         raise EmptyWord("the empty word has no rotations")
-    seq = _rank_seq(v, order)
-    s = seq + seq
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    k %= len(v)
-    return v[k:] + v[:k]
+    if order is None:
+        k = _least_start(v)
+    else:
+        seq = _rank_seq(v, order)
+        code = {rank: chr(i) for i, rank in enumerate(sorted(set(seq)))}
+        k = _least_start("".join([code[rank] for rank in seq]))
+    return v[k:] + v[:k] if k else v
 
 
 def is_primitive(v: str) -> bool:
@@ -121,7 +164,7 @@ def primitive_root(v: str) -> str:
 
 
 def _class_counts(fs: FactorSet) -> tuple[int, int]:
-    """(c(n), L(n)) from one Booth call per factor and a tally of the
+    """(c(n), L(n)) from one least rotation per factor and a tally of the
     factors per rotation class."""
     if fs.n == 0:
         return 1, 1
@@ -141,8 +184,13 @@ def cyclic_complexity(fs: FactorSet) -> int:
 
 
 def abelian_complexity(fs: FactorSet) -> int:
-    """Number of distinct letter-count vectors over the factor set."""
-    return len({frozenset(Counter(v).items()) for v in fs.members})
+    """Number of distinct letter-count vectors over the factor set.
+
+    Each factor is keyed by its counts of the set's letters, in sorted
+    order, with one `str.count` per letter.
+    """
+    letters = sorted(set().union(*fs.members))
+    return len({tuple(map(v.count, letters)) for v in fs.members})
 
 
 def _row(fs: FactorSet) -> ComplexityRow:

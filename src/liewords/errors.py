@@ -23,6 +23,16 @@ class WindowExceeded(ToolError):
     """Factor sets kept changing up to the window cap."""
 
 
+class FormatError(ToolError, ValueError):
+    """A rule or automaton file does not parse; carries the 1-based line."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = "line %d: %s" % (line, message)
+        super().__init__(message)
+        self.line = line
+
+
 # factor statistics
 
 class LengthExceedsPrefix(ToolError):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import (
+    FormatError,
     NotProlongable,
     UnknownLetter,
     WindowExceeded,
@@ -203,8 +204,8 @@ def is_primitive_morphism(m: Morphism) -> bool:
 
 
 class WordGenerator:
-    """A named source of prefixes, with an in-memory (and optional on-disk)
-    cache.
+    """A named source of prefixes, with an in-memory (and optional on-disk,
+    content-keyed) cache.
 
     Exactly one of `morphism`/`dfao` drives generation when both are given
     the morphism wins (it is cheaper); tests assert the two agree for the
@@ -253,12 +254,30 @@ class WordGenerator:
             return s
         return dfao_prefix(self.dfao, length).letters
 
+    def definition(self) -> str:
+        """Text that fixes the word: rules, seed and coding, or the DFAO."""
+        if self.morphism is not None:
+            coding = " ".join("%s=%s" % kv for kv in sorted((self.coding or {}).items()))
+            return "morphism\n%sseed: %s\ncoding: %s\n" % (
+                morphism_to_text(self.morphism),
+                self.seed,
+                coding,
+            )
+        return "dfao\n" + dfao_to_text(self.dfao)
+
     def prefix(self, length: int) -> Prefix:
+        """The first `length` letters.  With LIEWORDS_CACHE_DIR set, prefixes
+        are also kept on disk, in files named by the sha256 of `definition()`
+        and the length."""
         if length > len(self._cached):
             cache_dir = os.environ.get("LIEWORDS_CACHE_DIR")
             path = None
             if cache_dir:
-                path = os.path.join(cache_dir, "%s-%d.txt" % (self.name, length))
+                # imported here so that the command line starts without it
+                import hashlib
+
+                digest = hashlib.sha256(self.definition().encode()).hexdigest()
+                path = os.path.join(cache_dir, "%s-%d.txt" % (digest, length))
                 if os.path.exists(path):
                     with open(path) as fh:
                         self._cached = fh.read().strip()
@@ -281,6 +300,10 @@ def saturation_window(
     """Smallest window (from a doubling schedule) whose length-n factor set
     agrees with the doubled window, plus the certification flag.
 
+    The doubled prefix extends the window, so its blocks are those of the
+    window plus the blocks that start at or after w-n+1; the two sets agree
+    exactly when each of those tail blocks is already a block of the window.
+
     Returns (window, certified).  Raises WindowExceeded past the cap.
     """
     w = start
@@ -289,7 +312,7 @@ def saturation_window(
     while w <= cap:
         small = generator.prefix(w).letters
         big = generator.prefix(2 * w).letters
-        if _block_set(small, n) == _block_set(big, n):
+        if _block_set(big[w - n + 1 :], n) <= _block_set(small, n):
             return w, bool(getattr(generator, "certifiable", False))
         w *= 2
     raise WindowExceeded(
@@ -305,23 +328,47 @@ def _block_set(s: str, n: int) -> set[str]:
 # text formats
 
 
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """Nonblank stripped lines with their 1-based line numbers."""
+    return [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def _parse_int(text: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError("expected an integer, got %r" % text.strip(), line) from None
+
+
 def parse_morphism(text: str) -> Morphism:
     """Read the rule file format::
 
         alphabet: 0 1
         0 -> 01
         1 -> 10
+
+    Malformed input raises FormatError with the 1-based line number.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("alphabet:"):
-        raise ValueError("first line must declare 'alphabet: ...'")
-    alphabet = tuple(lines[0][len("alphabet:") :].split())
+    lines = _numbered_lines(text)
+    if not lines or not lines[0][1].startswith("alphabet:"):
+        raise FormatError(
+            "first line must declare 'alphabet: ...'", lines[0][0] if lines else None
+        )
+    header, first = lines[0]
+    alphabet = tuple(first[len("alphabet:") :].split())
     rules = {}
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         if "->" not in ln:
-            raise ValueError("bad rule line %r" % ln)
+            raise FormatError("bad rule line %r" % ln, no)
         src, image = (part.strip() for part in ln.split("->", 1))
+        if src not in alphabet:
+            raise FormatError("rule for undeclared letter %r" % src, no)
+        if src in rules:
+            raise FormatError("second rule for letter %r" % src, no)
         rules[src] = image
+    for a in alphabet:
+        if a not in rules:
+            raise FormatError("no rule for letter %r" % a, header)
     return morphism(alphabet, rules)
 
 
@@ -342,37 +389,50 @@ def parse_dfao(text: str) -> Dfao:
         0 -> 1
         1 -> 0
 
-    State 0 is initial.
+    State 0 is initial.  Malformed input raises FormatError with the
+    1-based line number.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("base:"):
-        raise ValueError("first line must declare 'base: k'")
-    base = int(lines[0][len("base:") :])
+    lines = _numbered_lines(text)
+    if not lines or not lines[0][1].startswith("base:"):
+        raise FormatError("first line must declare 'base: k'", lines[0][0] if lines else None)
+    header, first = lines[0]
+    base = _parse_int(first[len("base:") :], header)
+    if base < 2:
+        raise FormatError("base must be at least 2", header)
     outputs: dict[int, str] = {}
-    trans: dict[int, dict[int, int]] = {}
+    trans: dict[int, dict[int, tuple[int, int]]] = {}
+    declared: dict[int, int] = {}
     state = None
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         if ln.startswith("state "):
             parts = ln.split()
             if len(parts) != 4 or parts[2] != "output":
-                raise ValueError("bad state line %r" % ln)
-            state = int(parts[1])
+                raise FormatError("bad state line %r" % ln, no)
+            state = _parse_int(parts[1], no)
             outputs[state] = parts[3]
             trans[state] = {}
+            declared[state] = no
         else:
-            if state is None or "->" not in ln:
-                raise ValueError("transition before any state: %r" % ln)
+            if "->" not in ln:
+                raise FormatError("bad transition line %r" % ln, no)
+            if state is None:
+                raise FormatError("transition before any state: %r" % ln, no)
             digit, target = (part.strip() for part in ln.split("->", 1))
-            trans[state][int(digit)] = int(target)
+            trans[state][_parse_int(digit, no)] = (_parse_int(target, no), no)
     n = len(outputs)
+    if not n:
+        raise FormatError("no states declared", header)
     if sorted(outputs) != list(range(n)):
-        raise ValueError("states must be numbered 0..%d" % (n - 1))
+        raise FormatError("states must be numbered 0..%d" % (n - 1))
     rows = []
     for q in range(n):
         row = trans[q]
         if sorted(row) != list(range(base)):
-            raise ValueError("state %d needs one transition per digit" % q)
-        rows.append(tuple(row[d] for d in range(base)))
+            raise FormatError("state %d needs one transition per digit" % q, declared[q])
+        for target, no in row.values():
+            if not 0 <= target < n:
+                raise FormatError("transition to undeclared state %d" % target, no)
+        rows.append(tuple(row[d][0] for d in range(base)))
     letters = tuple(sorted(set(outputs.values())))
     return Dfao(base, tuple(rows), tuple(outputs[q] for q in range(n)), letters)
 

@@ -3,12 +3,16 @@
 Everything here deliberately avoids the package's own algorithms: the
 rotation-class counts come from a suffix automaton plus a vectorized
 rotate-by-one walk, the small-scale counts check every rotation of every
-factor explicitly, and ranks come from Gaussian elimination over Z/p.
+factor explicitly, least rotations come from Booth's failure-function
+scan, abelian counts from `Counter`, and ranks come from Gaussian
+elimination over Z/p.
 Agreement between these and the package is an algorithm-level check, not
 a restatement.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -37,6 +41,36 @@ def naive_cyclic_count(window: str, n: int) -> int:
         return 1
     facs = {window[i : i + n] for i in range(len(window) - n + 1)}
     return len({frozenset((v + v)[t : t + n] for t in range(n)) for v in facs})
+
+
+def booth_least_rotation(v: str, order=None) -> str:
+    """Lexicographically least cyclic rotation by Booth's algorithm (Booth
+    1980); `order` maps letters to ranks, omitted it is codepoint order."""
+    seq = v if order is None else tuple(order[c] for c in v)
+    s = seq + seq
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    k %= len(v)
+    return v[k:] + v[:k]
+
+
+def naive_abelian_count(window: str, n: int) -> int:
+    """Distinct letter multisets among the length-n factors of window."""
+    facs = {window[i : i + n] for i in range(len(window) - n + 1)}
+    return len({frozenset(Counter(v).items()) for v in facs})
 
 
 def rank_mod(rows, width: int, p: int) -> int:

@@ -86,7 +86,7 @@ def test_accept_1_golden_tables():
 
 def test_accept_2_flat_word_has_no_full_classes():
     gen = get_word("twelve")
-    for n in range(2, 41):
+    for n in range(2, 101):
         assert lie_complexity(saturated_factor_set(gen, n)) == 0
     _accept(2)
 

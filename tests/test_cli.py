@@ -46,6 +46,44 @@ def test_morphism_file_source(tmp_path, capsys):
     assert out.strip().split("\n")[1] == "0\t1\t1\t1\t1\ttrue"
 
 
+def test_missing_input_file_exits_one(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.rules"
+    code, out, err = run(capsys, "complexity", "--morphism-file", str(missing), "--n", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("FileNotFoundError: ") and str(missing) in err
+
+
+def test_undecodable_input_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "binary.rules"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "complexity", "--morphism-file", str(path), "--n", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("UnicodeDecodeError: ")
+
+
+def test_bad_rule_line_exits_one_with_line_number(tmp_path, capsys):
+    path = tmp_path / "bad.rules"
+    path.write_text("alphabet: 0 1\n\n0 -> 01\n1 = 0\n")
+    code, out, err = run(capsys, "complexity", "--morphism-file", str(path), "--n", "3")
+    assert code == 1 and out == ""
+    assert err == "FormatError: line 4: bad rule line '1 = 0'\n"
+
+
+def test_morphism_file_with_prefix_cache(tmp_path, monkeypatch, capsys):
+    # a relative path with a directory part names the generator
+    # "file:t/fib.rules"; the disk cache must not turn that into a path
+    (tmp_path / "t").mkdir()
+    (tmp_path / "t" / "fib.rules").write_text("alphabet: 0 1\n0 -> 01\n1 -> 0\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LIEWORDS_CACHE_DIR", str(tmp_path / "cache"))
+    args = ("complexity", "--morphism-file", "t/fib.rules", "--n", "0..4")
+    code, cached, _ = run(capsys, *args)
+    assert code == 0
+    monkeypatch.delenv("LIEWORDS_CACHE_DIR")
+    assert run(capsys, *args) == (0, cached, "")
+    assert run(capsys, "complexity", "--word", "fibonacci", "--n", "0..4")[1] == cached
+
+
 def test_verify_inequalities_pass(capsys):
     code, out, _ = run(
         capsys, "verify-inequalities", "--word", "thue-morse", "--n", "1..12"

@@ -22,7 +22,13 @@ from liewords.complexity import (
 from liewords.errors import EmptyWord, UncertifiedData
 from liewords.words import saturation_window
 
-from oracles import naive_cyclic_count, naive_lie_count, sam_lie_counts
+from oracles import (
+    booth_least_rotation,
+    naive_abelian_count,
+    naive_cyclic_count,
+    naive_lie_count,
+    sam_lie_counts,
+)
 
 
 def test_factor_set_by_hand():
@@ -49,6 +55,70 @@ def test_least_rotation_custom_order():
     # rank map reverses the usual order of the two letters
     order = {"0": 1, "1": 0}
     assert least_rotation("01", order) == "10"
+
+
+def test_least_rotation_reports_unranked_letter():
+    with pytest.raises(KeyError, match="letter 'b' has no declared rank"):
+        least_rotation("ab", {"a": 0})
+
+
+@st.composite
+def _rotation_words(draw):
+    """Words up to length 300 over abc: random, powers u^k, near-powers
+    u^k x, and concatenations of long single-letter runs."""
+    kind = draw(st.sampled_from(("random", "power", "near-power", "runs")))
+    if kind == "random":
+        return draw(st.text(alphabet="abc", min_size=1, max_size=300))
+    if kind == "runs":
+        runs = draw(
+            st.lists(
+                st.tuples(st.sampled_from("abc"), st.integers(min_value=1, max_value=120)),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        return "".join(c * r for c, r in runs)[:300]
+    x = draw(st.text(alphabet="abc", min_size=1, max_size=3)) if kind == "near-power" else ""
+    u = draw(st.text(alphabet="abc", min_size=1, max_size=12))
+    k = draw(st.integers(min_value=1, max_value=(300 - len(x)) // len(u)))
+    return u * k + x
+
+
+def _orbit(v):
+    return [v[t:] + v[:t] for t in range(len(v))]
+
+
+@given(_rotation_words())
+def test_least_rotation_matches_booth_oracle(v):
+    got = least_rotation(v)
+    assert got == booth_least_rotation(v)
+    assert got == min(_orbit(v))
+
+
+# distinct ranks, negative and with gaps allowed
+_ranks = st.lists(
+    st.integers(min_value=-(10**6), max_value=10**6), min_size=3, max_size=3, unique=True
+)
+
+
+@given(_rotation_words(), _ranks)
+def test_least_rotation_custom_order_matches_booth_oracle(v, ranks):
+    order = dict(zip("abc", ranks))
+    key = lambda w: [order[c] for c in w]
+    got = least_rotation(v, order)
+    assert got == booth_least_rotation(v, order)
+    assert key(got) == min(map(key, _orbit(v)))
+
+
+def test_least_rotation_on_long_runs_and_powers():
+    for v in (
+        "a" * 20000,
+        "ab" * 10000,
+        "a" * 9999 + "b",
+        "ab" * 5000 + "c",
+        ("a" * 50 + "b") * 200,
+    ):
+        assert least_rotation(v) == booth_least_rotation(v)
 
 
 def test_counts_on_periodic_window():
@@ -111,6 +181,12 @@ def test_class_counts_match_naive_orbits(s, data):
     fs = factor_set(s, n)
     assert lie_complexity(fs) == naive_lie_count(s, n)
     assert cyclic_complexity(fs) == naive_cyclic_count(s, n)
+
+
+@given(st.one_of(_ternary, _periodic), st.data())
+def test_abelian_count_matches_counter_oracle(s, data):
+    n = data.draw(st.integers(min_value=0, max_value=len(s)))
+    assert abelian_complexity(factor_set(s, n)) == naive_abelian_count(s, n)
 
 
 def test_lie_counts_match_suffix_automaton_on_fibonacci():

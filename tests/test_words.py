@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -5,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liewords.bundled import get_word
-from liewords.errors import NotProlongable, UnknownLetter, WindowExceeded
+from liewords.errors import (
+    FormatError,
+    NotProlongable,
+    ToolError,
+    UnknownLetter,
+    WindowExceeded,
+)
 from liewords.words import (
     Morphism,
     WordGenerator,
@@ -83,9 +90,22 @@ def test_prefix_cache_round_trip(tmp_path, monkeypatch):
     a = WordGenerator("cache-probe", morphism=m, seed="0")
     text = a.prefix(64).letters
     files = os.listdir(tmp_path)
-    assert any(name.startswith("cache-probe") for name in files)
+    digest = hashlib.sha256(a.definition().encode()).hexdigest()
+    assert files == ["%s-64.txt" % digest]
     b = WordGenerator("cache-probe", morphism=m, seed="0")
     assert b.prefix(64).letters == text
+
+
+def test_prefix_cache_is_keyed_by_rules_not_name(tmp_path, monkeypatch):
+    monkeypatch.setenv("LIEWORDS_CACHE_DIR", str(tmp_path))
+    fib = morphism("01", {"0": "01", "1": "0"})
+    tm = morphism("01", {"0": "01", "1": "10"})
+    WordGenerator("w.rules", morphism=fib, seed="0").prefix(64)
+    swapped = WordGenerator("w.rules", morphism=tm, seed="0").prefix(64).letters
+    assert swapped == fixed_point_prefix(tm, "0", 64).letters
+    coded = WordGenerator("w.rules", morphism=tm, seed="0", coding={"0": "a", "1": "b"})
+    assert coded.prefix(64).letters == swapped.translate(str.maketrans("01", "ab"))
+    assert len(os.listdir(tmp_path)) == 3
 
 
 def test_saturation_window_stabilizes():
@@ -127,3 +147,24 @@ def test_dfao_text_round_trip():
     assert again == d
     for n in range(50):
         assert dfao_eval(again, n) == dfao_eval(d, n)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_morphism, "alphabet: 0 1\n0 -> 01\n", "line 1: no rule for letter '1'"),
+        (parse_morphism, "alphabet: 0 1\n0 -> 01\n2 -> 0\n", "line 3: rule for undeclared letter '2'"),
+        (parse_morphism, "alphabet: 0 1\n0 -> 01\n1 -> 0\n0 -> 10\n", "line 4: second rule for letter '0'"),
+        (parse_dfao, "base: x\n", "line 1: expected an integer, got 'x'"),
+        (parse_dfao, "base: 1\nstate 0 output a\n0 -> 0\n", "line 1: base must be at least 2"),
+        (parse_dfao, "base: 2\n\n0 -> 0\n", "line 3: transition before any state: '0 -> 0'"),
+        (parse_dfao, "base: 2\nstate 0 output a\n0 -> 0\n1 -> 1\n", "line 4: transition to undeclared state 1"),
+        (parse_dfao, "base: 2\nstate 0 output a\n0 -> 0\n", "line 2: state 0 needs one transition per digit"),
+        (parse_dfao, "base: 2\nstate 0 a\n", "line 2: bad state line 'state 0 a'"),
+    ],
+)
+def test_parse_errors_name_the_line(parse, text, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+    assert isinstance(info.value, ToolError) and isinstance(info.value, ValueError)
