@@ -105,13 +105,14 @@ def lie_via_algebra(fs_by_len: Mapping[int, FactorSet], n: int) -> int:
 
 
 def factor_sets_up_to(generator, max_n: int, *, strict: bool = True, **window_opts):
-    """Certified factor sets for every length 0..max_n, keyed by length."""
+    """Factor sets (see complexity.saturated_factor_set) for every length
+    0..max_n, keyed by length; strict mode refuses uncertified ones."""
     out: dict[int, FactorSet] = {}
     for n in range(max_n + 1):
         fs = saturated_factor_set(generator, n, **window_opts)
         if strict and not fs.certified:
             raise UncertifiedData(
-                "factor set of %s at n=%d is heuristic" % (generator.name, n)
+                "factor set of %s at n=%d is not certified" % (generator.name, n)
             )
         out[n] = fs
     return out

@@ -1,6 +1,8 @@
-"""Factor statistics computed directly on certified prefixes.
+"""Factor statistics computed directly on factor sets.
 
-For a factor set F of length n, the quantities of interest are:
+Factor sets come from words.factor_blocks: exact for words whose letters
+all grow under their morphism, read from a doubling-stable window
+otherwise.  For a factor set F of length n, the quantities of interest are:
 
 * factor count p(n) = |F|
 * cyclic count c(n): rotation classes meeting F
@@ -34,11 +36,15 @@ from .errors import (
     UncertifiedData,
     WindowTooSmall,
 )
-from .words import Prefix, saturation_window
+# perfbench/tracing.py looks saturation_window up in this module
+from .words import DEFAULT_WINDOW_START, Prefix, factor_blocks, saturation_window  # noqa: F401
 
 
 @dataclass(frozen=True)
 class FactorSet:
+    """Length-n factors; `window` is the prefix length they were read from,
+    0 when they were computed exactly."""
+
     n: int
     members: frozenset[str]
     window: int
@@ -67,10 +73,16 @@ def factor_set(p, n: int, *, certified: bool = False) -> FactorSet:
 
 
 def saturated_factor_set(generator, n: int, **window_opts) -> FactorSet:
-    """Factor set at a doubling-stable window, labeled with the generator's
-    certification status."""
-    w, certified = saturation_window(generator, n, **window_opts)
-    return factor_set(generator.prefix(w), n, certified=certified)
+    """The length-n factor set of the word, labeled with the generator's
+    certification status.
+
+    Exact when every letter of the word grows under its morphism, which
+    holds for all bundled words and every DFAO word; `window` is then 0.
+    Otherwise the blocks of the smallest doubling-stable window, whose
+    schedule `window_opts` (`start`, `cap`) sets (see words.factor_blocks).
+    """
+    members, window = factor_blocks(generator, n, **window_opts)
+    return FactorSet(n, members, window, bool(getattr(generator, "certifiable", False)))
 
 
 def _rank_seq(v: str, order: Optional[Mapping[str, int]]):
@@ -212,14 +224,15 @@ def complexity_row(generator, n: int, **window_opts) -> ComplexityRow:
 
 
 def complexity_table(generator, ns: Iterable[int], **window_opts) -> list[ComplexityRow]:
-    """Rows for each n, reusing the (monotone) saturation window."""
+    """Rows for each n, from `saturated_factor_set`.  Exact factor sets
+    need no window; on the window fallback each row's schedule starts at
+    the previous row's window, since the stable window grows with n."""
     rows = []
-    start = window_opts.pop("start", None)
-    w = start or 1 << 10
+    w = window_opts.pop("start", None) or DEFAULT_WINDOW_START
     for n in sorted(ns):
-        window, certified = saturation_window(generator, n, start=w, **window_opts)
-        w = max(w, window)
-        rows.append(_row(factor_set(generator.prefix(window), n, certified=certified)))
+        fs = saturated_factor_set(generator, n, start=w, **window_opts)
+        w = max(w, fs.window)
+        rows.append(_row(fs))
     return rows
 
 

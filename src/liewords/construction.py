@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import complexity
 from .bundled import fibonacci_morphism
 from .complexity import factor_set
 from .errors import (
@@ -219,13 +220,8 @@ def build(params: ConstructionParams) -> ConstructionTrace:
 
 def primitive_root(word: str) -> tuple[str, int]:
     """Shortest word whose repetition gives the input, with its exponent."""
-    if not word:
-        raise ValueError("empty word has no primitive root")
-    n = len(word)
-    for p in range(1, n + 1):
-        if n % p == 0 and word[:p] * (n // p) == word:
-            return word[:p], n // p
-    raise AssertionError("unreachable")
+    root = complexity.primitive_root(word)
+    return root, len(word) // len(root)
 
 
 def verify_powers(trace: ConstructionTrace, i: int, e: int) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Literal, Optional
 
-from .automata import MultiTrackDfa, normalize_padding
+from .automata import MultiTrackDfa, _coreachable, normalize_padding
 from .errors import (
     InfiniteCount,
     NoConvergence,
@@ -113,22 +113,6 @@ def _vec_mat(vec, mat):
     return out
 
 
-def _coreachable_states(a: MultiTrackDfa) -> list[bool]:
-    preds: list[set[int]] = [set() for _ in range(a.n_states)]
-    for p, row in enumerate(a.transitions):
-        for t in set(row):
-            preds[t].add(p)
-    seen = set(a.accepting)
-    stack = list(a.accepting)
-    while stack:
-        q = stack.pop()
-        for p in preds[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return [q in seen for q in range(a.n_states)]
-
-
 def count_direct(a: MultiTrackDfa, n: int) -> int:
     """Number of i values accepted with the n track fixed to n.
 
@@ -213,13 +197,13 @@ def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
     a = normalize_padding(a)
     mats, lead = _count_matrices(a, "i", "n")
     nn = a.n_states
-    core = _coreachable_states(a)
+    core = _coreachable(a)
 
     v = [0] * nn
     v[a.initial] = 1
     x = _vec_mat(v, lead)
     steps = 0
-    while any(x[q] for q in range(nn) if core[q]):
+    while any(x[q] for q in core):
         if steps >= PADDING_SUM_CAP:
             raise NoConvergence(
                 "leading-padding sum still live after %d terms" % PADDING_SUM_CAP

@@ -20,7 +20,8 @@ class UnknownLetter(ToolError):
 
 
 class WindowExceeded(ToolError):
-    """Factor sets kept changing up to the window cap."""
+    """Factor sets kept changing up to the window cap, or their exact
+    computation would hold more image letters than its budget."""
 
 
 class FormatError(ToolError, ValueError):
@@ -48,7 +49,8 @@ class WindowTooSmall(ToolError):
 
 
 class UncertifiedData(ToolError):
-    """Strict mode refuses to draw conclusions from heuristic windows."""
+    """Strict mode refuses to draw conclusions from factor sets that are
+    not labeled certified."""
 
 
 # automata

@@ -3,7 +3,7 @@
 Each closed form is an explicit membership test (powers, shifted
 Fibonacci and Tribonacci numbers, and the listed sporadic values), so a
 reader can audit it against the table it transcribes.  The report
-recomputes every value by brute force on saturated windows and, for
+recomputes every value by brute force on the words' factor sets and, for
 the automatic words, through the logic pipeline as well.
 """
 

@@ -3,10 +3,19 @@
 Words come from two interchangeable sources: fixed points of prolongable
 morphisms (optionally followed by a letter-to-letter coding) and DFAOs
 reading the base-k digits of the position, most significant digit first.
-Prefixes are certified by a doubling window check: once the factor set of
-a prefix stops changing when the window doubles, it is taken as the factor
-set of the infinite word.  That certificate is only sound for uniformly
-recurrent words, so it is labeled `certified` only when the generator is
+A DFAO word is also the coded fixed point of a k-uniform morphism on its
+states (Cobham), so every word here is morphic.
+
+Factor sets are exact when every letter of the word grows under its
+morphism (Pansiot 1984): the length-n factors are the blocks of
+sigma^m(ab) that start inside sigma^m(a), over the 2-factors ab, which
+are themselves computed as a closure.  All bundled words and every DFAO
+word qualify.  A word with a non-growing letter falls back to a doubling
+window: once the factor set of a prefix stops changing when the window
+doubles, it is taken as the factor set of the infinite word, which is
+a heuristic.
+
+The `certified` label is separate: it is set only when the generator is
 the fixed point of a primitive morphism (or a coding of one).
 """
 
@@ -19,12 +28,16 @@ from typing import Mapping, Optional
 from .errors import (
     FormatError,
     NotProlongable,
+    ToolError,
     UnknownLetter,
     WindowExceeded,
 )
 
 DEFAULT_WINDOW_START = 1 << 10
 DEFAULT_WINDOW_CAP = 1 << 24
+# letters the exact path may hold in images, as many as the largest prefix
+# (twice the window cap) the fallback reads
+IMAGE_LETTER_BUDGET = 2 * DEFAULT_WINDOW_CAP
 
 
 @dataclass(frozen=True)
@@ -132,6 +145,27 @@ def dfao_prefix(d: Dfao, length: int) -> "Prefix":
     return Prefix("".join(dfao_eval(d, n) for n in range(length)), "dfao")
 
 
+def dfao_morphism(d: Dfao) -> tuple["Morphism", str, dict[str, str]]:
+    """k-uniform morphism, seed and coding whose coded fixed point is the
+    DFAO's word (Cobham 1972).
+
+    State q becomes the letter chr(q + 1), with image delta(q, 0) ...
+    delta(q, k-1).  Position 0 reads the empty digit string, and no other
+    digit string starts with 0, so a fresh seed letter chr(0) stands for
+    the initial state there, with image chr(0) delta(q0, 1) ...
+    delta(q0, k-1).  The coding sends each letter to its state's output.
+    """
+    state = [chr(q + 1) for q in range(d.n_states)]
+    seed = chr(0)
+    first = d.transitions[d.initial]
+    rules = {seed: seed + "".join(state[t] for t in first[1:])}
+    for q, row in enumerate(d.transitions):
+        rules[state[q]] = "".join(state[t] for t in row)
+    coding = dict(zip(state, d.outputs))
+    coding[seed] = d.outputs[d.initial]
+    return morphism([seed] + state, rules), seed, coding
+
+
 @dataclass(frozen=True)
 class Prefix:
     """A certified chunk of an infinite word, with its provenance tag."""
@@ -153,13 +187,7 @@ def fixed_point_prefix(m: Morphism, seed: str, length: int) -> Prefix:
     are nonempty, so each round strictly extends the prefix until the
     target length is reached.
     """
-    if seed not in m.rule_map:
-        raise UnknownLetter("seed %r not in alphabet" % seed)
-    if not m.is_prolongable_on(seed):
-        raise NotProlongable(
-            "image of %r is %r; need it to start with %r and have length >= 2"
-            % (seed, m.rule_map[seed], seed)
-        )
+    _require_prolongable(m, seed)
     rules = m.rule_map
     s = seed
     while len(s) < length:
@@ -174,6 +202,16 @@ def fixed_point_prefix(m: Morphism, seed: str, length: int) -> Prefix:
                 break
         s = "".join(parts)
     return Prefix(s[:length], "morphism")
+
+
+def _require_prolongable(m: Morphism, seed: str) -> None:
+    if seed not in m.rule_map:
+        raise UnknownLetter("seed %r not in alphabet" % seed)
+    if not m.is_prolongable_on(seed):
+        raise NotProlongable(
+            "image of %r is %r; need it to start with %r and have length >= 2"
+            % (seed, m.rule_map[seed], seed)
+        )
 
 
 def is_primitive_morphism(m: Morphism) -> bool:
@@ -203,9 +241,133 @@ def is_primitive_morphism(m: Morphism) -> bool:
     return False
 
 
+def two_factor_closure(m: Morphism, seed: str) -> frozenset[str]:
+    """The 2-factors of the fixed point of m from seed, computed exactly.
+
+    Starts from sigma(seed)[:2] and adds every 2-block of sigma(a)sigma(b)
+    for each pair ab already found, until nothing new appears.  Each
+    2-factor of the fixed point x = sigma(x) lies in the image of an
+    earlier one, so nothing is missed, and images of factors are factors.
+    """
+    _require_prolongable(m, seed)
+    rules = m.rule_map
+    first = rules[seed][:2]
+    found = {first}
+    todo = [first]
+    while todo:
+        ab = todo.pop()
+        s = rules[ab[0]] + rules[ab[1]]
+        for i in range(len(s) - 1):
+            block = s[i : i + 2]
+            if block not in found:
+                found.add(block)
+                todo.append(block)
+    return frozenset(found)
+
+
+def growing_letters(m: Morphism) -> frozenset[str]:
+    """Letters c whose images sigma^k(c) grow without bound.
+
+    That holds exactly when c reaches, in the letter graph (c itself
+    included), a letter that lies on a cycle and has an image of length
+    >= 2: each turn of that cycle adds a letter.  Without one, every long
+    path ends on a cycle of one-letter images, which adds none.
+    """
+    rules = m.rule_map
+    succ = {a: set(rules[a]) for a in m.alphabet}
+    pred: dict[str, set[str]] = {a: set() for a in m.alphabet}
+    for a, out in succ.items():
+        for b in out:
+            pred[b].add(a)
+    found = {a for a in _cyclic_letters(succ, pred) if len(rules[a]) >= 2}
+    todo = list(found)
+    while todo:
+        for a in pred[todo.pop()]:
+            if a not in found:
+                found.add(a)
+                todo.append(a)
+    return frozenset(found)
+
+
+def _cyclic_letters(succ: dict[str, set[str]], pred: dict[str, set[str]]) -> set[str]:
+    """Letters on a cycle: the strongly connected components with more than
+    one letter or with a loop (Kosaraju's two passes)."""
+    order: list[str] = []
+    seen: set[str] = set()
+    for root in succ:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, nexts = stack[-1]
+            for b in nexts:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append((b, iter(succ[b])))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    cyclic: set[str] = set()
+    done: set[str] = set()
+    for root in reversed(order):
+        if root in done:
+            continue
+        done.add(root)
+        comp = [root]
+        for a in comp:
+            for p in pred[a]:
+                if p not in done:
+                    done.add(p)
+                    comp.append(p)
+        if len(comp) > 1 or root in succ[root]:
+            cyclic.update(comp)
+    return cyclic
+
+
+class _MorphicWord:
+    """A word as the coded fixed point of a morphism, with what exact factor
+    sets need: the 2-factors, their letters (the 1-factors), whether those
+    all grow, and the images sigma^k(c) built so far, by k."""
+
+    def __init__(self, m: Morphism, seed: str, coding: Optional[Mapping[str, str]]):
+        self.rules = m.rule_map
+        self.pairs = sorted(two_factor_closure(m, seed))
+        self.letters = sorted({c for ab in self.pairs for c in ab})
+        self.growing = set(self.letters) <= growing_letters(m)
+        self.table = str.maketrans(dict(coding)) if coding else None
+        self.images: list[dict[str, str]] = [{c: c for c in self.letters}]
+
+    def images_for(self, n: int) -> dict[str, str]:
+        """sigma^m(c) for each letter, with m the least power that makes
+        every image at least n-1 letters long.  Sizes are worked out before
+        any image is built; raises WindowExceeded when the images held
+        would pass IMAGE_LETTER_BUDGET letters."""
+        rules, images = self.rules, self.images
+        held = sum(len(s) for level in images for s in level.values())
+        size = dict.fromkeys(self.letters, 1)
+        m = 0
+        while min(size.values()) < n - 1:
+            m += 1
+            size = {c: sum(size[d] for d in rules[c]) for c in self.letters}
+            if m >= len(images):
+                held += sum(size.values())
+                if held > IMAGE_LETTER_BUDGET:
+                    raise WindowExceeded(
+                        "exact factor set of length %d needs images of more than "
+                        "the letter budget of %d letters" % (n, IMAGE_LETTER_BUDGET)
+                    )
+        while len(images) <= m:
+            last = images[-1]
+            images.append({c: "".join([last[d] for d in rules[c]]) for c in self.letters})
+        return images[m]
+
+
 class WordGenerator:
     """A named source of prefixes, with an in-memory (and optional on-disk,
-    content-keyed) cache.
+    content-keyed) cache.  It also keeps, built on first use, the 2-factors
+    and letter images that `exact_factors` reads.
 
     Exactly one of `morphism`/`dfao` drives generation when both are given
     the morphism wins (it is cheaper); tests assert the two agree for the
@@ -242,9 +404,20 @@ class WordGenerator:
             self.letters = morphism.alphabet
         self.certifiable = morphism is not None and is_primitive_morphism(morphism)
         self._cached = ""
+        self._morphic: Optional[_MorphicWord] = None
 
     def __repr__(self):
         return "WordGenerator(%r)" % self.name
+
+    def _morphic_word(self) -> _MorphicWord:
+        """The word as a coded morphic fixed point, with its 2-factors and
+        the images cached for exact factor sets; built on first use."""
+        if self._morphic is None:
+            if self.morphism is not None:
+                self._morphic = _MorphicWord(self.morphism, self.seed, self.coding)
+            else:
+                self._morphic = _MorphicWord(*dfao_morphism(self.dfao))
+        return self._morphic
 
     def _generate(self, length: int) -> str:
         if self.morphism is not None:
@@ -290,6 +463,60 @@ class WordGenerator:
         return Prefix(self._cached[:length], self.name)
 
 
+def exact_factors(generator, n: int) -> frozenset[str]:
+    """Length-n factors of a word whose letters all grow, computed exactly.
+
+    For n >= 1 they are the blocks (sigma^m(a) + sigma^m(b)[:n-1])[i:i+n]
+    with i < |sigma^m(a)|, over the 2-factors ab, where m is the least power
+    with |sigma^m(c)| >= n-1 for every letter c of the word: the word is
+    sigma^m of itself, so a factor starts inside the image of some letter
+    a and ends inside the image of the letter b after it (Pansiot 1984).
+    The coding, if any, is applied to the blocks.
+
+    Raises ToolError when a letter of the word does not grow, and
+    WindowExceeded when the images would pass IMAGE_LETTER_BUDGET letters.
+    """
+    if n < 0:
+        raise ValueError("factor length must be nonnegative")
+    word = generator._morphic_word()
+    if not word.growing:
+        raise ToolError(
+            "%s has a letter that does not grow; its factor sets are not exact"
+            % generator.name
+        )
+    if n == 0:
+        return frozenset([""])
+    images = word.images_for(n)
+    table = word.table
+    spans = []
+    for a, b in word.pairs:
+        s = images[a] + images[b][: n - 1]
+        spans.append((s if table is None else s.translate(table), len(images[a])))
+    # one frozenset straight from the blocks: filling a set and copying it
+    # raised the peak memory of a table
+    return frozenset(s[i : i + n] for s, starts in spans for i in range(starts))
+
+
+def factor_blocks(
+    generator,
+    n: int,
+    *,
+    start: int = DEFAULT_WINDOW_START,
+    cap: int = DEFAULT_WINDOW_CAP,
+) -> tuple[frozenset[str], int]:
+    """Length-n factors of the word and the window they were read from.
+
+    Exact (`exact_factors`, window 0) when every letter of the word grows.
+    Otherwise they are the blocks of the smallest window of the doubling
+    schedule from `start` that `saturation_window` accepts; raises
+    WindowExceeded past `cap`.
+    """
+    if generator._morphic_word().growing:
+        return exact_factors(generator, n), 0
+    w, blocks = _stable_window(generator, n, start, cap)
+    return frozenset(blocks), w
+
+
 def saturation_window(
     generator,
     n: int,
@@ -306,14 +533,22 @@ def saturation_window(
 
     Returns (window, certified).  Raises WindowExceeded past the cap.
     """
+    w, _ = _stable_window(generator, n, start, cap)
+    return w, bool(getattr(generator, "certifiable", False))
+
+
+def _stable_window(generator, n: int, start: int, cap: int) -> tuple[int, set[str]]:
+    """The window `saturation_window` returns, with its length-n blocks."""
+    if n < 0:
+        raise ValueError("factor length must be nonnegative")
     w = start
     while w < n:
         w *= 2
     while w <= cap:
-        small = generator.prefix(w).letters
+        blocks = _block_set(generator.prefix(w).letters, n)
         big = generator.prefix(2 * w).letters
-        if _block_set(big[w - n + 1 :], n) <= _block_set(small, n):
-            return w, bool(getattr(generator, "certifiable", False))
+        if _block_set(big[w - n + 1 :], n) <= blocks:
+            return w, blocks
         w *= 2
     raise WindowExceeded(
         "factor set of length %d still growing at window cap %d" % (n, cap)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own algorithms: the
 rotation-class counts come from a suffix automaton plus a vectorized
 rotate-by-one walk, the small-scale counts check every rotation of every
 factor explicitly, least rotations come from Booth's failure-function
-scan, abelian counts from `Counter`, and ranks come from Gaussian
-elimination over Z/p.
+scan, abelian counts from `Counter`, ranks come from Gaussian
+elimination over Z/p, growing letters from image lengths, and factor
+sets of morphic words from a prefix long enough to hold every factor.
 Agreement between these and the package is an algorithm-level check, not
 a restatement.
 """
@@ -15,6 +16,62 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+
+
+def image_lengths(rules: dict, k: int) -> dict:
+    """|sigma^k(c)| for every letter c, by the length recurrence."""
+    size = dict.fromkeys(rules, 1)
+    for _ in range(k):
+        size = {c: sum(size[d] for d in rules[c]) for c in rules}
+    return size
+
+
+def growing_by_lengths(rules: dict) -> set:
+    """Letters c with |sigma^(2d)(c)| > |sigma^d(c)|, d the alphabet size.
+
+    A length-d path in the letter graph repeats a letter, and from there on
+    it is forced when every cycle it can reach has one-letter images, so
+    bounded letters stop growing after d steps; a growing letter reaches a
+    branching cycle letter within d steps and comes back to it within d
+    more, so it gains a letter between d and 2d.
+    """
+    d = len(rules)
+    low, high = image_lengths(rules, d), image_lengths(rules, 2 * d)
+    return {c for c in rules if high[c] > low[c]}
+
+
+def closure_in_rounds(rules: dict, seed: str) -> tuple[set, int]:
+    """2-factors of the fixed point from seed, by whole rounds, and the
+    number K of rounds that added one.  Every 2-factor then occurs in
+    sigma^(K+1)(seed), so every length-n factor occurs in
+    sigma^(K+m+1)(seed) when |sigma^m(c)| >= n-1 for every letter c."""
+    found = {rules[seed][:2]}
+    rounds = 0
+    while True:
+        grown = set(found)
+        for ab in found:
+            s = rules[ab[0]] + rules[ab[1]]
+            grown.update(s[i : i + 2] for i in range(len(s) - 1))
+        if grown == found:
+            return found, rounds
+        found = grown
+        rounds += 1
+
+
+def provable_prefix_length(rules: dict, seed: str, max_n: int) -> int:
+    """|sigma^(K+m+1)(seed)| for the largest m that lengths up to max_n
+    need (see closure_in_rounds): a prefix that holds every factor of
+    length <= max_n of a word whose letters all grow."""
+    pairs, rounds = closure_in_rounds(rules, seed)
+    letters = {c for ab in pairs for c in ab}
+    m = 0
+    while min(image_lengths(rules, m)[c] for c in letters) < max_n - 1:
+        m += 1
+    return image_lengths(rules, rounds + m + 1)[seed]
+
+
+def blocks(s: str, n: int) -> set:
+    return {s[i : i + n] for i in range(len(s) - n + 1)}
 
 
 def naive_lie_count(window: str, n: int) -> int:

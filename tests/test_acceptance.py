@@ -96,8 +96,8 @@ def test_accept_3_first_difference_margin(tables):
         rows = tables[name]
         certified_word = all(r.certified for r in rows)
         for prev, row in zip(rows, rows[1:]):
-            # the window for this word never certifies, so its margins
-            # come from the stabilized heuristic windows
+            # this word's rows are not labeled certified, so its margins
+            # are checked with strict=False
             margin = first_difference_margin(row, prev.p, strict=certified_word)
             assert margin >= 0, (name, row.n, margin)
     _accept(3)

@@ -31,6 +31,14 @@ def test_complexity_single_n_json(capsys):
     assert len(rows) == 1 and rows[0]["n"] == 5
 
 
+def test_cantor_rows_stay_uncertified(capsys):
+    code, out, _ = run(capsys, "complexity", "--word", "cantor", "--n", "0..5")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 6
+    assert all(row.split("\t")[-1] == "false" for row in rows)
+
+
 def test_complexity_deterministic_output(capsys):
     args = ("complexity", "--word", "vtm", "--n", "0..12")
     _, first, _ = run(capsys, *args)

@@ -20,7 +20,7 @@ from liewords.complexity import (
     unbounded_exponent_scan,
 )
 from liewords.errors import EmptyWord, UncertifiedData
-from liewords.words import saturation_window
+from liewords.words import exact_factors, saturation_window
 
 from oracles import (
     booth_least_rotation,
@@ -247,3 +247,21 @@ def test_json_round_trips_values():
     data = json.loads(rows_to_json(rows))["rows"]
     assert data[2]["n"] == 2 and data[2]["p"] == 3
     assert all(set(d) == {"n", "p", "c", "a", "L", "certified"} for d in data)
+
+
+@pytest.mark.parametrize(
+    "name", ["thue-morse", "vtm", "cantor", "fibonacci", "tribonacci", "twelve"]
+)
+def test_exact_sets_equal_doubling_window_sets(name):
+    gen = get_word(name)
+    for n in range(101):
+        window, _ = saturation_window(gen, n)
+        assert exact_factors(gen, n) == factor_set(gen.prefix(window), n).members, n
+
+
+def test_exact_route_ignores_the_window_schedule():
+    tm = get_word("thue-morse")
+    rows = complexity_table(tm, range(0, 40), start=4, cap=8)
+    assert rows == complexity_table(tm, range(0, 40))
+    fs = saturated_factor_set(tm, 39, start=4, cap=8)
+    assert fs.window == 0 and fs.certified

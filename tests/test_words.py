@@ -2,7 +2,7 @@ import hashlib
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from liewords.bundled import get_word
@@ -14,18 +14,27 @@ from liewords.errors import (
     WindowExceeded,
 )
 from liewords.words import (
+    Dfao,
     Morphism,
     WordGenerator,
     dfao_eval,
+    dfao_morphism,
+    dfao_prefix,
     digits_msd,
     dfao_to_text,
+    exact_factors,
+    factor_blocks,
     fixed_point_prefix,
+    growing_letters,
     morphism,
     morphism_to_text,
     parse_dfao,
     parse_morphism,
     saturation_window,
+    two_factor_closure,
 )
+
+from oracles import blocks, closure_in_rounds, growing_by_lengths, provable_prefix_length
 
 
 def test_morphism_apply():
@@ -168,3 +177,116 @@ def test_parse_errors_name_the_line(parse, text, message):
         parse(text)
     assert str(info.value) == message
     assert isinstance(info.value, ToolError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "rules, growing",
+    [
+        ({"a": "ab", "b": "b"}, "a"),
+        ({"a": "aab", "b": "b"}, "a"),
+        ({"a": "b", "b": "ac", "c": "c"}, "ab"),
+        ({"0": "01", "1": "0"}, "01"),
+    ],
+)
+def test_growing_letters_on_the_letter_graph(rules, growing):
+    assert growing_letters(morphism("".join(rules), rules)) == frozenset(growing)
+
+
+@st.composite
+def _morphisms(draw):
+    """Rules on 2-4 letters, prolongable on a, with images of length 1-3."""
+    letters = "abcd"[: draw(st.integers(min_value=2, max_value=4))]
+    rules = {c: draw(st.text(alphabet=letters, min_size=1, max_size=3)) for c in letters}
+    rules["a"] = "a" + draw(st.text(alphabet=letters, min_size=1, max_size=2))
+    return rules
+
+
+@given(_morphisms())
+def test_growing_letters_match_image_lengths(rules):
+    m = morphism("".join(rules), rules)
+    assert growing_letters(m) == growing_by_lengths(rules)
+
+
+@given(_morphisms(), st.booleans())
+def test_exact_factors_equal_blocks_of_a_provable_prefix(rules, coded):
+    m = morphism("".join(rules), rules)
+    pairs, _ = closure_in_rounds(rules, "a")
+    assume({c for ab in pairs for c in ab} <= growing_by_lengths(rules))
+    max_n = 10
+    length = provable_prefix_length(rules, "a", max_n)
+    assume(length <= 1 << 17)
+    coding = {"a": "0", "b": "1", "c": "0", "d": "1"} if coded else None
+    gen = WordGenerator("h", morphism=m, seed="a", coding=coding)
+    assert two_factor_closure(m, "a") == pairs
+    prefix = gen.prefix(length).letters
+    for n in range(max_n + 1):
+        assert exact_factors(gen, n) == blocks(prefix, n), n
+
+
+def _dfao_cases():
+    return [get_word(name).dfao for name in ("thue-morse", "vtm", "cantor", "twelve")] + [
+        # the initial state is left on digit 0, so leading zeros would matter
+        Dfao(
+            base=2,
+            transitions=((1, 2), (2, 0), (1, 1)),
+            outputs=("a", "b", "c"),
+            letters=("a", "b", "c"),
+        )
+    ]
+
+
+def _dfao_rules(d):
+    m, seed, _ = dfao_morphism(d)
+    return m.rule_map, seed
+
+
+@pytest.mark.parametrize("d", _dfao_cases())
+def test_dfao_words_take_the_exact_path(d):
+    rules, seed = _dfao_rules(d)
+    length = provable_prefix_length(rules, seed, 10)
+    prefix = dfao_prefix(d, length).letters
+    gen = WordGenerator("dfao", dfao=d)
+    for n in range(11):
+        members, window = factor_blocks(gen, n, start=4, cap=8)
+        assert window == 0
+        assert members == blocks(prefix, n), n
+
+
+@st.composite
+def _dfaos(draw):
+    base = draw(st.integers(min_value=2, max_value=3))
+    states = draw(st.integers(min_value=1, max_value=4))
+    transitions = tuple(
+        tuple(draw(st.integers(0, states - 1)) for _ in range(base)) for _ in range(states)
+    )
+    outputs = tuple(draw(st.sampled_from("xy")) for _ in range(states))
+    return Dfao(base, transitions, outputs, ("x", "y"))
+
+
+@given(_dfaos())
+def test_exact_factors_of_random_dfaos(d):
+    rules, seed = _dfao_rules(d)
+    length = provable_prefix_length(rules, seed, 8)
+    assume(length <= 1 << 14)
+    prefix = dfao_prefix(d, length).letters
+    gen = WordGenerator("dfao", dfao=d)
+    for n in range(9):
+        assert exact_factors(gen, n) == blocks(prefix, n), n
+
+
+def test_non_growing_letter_takes_the_window_fallback():
+    gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
+    members, window = factor_blocks(gen, 3)
+    assert window >= 1024
+    assert members == blocks(gen.prefix(window).letters, 3)
+    with pytest.raises(WindowExceeded):
+        factor_blocks(gen, 6, start=4, cap=8)
+    with pytest.raises(ToolError, match="does not grow"):
+        exact_factors(gen, 3)
+
+
+def test_exact_factors_refuse_past_the_letter_budget():
+    tm = WordGenerator("tm", morphism=morphism("01", {"0": "01", "1": "10"}), seed="0")
+    with pytest.raises(WindowExceeded, match="letter budget of 33554432 letters"):
+        exact_factors(tm, 1 << 26)
+    assert exact_factors(tm, 3) == {"001", "010", "011", "100", "101", "110"}
