@@ -7,6 +7,18 @@ so a tuple of naturals is accepted iff any common-length digit string for
 it is.  Operations return minimized automata with a canonical breadth
 first state numbering, which makes textual equality an equivalence test.
 
+There is one of each core algorithm.  `minimize` is Moore's partition
+refinement on hashed signatures (after Valmari's refinement-based
+minimization, and the automaton core of Walnut): each round hashes every
+state's acceptance bit and successor blocks into one 64-bit key with
+fixed odd multipliers and numbers the keys with np.unique.  When the
+block count stops growing, an exact check confirms that every state's
+signature equals that of its block's first state; a hash collision fails
+the check, and refinement restarts from the acceptance partition with
+the next multipliers.  Every subset construction (projection, padding
+normalization) runs `_det_by_sets` over boolean state vectors, and every
+product (`combine`, and the sequence atoms in `logic`) runs `_product`.
+
 Tracks are kept sorted by name; combining automata with different track
 sets implicitly cylindrifies (the automaton simply does not read the
 extra tracks).
@@ -19,8 +31,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import BaseMismatch, CompileBlowup, UnknownLetter, UnknownTrack
-from .words import Dfao, digits_msd
+from .errors import BaseMismatch, CompileBlowup, FormatError, UnknownLetter, UnknownTrack
+from .words import Dfao, _base_header, _numbered_lines, _parse_int, _read_states, digits_msd
 
 
 @dataclass(frozen=True)
@@ -75,36 +87,61 @@ def _submap(all_tracks: Sequence[str], sub_tracks: Sequence[str], base: int) -> 
 # minimization and canonical form
 
 
-def _moore_blocks_numpy(rows: list[tuple[int, ...]], acc: list[bool]) -> list[int]:
-    rows_np = np.asarray(rows, dtype=np.int64)
-    block = np.asarray(acc, dtype=np.int64)
-    n_blocks = len(np.unique(block))
-    while True:
-        sigs = np.concatenate([block[:, None], block[rows_np]], axis=1)
-        _, new_block = np.unique(sigs, axis=0, return_inverse=True)
-        count = int(new_block.max()) + 1 if len(new_block) else 0
-        if count == n_blocks:
-            return [int(x) for x in new_block]
-        block = new_block.astype(np.int64)
-        n_blocks = count
+def _table(a: MultiTrackDfa) -> np.ndarray:
+    return np.asarray(a.transitions, dtype=np.intp).reshape(a.n_states, a.n_symbols)
 
 
-def _moore_blocks(rows: list[tuple[int, ...]], acc: list[bool]) -> list[int]:
-    n = len(rows)
-    ids: dict[bool, int] = {}
-    block = [ids.setdefault(x, len(ids)) for x in acc]
-    n_blocks = len(ids)
+def _bfs_order(table: np.ndarray, start: int) -> np.ndarray:
+    """States reachable from start, in breadth-first order of discovery
+    (by parent, then by symbol), one level per step."""
+    seen = np.zeros(len(table), dtype=bool)
+    seen[start] = True
+    levels = [np.array([start], dtype=np.intp)]
     while True:
-        sig_ids: dict[tuple, int] = {}
-        new_block = [0] * n
-        for q in range(n):
-            row = rows[q]
-            key = (block[q], tuple(block[t] for t in row))
-            new_block[q] = sig_ids.setdefault(key, len(sig_ids))
-        if len(sig_ids) == n_blocks:
-            return new_block
-        block = new_block
-        n_blocks = len(sig_ids)
+        targets = table[levels[-1]].ravel()
+        targets = targets[~seen[targets]]
+        if not len(targets):
+            return np.concatenate(levels)
+        _, first = np.unique(targets, return_index=True)
+        level = targets[np.sort(first)]
+        seen[level] = True
+        levels.append(level)
+
+
+def _multipliers(width: int, attempt: int) -> np.ndarray:
+    """Odd 64-bit multipliers for the row hash, fixed per attempt: the
+    splitmix64 outputs for counters attempt*width .. (attempt+1)*width-1
+    (numpy.random is not used: importing it costs milliseconds and
+    megabytes on every command)."""
+    x = np.arange(attempt * width, (attempt + 1) * width, dtype=np.uint64) + np.uint64(1)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31)) | np.uint64(1)
+
+
+def _refine(rows: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Language-equivalence classes by hashed Moore refinement (see the
+    module docstring): (block of each state, first state of each block).
+    Equal signatures get equal keys, so a collision can only merge
+    blocks, which the exact check catches."""
+    attempt = 0
+    while True:
+        mults = _multipliers(rows.shape[1] + 1, attempt)
+        head = acc.astype(np.uint64) * mults[0]
+        _, first, block = np.unique(acc, return_index=True, return_inverse=True)
+        while True:
+            keys = head + block.astype(np.uint64)[rows] @ mults[1:]
+            _, new_first, block = np.unique(keys, return_index=True, return_inverse=True)
+            grown = len(new_first) > len(first)
+            first = new_first
+            if not grown:
+                break
+        sig = block[rows]
+        rep = first[block]
+        if np.array_equal(acc[rep], acc) and np.array_equal(sig[rep], sig):
+            return block, first
+        attempt += 1
 
 
 def minimize(a: MultiTrackDfa, state_cap: Optional[int] = None) -> MultiTrackDfa:
@@ -112,70 +149,26 @@ def minimize(a: MultiTrackDfa, state_cap: Optional[int] = None) -> MultiTrackDfa
 
     The result is canonical: any two automata with the same language
     over the same tracks minimize to identical objects."""
-    nsym = a.n_symbols
-    trans = a.transitions
+    table = _table(a)
+    live = _bfs_order(table, a.initial)
+    _check_cap(len(live), state_cap)
+    index = np.zeros(a.n_states, dtype=np.intp)
+    index[live] = np.arange(len(live))
+    rows = index[table[live]]
+    acc = np.isin(live, list(a.accepting))
+    block, first = _refine(rows, acc)
 
-    seen = {a.initial: 0}
-    order = [a.initial]
-    for q in order:
-        for t in trans[q]:
-            if t not in seen:
-                seen[t] = len(order)
-                order.append(t)
-    n = len(order)
-    _check_cap(n, state_cap)
-    rows = [tuple(seen[t] for t in trans[q]) for q in order]
-    acc = [order[i] in a.accepting for i in range(n)]
-
-    if n * nsym > 200000:
-        block = _moore_blocks_numpy(rows, acc)
-    else:
-        block = _moore_blocks(rows, acc)
-
-    # representative per block, then canonical BFS renumbering
-    rep: dict[int, int] = {}
-    for q in range(n):
-        rep.setdefault(block[q], q)
-    start = block[0]
-    renum = {start: 0}
-    bfs = [start]
-    for b in bfs:
-        row = rows[rep[b]]
-        for sym in range(nsym):
-            nb = block[row[sym]]
-            if nb not in renum:
-                renum[nb] = len(bfs)
-                bfs.append(nb)
-    final_rows = []
-    for b in bfs:
-        row = rows[rep[b]]
-        final_rows.append(tuple(renum[block[t]] for t in row))
-    final_acc = frozenset(renum[b] for b in bfs if acc[rep[b]])
-    return MultiTrackDfa(a.base, a.tracks, tuple(final_rows), final_acc, 0)
-
-
-def _determinize(
-    nsym: int,
-    initial: frozenset[int],
-    step: Callable[[frozenset[int], int], frozenset[int]],
-    is_accepting: Callable[[frozenset[int]], bool],
-    state_cap: Optional[int] = None,
-):
-    index = {initial: 0}
-    order = [initial]
-    rows = []
-    for subset in order:
-        row = []
-        for sym in range(nsym):
-            nxt = step(subset, sym)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                _check_cap(len(order), state_cap)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, s in enumerate(order) if is_accepting(s))
-    return tuple(rows), accepting
+    quotient = block[rows[first]]
+    order = _bfs_order(quotient, int(block[0]))
+    renum = np.zeros(len(first), dtype=np.intp)
+    renum[order] = np.arange(len(order))
+    # rows refer to one int object per state, as the Python-built tables
+    # do, instead of one per cell: a cell then costs 8 bytes, not 40
+    ids = list(range(len(order)))
+    canon = renum[quotient[order]]
+    final_rows = tuple(tuple(map(ids.__getitem__, row.tolist())) for row in canon)
+    final_acc = frozenset(np.flatnonzero(acc[first[order]]).tolist())
+    return MultiTrackDfa(a.base, a.tracks, final_rows, final_acc, 0)
 
 
 def _coreachable(a: MultiTrackDfa) -> frozenset[int]:
@@ -206,30 +199,32 @@ def normalize_padding(a: MultiTrackDfa, state_cap: Optional[int] = None) -> Mult
     a = minimize(a, state_cap)
     if a.transitions[a.initial][0] == a.initial:
         return a
-    trans = a.transitions
-    acc = a.accepting
+    n = a.n_states
     chain = []
     q = a.initial
     while q not in chain:
         chain.append(q)
-        q = trans[q][0]
-    zero_closure = frozenset(chain)
+        q = a.transitions[q][0]
+    table = _table(a)
 
-    # sentinel -1 marks "input so far is all zero columns"; it carries the
-    # zero-closure states with it so acceptance of 0^j s needs no lookahead
-    initial = frozenset({-1}) | zero_closure
+    # subsets get one extra slot, n, for the sentinel "input so far is all
+    # zero columns"; it carries the zero-closure states with it so
+    # acceptance of 0^j s needs no lookahead
+    initial = np.zeros(n + 1, dtype=bool)
+    initial[chain + [n]] = True
+    accepting = np.zeros(n + 1, dtype=bool)
+    accepting[list(a.accepting)] = True
+    syms = np.arange(a.n_symbols)[:, None]
 
-    def step(subset, sym):
-        out = set(trans[q][sym] for q in subset if q >= 0)
-        if -1 in subset and sym == 0:
-            out.add(-1)
-            out.update(zero_closure)
-        return frozenset(out)
+    def step_all(subset: np.ndarray) -> np.ndarray:
+        out = np.zeros((a.n_symbols, n + 1), dtype=bool)
+        out[syms, table[np.flatnonzero(subset[:n])].T] = True
+        if subset[n]:
+            out[0, chain + [n]] = True
+        return out
 
-    rows, accepting = _determinize(
-        a.n_symbols, initial, step, lambda s: bool(s & acc), state_cap
-    )
-    return minimize(MultiTrackDfa(a.base, a.tracks, rows, accepting, 0), state_cap)
+    rows, acc_ids = _det_by_sets(initial, step_all, accepting, state_cap)
+    return minimize(MultiTrackDfa(a.base, a.tracks, tuple(rows), acc_ids, 0), state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +347,36 @@ def seq_letter_predicate(d: Dfao, track: str, letter: str) -> MultiTrackDfa:
 # boolean combinations, projection, renaming
 
 
+def _product(
+    left: tuple[Sequence[Sequence[int]], int, Sequence[int]],
+    right: tuple[Sequence[Sequence[int]], int, Sequence[int]],
+    accept: Callable[[int, int], bool],
+    state_cap: Optional[int] = None,
+) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
+    """Reachable part of the product of two transition tables.
+
+    Each side is (table, start state, symbol map): symbol s of the product
+    moves that side on map[s].  A pair of states accepts when accept(p, q)
+    holds.  Pairs are numbered breadth first from the pair of starts."""
+    (ta, ia, map_a), (tb, ib, map_b) = left, right
+    index = {(ia, ib): 0}
+    order = [(ia, ib)]
+    rows = []
+    for p, q in order:
+        ra, rb = ta[p], tb[q]
+        row = []
+        for sa, sb in zip(map_a, map_b):
+            pair = (ra[sa], rb[sb])
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+                _check_cap(len(order), state_cap)
+            row.append(index[pair])
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, (p, q) in enumerate(order) if accept(p, q))
+    return tuple(rows), accepting
+
+
 def combine(
     a: MultiTrackDfa, b: MultiTrackDfa, op: str, state_cap: Optional[int] = None
 ) -> MultiTrackDfa:
@@ -363,35 +388,14 @@ def combine(
         raise ValueError("op must be 'and' or 'or'")
     base = a.base
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
-    map_a = _submap(tracks, a.tracks, base)
-    map_b = _submap(tracks, b.tracks, base)
-    nsym = base ** len(tracks)
-    ta, tb = a.transitions, b.transitions
-    acc_a, acc_b = a.accepting, b.accepting
-
-    index = {(a.initial, b.initial): 0}
-    order = [(a.initial, b.initial)]
-    rows = []
-    for sa, sb in order:
-        ra, rb = ta[sa], tb[sb]
-        row = []
-        for sym in range(nsym):
-            pair = (ra[map_a[sym]], rb[map_b[sym]])
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-                _check_cap(len(order), state_cap)
-            row.append(index[pair])
-        rows.append(tuple(row))
-    if op == "and":
-        accepting = frozenset(
-            i for i, (sa, sb) in enumerate(order) if sa in acc_a and sb in acc_b
-        )
-    else:
-        accepting = frozenset(
-            i for i, (sa, sb) in enumerate(order) if sa in acc_a or sb in acc_b
-        )
-    return minimize(MultiTrackDfa(base, tracks, tuple(rows), accepting, 0), state_cap)
+    join = all if op == "and" else any
+    rows, accepting = _product(
+        (a.transitions, a.initial, _submap(tracks, a.tracks, base)),
+        (b.transitions, b.initial, _submap(tracks, b.tracks, base)),
+        lambda p, q: join((p in a.accepting, q in b.accepting)),
+        state_cap,
+    )
+    return minimize(MultiTrackDfa(base, tracks, rows, accepting, 0), state_cap)
 
 
 def conjoin(automata: Sequence[MultiTrackDfa], state_cap: Optional[int] = None) -> MultiTrackDfa:
@@ -431,7 +435,7 @@ class _GuessNfa:
         self.guess_cols = (
             (hi[:, None] * base + np.arange(base)[None, :]) * pow_low + lo[:, None]
         )
-        self.trans = np.asarray(a.transitions, dtype=np.int64)
+        self.trans = _table(a)
         useful = _coreachable(a)
         self.useful = np.zeros(self.n, dtype=bool)
         self.useful[list(useful)] = True
@@ -513,8 +517,9 @@ def _project_one(a: MultiTrackDfa, track: str, state_cap: Optional[int]) -> Mult
     base, kept = nfa.base, nfa.kept
 
     def finish(rows, accepting):
-        out = minimize(MultiTrackDfa(base, kept, tuple(rows), accepting, 0), state_cap)
-        return normalize_padding(out, state_cap)
+        return normalize_padding(
+            MultiTrackDfa(base, kept, tuple(rows), accepting, 0), state_cap
+        )
 
     # forward subset construction first; most projections stay small
     soft = 20000 + 4 * nfa.n
@@ -535,7 +540,7 @@ def _project_one(a: MultiTrackDfa, track: str, state_cap: Optional[int]) -> Mult
     )
     mid = minimize(MultiTrackDfa(base, kept, tuple(rows), accepting, 0), state_cap)
 
-    mid_trans = np.asarray(mid.transitions, dtype=np.int64)
+    mid_trans = _table(mid)
     mid_acc = np.zeros(mid.n_states, dtype=bool)
     mid_acc[list(mid.accepting)] = True
     mid_init = np.zeros(mid.n_states, dtype=bool)
@@ -577,21 +582,10 @@ def rename_tracks(
             raise UnknownTrack("no track %r" % t)
     image = [mapping.get(t, t) for t in a.tracks]
     new_tracks = tuple(sorted(set(image)))
-    base = a.base
-    m_new = len(new_tracks)
-    nsym_new = base**m_new
-    pos_new = {t: i for i, t in enumerate(new_tracks)}
-    rows = []
-    for q in range(a.n_states):
-        row_old = a.transitions[q]
-        row = []
-        for sym in range(nsym_new):
-            digs_new = digits_of(sym, base, m_new)
-            old_sym = sym_of([digs_new[pos_new[img]] for img in image], base)
-            row.append(row_old[old_sym])
-        rows.append(tuple(row))
+    old_sym = _submap(new_tracks, image, a.base)
+    rows = tuple(tuple(row[s] for s in old_sym) for row in a.transitions)
     return minimize(
-        MultiTrackDfa(base, new_tracks, tuple(rows), a.accepting, a.initial), state_cap
+        MultiTrackDfa(a.base, new_tracks, rows, a.accepting, a.initial), state_cap
     )
 
 
@@ -674,40 +668,29 @@ def to_text(a: MultiTrackDfa) -> str:
 
 
 def from_text(text: str) -> MultiTrackDfa:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("base:"):
-        raise ValueError("first line must declare 'base: k'")
-    base = int(lines[0][len("base:") :])
-    if len(lines) < 2 or not lines[1].startswith("tracks:"):
-        raise ValueError("second line must declare 'tracks: ...'")
-    tracks = tuple(lines[1][len("tracks:") :].split())
+    """Read the `to_text` format.  Malformed input raises FormatError with
+    the 1-based line number."""
+    lines = _numbered_lines(text)
+    header, base = _base_header(lines)
+    if len(lines) < 2 or not lines[1][1].startswith("tracks:"):
+        raise FormatError(
+            "second line must declare 'tracks: ...'", lines[1][0] if len(lines) > 1 else header
+        )
+    tracks = tuple(lines[1][1][len("tracks:") :].split())
+    if list(tracks) != sorted(set(tracks)):
+        raise FormatError("tracks must be distinct and sorted", lines[1][0])
     m = len(tracks)
+
+    def symbol(lhs: str, no: int) -> int:
+        digs = [_parse_int(x, no) for x in lhs.split(",")] if lhs else []
+        if len(digs) != m:
+            raise FormatError("expected %d digits, got %d" % (m, len(digs)), no)
+        if any(not 0 <= d < base for d in digs):
+            raise FormatError("digit outside 0..%d" % (base - 1), no)
+        return sym_of(digs, base)
+
     nsym = base**m
-    accepting = set()
-    trans: dict[int, dict[int, int]] = {}
-    state = None
-    for ln in lines[2:]:
-        if ln.startswith("state "):
-            parts = ln.split()
-            state = int(parts[1])
-            trans[state] = {}
-            if len(parts) == 3 and parts[2] == "accepting":
-                accepting.add(state)
-            elif len(parts) != 2:
-                raise ValueError("bad state line %r" % ln)
-        else:
-            if state is None or "->" not in ln:
-                raise ValueError("transition outside a state block: %r" % ln)
-            lhs, rhs = (part.strip() for part in ln.split("->", 1))
-            digs = [int(x) for x in lhs.split(",")] if lhs else []
-            trans[state][sym_of(digs, base)] = int(rhs)
-    n = len(trans)
-    if sorted(trans) != list(range(n)):
-        raise ValueError("states must be numbered 0..%d" % (n - 1))
-    rows = []
-    for q in range(n):
-        row = trans[q]
-        if len(row) != nsym:
-            raise ValueError("state %d needs %d transitions" % (q, nsym))
-        rows.append(tuple(row[s] for s in range(nsym)))
-    return MultiTrackDfa(base, tracks, tuple(rows), frozenset(accepting), 0)
+    accepts_tail = lambda tail: tail in ([], ["accepting"])
+    tails, rows = _read_states(lines[2:], header, accepts_tail, symbol, nsym, "%d transitions" % nsym)
+    accepting = frozenset(q for q, tail in tails.items() if tail)
+    return MultiTrackDfa(base, tracks, tuple(rows), accepting, 0)

@@ -98,9 +98,9 @@ def _sequence(value: str) -> wd.Dfao:
 
 def _window_opts(args) -> dict:
     opts = {}
-    if getattr(args, "window_start", None):
+    if getattr(args, "window_start", None) is not None:
         opts["start"] = args.window_start
-    if getattr(args, "window_cap", None):
+    if getattr(args, "window_cap", None) is not None:
         opts["cap"] = args.window_cap
     return opts
 

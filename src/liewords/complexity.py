@@ -228,7 +228,9 @@ def complexity_table(generator, ns: Iterable[int], **window_opts) -> list[Comple
     need no window; on the window fallback each row's schedule starts at
     the previous row's window, since the stable window grows with n."""
     rows = []
-    w = window_opts.pop("start", None) or DEFAULT_WINDOW_START
+    w = window_opts.pop("start", None)
+    if w is None:
+        w = DEFAULT_WINDOW_START
     for n in sorted(ns):
         fs = saturated_factor_set(generator, n, start=w, **window_opts)
         w = max(w, fs.window)

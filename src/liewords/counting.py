@@ -16,6 +16,7 @@ from typing import Literal, Optional
 
 from .automata import MultiTrackDfa, _coreachable, normalize_padding
 from .errors import (
+    FormatError,
     InfiniteCount,
     NoConvergence,
     NonIntegerOutput,
@@ -23,7 +24,7 @@ from .errors import (
     UnknownTrack,
 )
 from .linalg import RowBasis
-from .words import Dfao, digits_msd
+from .words import Dfao, _numbered_lines, _parse_int, digits_msd
 
 PADDING_SUM_CAP = 10**4
 
@@ -371,35 +372,47 @@ def representation_to_text(r: LinearRepresentation) -> str:
 
 
 def representation_from_text(text: str) -> LinearRepresentation:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("base:"):
-        raise ValueError("expected 'base:' header")
-    base = int(lines[0].split(":", 1)[1])
-    if not lines[1].startswith("dimension:"):
-        raise ValueError("expected 'dimension:' header")
-    dim = int(lines[1].split(":", 1)[1])
+    """Read the `representation_to_text` format.  Malformed input raises
+    FormatError with the 1-based line number."""
+    lines = _numbered_lines(text)
+    pos = 0
 
-    def parse_row(s: str) -> Row:
+    def take(prefix: str) -> tuple[int, str]:
+        nonlocal pos
+        if pos == len(lines):
+            last = lines[-1][0] if lines else None
+            raise FormatError("input ends where %r was expected" % prefix, last)
+        no, ln = lines[pos]
+        if not ln.startswith(prefix):
+            raise FormatError("expected %r" % prefix, no)
+        pos += 1
+        return no, ln[len(prefix) :]
+
+    def parse_row(no: int, s: str) -> Row:
         parts = s.split()
         if len(parts) != dim:
-            raise ValueError("expected %d entries, got %d" % (dim, len(parts)))
-        return tuple(Fraction(p) for p in parts)
+            raise FormatError("expected %d entries, got %d" % (dim, len(parts)), no)
+        try:
+            return tuple(Fraction(p) for p in parts)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError("entries must be rationals p/q, got %r" % s.strip(), no) from None
 
-    if not lines[2].startswith("v:"):
-        raise ValueError("expected 'v:' row")
-    v = parse_row(lines[2].split(":", 1)[1])
-    pos = 3
+    no, rest = take("base:")
+    base = _parse_int(rest, no)
+    if base < 2:
+        raise FormatError("base must be at least 2", no)
+    no, rest = take("dimension:")
+    dim = _parse_int(rest, no)
+    if dim < 0:
+        raise FormatError("dimension must be nonnegative", no)
+    v = parse_row(*take("v:"))
     matrices = []
     for d in range(base):
-        if lines[pos] != "matrix %d:" % d:
-            raise ValueError("expected 'matrix %d:'" % d)
-        pos += 1
-        rows = []
-        for _ in range(dim):
-            rows.append(parse_row(lines[pos]))
-            pos += 1
-        matrices.append(tuple(rows))
-    if not lines[pos].startswith("w:"):
-        raise ValueError("expected 'w:' row")
-    w = parse_row(lines[pos].split(":", 1)[1])
+        no, rest = take("matrix %d:" % d)
+        if rest:
+            raise FormatError("expected 'matrix %d:' alone on its line" % d, no)
+        matrices.append(tuple(parse_row(*take("")) for _ in range(dim)))
+    w = parse_row(*take("w:"))
+    if pos < len(lines):
+        raise FormatError("unexpected line after 'w:'", lines[pos][0])
     return LinearRepresentation(base, v, tuple(matrices), w)

@@ -23,7 +23,13 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from . import automata as au
 from . import formulas as fo
-from .errors import BaseMismatch, UnboundSequence, UnboundVariable, UnknownLetter
+from .errors import (
+    BaseMismatch,
+    ToolError,
+    UnboundSequence,
+    UnboundVariable,
+    UnknownLetter,
+)
 from .words import Dfao
 
 
@@ -198,29 +204,13 @@ def _seq_pair_automaton(
     base = d_left.base
     lt, li, lo = au.padded_dfao(d_left)
     rt, ri, ro = au.padded_dfao(d_right)
-    if lpos == rpos:
-        tracks = (lpos,)
-        pairs = [(e, e) for e in range(base)]
-    else:
-        tracks = tuple(sorted((lpos, rpos)))
-        if tracks[0] == lpos:
-            pairs = [divmod(sym, base) for sym in range(base * base)]
-        else:
-            pairs = [divmod(sym, base)[::-1] for sym in range(base * base)]
-    index = {(li, ri): 0}
-    order = [(li, ri)]
-    rows = []
-    for p, q in order:
-        row = []
-        for dl, dr in pairs:
-            nxt = (lt[p][dl], rt[q][dr])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, (p, q) in enumerate(order) if rel(lo[p], ro[q]))
-    return au.minimize(au.MultiTrackDfa(base, tracks, tuple(rows), accepting, 0))
+    tracks = tuple(sorted({lpos, rpos}))
+    rows, accepting = au._product(
+        (lt, li, au._submap(tracks, (lpos,), base)),
+        (rt, ri, au._submap(tracks, (rpos,), base)),
+        lambda p, q: rel(lo[p], ro[q]),
+    )
+    return au.minimize(au.MultiTrackDfa(base, tracks, rows, accepting, 0))
 
 
 def compile_formula(
@@ -248,7 +238,11 @@ def compile_formula(
     elif bases and base not in bases:
         raise BaseMismatch("base %d but sequences use base %d" % (base, bases.pop()))
     out = _Compiler(seqs, base, config).compile(f)
-    assert set(out.tracks) == set(fo.free_vars(f))
+    if set(out.tracks) != set(fo.free_vars(f)):
+        raise ToolError(
+            "compiled tracks %s differ from the free variables %s"
+            % (sorted(out.tracks), sorted(fo.free_vars(f)))
+        )
     return au.normalize_padding(out, config.state_cap)
 
 

@@ -21,7 +21,6 @@ the fixed point of a primitive morphism (or a coding of one).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -31,6 +30,7 @@ from .errors import (
     ToolError,
     UnknownLetter,
     WindowExceeded,
+    WindowTooSmall,
 )
 
 DEFAULT_WINDOW_START = 1 << 10
@@ -427,39 +427,10 @@ class WordGenerator:
             return s
         return dfao_prefix(self.dfao, length).letters
 
-    def definition(self) -> str:
-        """Text that fixes the word: rules, seed and coding, or the DFAO."""
-        if self.morphism is not None:
-            coding = " ".join("%s=%s" % kv for kv in sorted((self.coding or {}).items()))
-            return "morphism\n%sseed: %s\ncoding: %s\n" % (
-                morphism_to_text(self.morphism),
-                self.seed,
-                coding,
-            )
-        return "dfao\n" + dfao_to_text(self.dfao)
-
     def prefix(self, length: int) -> Prefix:
-        """The first `length` letters.  With LIEWORDS_CACHE_DIR set, prefixes
-        are also kept on disk, in files named by the sha256 of `definition()`
-        and the length."""
+        """The first `length` letters, memoized in memory."""
         if length > len(self._cached):
-            cache_dir = os.environ.get("LIEWORDS_CACHE_DIR")
-            path = None
-            if cache_dir:
-                # imported here so that the command line starts without it
-                import hashlib
-
-                digest = hashlib.sha256(self.definition().encode()).hexdigest()
-                path = os.path.join(cache_dir, "%s-%d.txt" % (digest, length))
-                if os.path.exists(path):
-                    with open(path) as fh:
-                        self._cached = fh.read().strip()
-            if length > len(self._cached):
-                self._cached = self._generate(length)
-                if path is not None:
-                    os.makedirs(cache_dir, exist_ok=True)
-                    with open(path, "w") as fh:
-                        fh.write(self._cached)
+            self._cached = self._generate(length)
         return Prefix(self._cached[:length], self.name)
 
 
@@ -541,6 +512,8 @@ def _stable_window(generator, n: int, start: int, cap: int) -> tuple[int, set[st
     """The window `saturation_window` returns, with its length-n blocks."""
     if n < 0:
         raise ValueError("factor length must be nonnegative")
+    if start < 1:
+        raise WindowTooSmall("the window schedule must start at 1 or more, got %d" % start)
     w = start
     while w < n:
         w *= 2
@@ -573,6 +546,66 @@ def _parse_int(text: str, line: int) -> int:
         return int(text)
     except ValueError:
         raise FormatError("expected an integer, got %r" % text.strip(), line) from None
+
+
+def _base_header(lines: list[tuple[int, str]]) -> tuple[int, int]:
+    """Line number and value of the leading 'base: k' line, k >= 2."""
+    if not lines or not lines[0][1].startswith("base:"):
+        raise FormatError("first line must declare 'base: k'", lines[0][0] if lines else None)
+    header, first = lines[0]
+    base = _parse_int(first[len("base:") :], header)
+    if base < 2:
+        raise FormatError("base must be at least 2", header)
+    return header, base
+
+
+def _read_states(lines, header, tail_ok, symbol, n_symbols, need):
+    """State blocks of a table file: a line 'state q <tail>' followed by
+    lines '<lhs> -> <target>'.
+
+    `tail_ok(words)` accepts a state line's tail and `symbol(lhs, line)`
+    reads a transition's symbol.  Returns the tails and the rows of
+    targets, after checking that the states are 0..n-1, that each has one
+    transition per symbol below n_symbols (else "state q needs <need>")
+    and that every target is a state."""
+    tails: dict[int, list[str]] = {}
+    trans: dict[int, dict[int, tuple[int, int]]] = {}
+    declared: dict[int, int] = {}
+    state = None
+    for no, ln in lines:
+        if ln.startswith("state "):
+            parts = ln.split()
+            if not tail_ok(parts[2:]):
+                raise FormatError("bad state line %r" % ln, no)
+            state = _parse_int(parts[1], no)
+            if state in trans:
+                raise FormatError("state %d declared twice" % state, no)
+            tails[state], trans[state], declared[state] = parts[2:], {}, no
+        else:
+            if "->" not in ln:
+                raise FormatError("bad transition line %r" % ln, no)
+            if state is None:
+                raise FormatError("transition before any state: %r" % ln, no)
+            lhs, rhs = (part.strip() for part in ln.split("->", 1))
+            sym = symbol(lhs, no)
+            if sym in trans[state]:
+                raise FormatError("second transition for %s" % lhs, no)
+            trans[state][sym] = (_parse_int(rhs, no), no)
+    n = len(trans)
+    if not n:
+        raise FormatError("no states declared", header)
+    if sorted(trans) != list(range(n)):
+        raise FormatError("states must be numbered 0..%d" % (n - 1))
+    rows = []
+    for q in range(n):
+        row = trans[q]
+        if len(row) != n_symbols or sorted(row) != list(range(n_symbols)):
+            raise FormatError("state %d needs %s" % (q, need), declared[q])
+        for target, no in row.values():
+            if not 0 <= target < n:
+                raise FormatError("transition to undeclared state %d" % target, no)
+        rows.append(tuple(row[s][0] for s in range(n_symbols)))
+    return tails, rows
 
 
 def parse_morphism(text: str) -> Morphism:
@@ -628,48 +661,17 @@ def parse_dfao(text: str) -> Dfao:
     1-based line number.
     """
     lines = _numbered_lines(text)
-    if not lines or not lines[0][1].startswith("base:"):
-        raise FormatError("first line must declare 'base: k'", lines[0][0] if lines else None)
-    header, first = lines[0]
-    base = _parse_int(first[len("base:") :], header)
-    if base < 2:
-        raise FormatError("base must be at least 2", header)
-    outputs: dict[int, str] = {}
-    trans: dict[int, dict[int, tuple[int, int]]] = {}
-    declared: dict[int, int] = {}
-    state = None
-    for no, ln in lines[1:]:
-        if ln.startswith("state "):
-            parts = ln.split()
-            if len(parts) != 4 or parts[2] != "output":
-                raise FormatError("bad state line %r" % ln, no)
-            state = _parse_int(parts[1], no)
-            outputs[state] = parts[3]
-            trans[state] = {}
-            declared[state] = no
-        else:
-            if "->" not in ln:
-                raise FormatError("bad transition line %r" % ln, no)
-            if state is None:
-                raise FormatError("transition before any state: %r" % ln, no)
-            digit, target = (part.strip() for part in ln.split("->", 1))
-            trans[state][_parse_int(digit, no)] = (_parse_int(target, no), no)
-    n = len(outputs)
-    if not n:
-        raise FormatError("no states declared", header)
-    if sorted(outputs) != list(range(n)):
-        raise FormatError("states must be numbered 0..%d" % (n - 1))
-    rows = []
-    for q in range(n):
-        row = trans[q]
-        if sorted(row) != list(range(base)):
-            raise FormatError("state %d needs one transition per digit" % q, declared[q])
-        for target, no in row.values():
-            if not 0 <= target < n:
-                raise FormatError("transition to undeclared state %d" % target, no)
-        rows.append(tuple(row[d][0] for d in range(base)))
-    letters = tuple(sorted(set(outputs.values())))
-    return Dfao(base, tuple(rows), tuple(outputs[q] for q in range(n)), letters)
+    header, base = _base_header(lines)
+    tails, rows = _read_states(
+        lines[1:],
+        header,
+        lambda tail: len(tail) == 2 and tail[0] == "output",
+        _parse_int,
+        base,
+        "one transition per digit",
+    )
+    outputs = tuple(tails[q][1] for q in range(len(rows)))
+    return Dfao(base, tuple(rows), outputs, tuple(sorted(set(outputs))))
 
 
 def dfao_to_text(d: Dfao) -> str:

@@ -5,8 +5,9 @@ rotation-class counts come from a suffix automaton plus a vectorized
 rotate-by-one walk, the small-scale counts check every rotation of every
 factor explicitly, least rotations come from Booth's failure-function
 scan, abelian counts from `Counter`, ranks come from Gaussian
-elimination over Z/p, growing letters from image lengths, and factor
-sets of morphic words from a prefix long enough to hold every factor.
+elimination over Z/p, growing letters from image lengths, factor
+sets of morphic words from a prefix long enough to hold every factor,
+and minimal automata from Moore refinement on exact signature tuples.
 Agreement between these and the package is an algorithm-level check, not
 a restatement.
 """
@@ -16,6 +17,8 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+
+from liewords.automata import MultiTrackDfa
 
 
 def image_lengths(rules: dict, k: int) -> dict:
@@ -279,3 +282,52 @@ def _count_block(length, link, end, text, tmat, low, base, top, counts):
             j = int(nxt[j])
             if j == i:
                 break
+
+
+def moore_blocks(rows: list, acc: list) -> list:
+    """Moore's partition refinement on exact (block, successor blocks)
+    tuples, from the acceptance partition, until the block count stops
+    growing."""
+    n = len(rows)
+    ids = {}
+    block = [ids.setdefault(x, len(ids)) for x in acc]
+    n_blocks = len(ids)
+    while True:
+        sig_ids = {}
+        new_block = [0] * n
+        for q in range(n):
+            key = (block[q], tuple(block[t] for t in rows[q]))
+            new_block[q] = sig_ids.setdefault(key, len(sig_ids))
+        if len(sig_ids) == n_blocks:
+            return new_block
+        block = new_block
+        n_blocks = len(sig_ids)
+
+
+def moore_minimal(a):
+    """The canonical minimal automaton of a, by a dictionary breadth-first
+    trim, `moore_blocks`, and breadth-first renumbering of the blocks."""
+    trans = a.transitions
+    seen = {a.initial: 0}
+    order = [a.initial]
+    for q in order:
+        for t in trans[q]:
+            if t not in seen:
+                seen[t] = len(order)
+                order.append(t)
+    rows = [tuple(seen[t] for t in trans[q]) for q in order]
+    acc = [q in a.accepting for q in order]
+    block = moore_blocks(rows, acc)
+    rep = {}
+    for q, b in enumerate(block):
+        rep.setdefault(b, q)
+    renum = {block[0]: 0}
+    bfs = [block[0]]
+    for b in bfs:
+        for t in rows[rep[b]]:
+            if block[t] not in renum:
+                renum[block[t]] = len(bfs)
+                bfs.append(block[t])
+    final_rows = tuple(tuple(renum[block[t]] for t in rows[rep[b]]) for b in bfs)
+    final_acc = frozenset(renum[b] for b in bfs if acc[rep[b]])
+    return MultiTrackDfa(a.base, a.tracks, final_rows, final_acc, 0)

@@ -1,13 +1,16 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liewords import automata as au
 from liewords.bundled import get_word
 from liewords.errors import UnknownTrack
 from liewords.words import digits_msd
+from oracles import moore_minimal
 
 small = st.integers(min_value=0, max_value=300)
 bases = st.integers(min_value=2, max_value=4)
@@ -191,3 +194,82 @@ def test_large_projection_falls_back_to_reversal(twelve_library):
         j = rng.randrange(0, 2000)
         expected = prefix[i : i + n] == prefix[j : j + n]
         assert au.accepts(feq, {"i": i, "j": j, "n": n}) == expected
+
+
+@st.composite
+def raw_tables(draw, max_states=6, copies=1):
+    """A total table over 1 or 2 tracks in base 2 or 3.  With copies > 1
+    each state comes in up to that many copies, whose transitions lead to
+    random copies of the same targets, so many states are equivalent."""
+    base = draw(st.integers(min_value=2, max_value=3))
+    tracks = draw(st.sampled_from([("x",), ("x", "y")]))
+    nsym = base ** len(tracks)
+    k = draw(st.integers(min_value=1, max_value=max_states))
+    targets = st.lists(st.integers(0, k - 1), min_size=nsym, max_size=nsym)
+    shape = [draw(targets) for _ in range(k)]
+    acc = draw(st.sets(st.integers(0, k - 1)))
+    c = draw(st.integers(min_value=1, max_value=copies))
+    n = k * c
+    rows = tuple(
+        tuple(t * c + draw(st.integers(0, c - 1)) for t in shape[q // c]) for q in range(n)
+    )
+    accepting = frozenset(q for q in range(n) if q // c in acc)
+    initial = draw(st.integers(0, n - 1))
+    return au.MultiTrackDfa(base, tracks, rows, accepting, initial)
+
+
+def _columns(a, values):
+    ds = [digits_msd(v, a.base) for v in values]
+    width = max(len(d) for d in ds)
+    padded = [[0] * (width - len(d)) + d for d in ds]
+    return list(zip(*padded))
+
+
+@settings(max_examples=60)
+@given(raw_tables())
+def test_normalize_padding_closes_raw_tables_under_zero_columns(a):
+    # only tables whose minimal form is not fixed by the zero column take
+    # the subset construction; the package itself never builds one
+    assume(au.minimize(a).transitions[0][0] != 0)
+    norm = au.normalize_padding(a)
+    assert norm.transitions[norm.initial][0] == norm.initial
+    # a tuple is accepted iff some zero padding of its shortest columns is;
+    # within n_states zero columns the padded start state repeats
+    starts, q = set(), a.initial
+    for _ in range(a.n_states + 1):
+        starts.add(q)
+        q = a.transitions[q][0]
+    for values in itertools.product(range(64), repeat=len(a.tracks)):
+        states = starts
+        for col in _columns(a, values):
+            sym = au.sym_of(col, a.base)
+            states = {a.transitions[q][sym] for q in states}
+        assert au.accepts(norm, dict(zip(a.tracks, values))) == bool(states & a.accepting)
+
+
+@given(raw_tables(max_states=8, copies=5))
+def test_minimize_matches_moore_oracle(a):
+    m = au.minimize(a)
+    assert au.to_text(m) == au.to_text(moore_minimal(a))
+    assert au.to_text(au.minimize(m)) == au.to_text(m)
+
+
+def test_minimize_restarts_after_a_hash_collision(monkeypatch):
+    # with all multipliers 1 the key is acceptance plus the sum of the
+    # successor blocks, so states 0 and 1 (successors in blocks 0,1 and
+    # 1,0) collide although they differ on the word "1"
+    a = au.MultiTrackDfa(2, ("x",), ((0, 2), (2, 0), (1, 2)), frozenset({2}), 0)
+    attempts = []
+    real = au._multipliers
+
+    def degenerate_first(width, attempt):
+        attempts.append(attempt)
+        if attempt == 0:
+            return np.ones(width, dtype=np.uint64)
+        return real(width, attempt)
+
+    monkeypatch.setattr(au, "_multipliers", degenerate_first)
+    m = au.minimize(a)
+    assert attempts == [0, 1]
+    assert m.n_states == 3
+    assert au.to_text(m) == au.to_text(moore_minimal(a))

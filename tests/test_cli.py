@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liewords
 from liewords import automata as au
 from liewords.cli import main
 from liewords.words import parse_dfao
@@ -77,19 +82,36 @@ def test_bad_rule_line_exits_one_with_line_number(tmp_path, capsys):
     assert err == "FormatError: line 4: bad rule line '1 = 0'\n"
 
 
-def test_morphism_file_with_prefix_cache(tmp_path, monkeypatch, capsys):
+def test_morphism_file_with_relative_path(tmp_path, monkeypatch, capsys):
     # a relative path with a directory part names the generator
-    # "file:t/fib.rules"; the disk cache must not turn that into a path
+    # "file:t/fib.rules"
     (tmp_path / "t").mkdir()
     (tmp_path / "t" / "fib.rules").write_text("alphabet: 0 1\n0 -> 01\n1 -> 0\n")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("LIEWORDS_CACHE_DIR", str(tmp_path / "cache"))
-    args = ("complexity", "--morphism-file", "t/fib.rules", "--n", "0..4")
-    code, cached, _ = run(capsys, *args)
-    assert code == 0
-    monkeypatch.delenv("LIEWORDS_CACHE_DIR")
-    assert run(capsys, *args) == (0, cached, "")
-    assert run(capsys, "complexity", "--word", "fibonacci", "--n", "0..4")[1] == cached
+    code, out, err = run(capsys, "complexity", "--morphism-file", "t/fib.rules", "--n", "0..4")
+    assert (code, err) == (0, "")
+    assert run(capsys, "complexity", "--word", "fibonacci", "--n", "0..4")[1] == out
+
+
+@pytest.mark.parametrize(
+    "option", [("--window-start", "-4"), ("--window-start", "0"), ("--window-cap", "0")]
+)
+def test_window_options_below_one_exit_one(tmp_path, option):
+    # the word has a non-growing letter, so it runs the window schedule,
+    # and doubling a start below 1 never reaches n
+    path = tmp_path / "runs.rules"
+    path.write_text("alphabet: a b\na -> aab\nb -> b\n")
+    argv = ["complexity", "--morphism-file", str(path), "--n", "3", *option]
+    proc = subprocess.run(
+        [sys.executable, "-m", "liewords.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(liewords.__file__).parents[1])},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = "WindowExceeded" if option[0] == "--window-cap" else "WindowTooSmall"
+    assert proc.stderr.startswith(error + ": ")
 
 
 def test_verify_inequalities_pass(capsys):

@@ -1,17 +1,16 @@
-import hashlib
-import os
-
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from liewords.bundled import get_word
+from liewords.complexity import complexity_table
 from liewords.errors import (
     FormatError,
     NotProlongable,
     ToolError,
     UnknownLetter,
     WindowExceeded,
+    WindowTooSmall,
 )
 from liewords.words import (
     Dfao,
@@ -93,20 +92,17 @@ def test_generator_prefix_is_consistent():
     assert long.startswith("010010100100101001010")
 
 
-def test_prefix_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("LIEWORDS_CACHE_DIR", str(tmp_path))
+def test_prefix_cache_round_trip():
     m = morphism("01", {"0": "01", "1": "10"})
     a = WordGenerator("cache-probe", morphism=m, seed="0")
     text = a.prefix(64).letters
-    files = os.listdir(tmp_path)
-    digest = hashlib.sha256(a.definition().encode()).hexdigest()
-    assert files == ["%s-64.txt" % digest]
+    assert a.prefix(16).letters == text[:16]
+    assert a.prefix(64).letters == text
     b = WordGenerator("cache-probe", morphism=m, seed="0")
     assert b.prefix(64).letters == text
 
 
-def test_prefix_cache_is_keyed_by_rules_not_name(tmp_path, monkeypatch):
-    monkeypatch.setenv("LIEWORDS_CACHE_DIR", str(tmp_path))
+def test_prefix_cache_is_keyed_by_rules_not_name():
     fib = morphism("01", {"0": "01", "1": "0"})
     tm = morphism("01", {"0": "01", "1": "10"})
     WordGenerator("w.rules", morphism=fib, seed="0").prefix(64)
@@ -114,7 +110,6 @@ def test_prefix_cache_is_keyed_by_rules_not_name(tmp_path, monkeypatch):
     assert swapped == fixed_point_prefix(tm, "0", 64).letters
     coded = WordGenerator("w.rules", morphism=tm, seed="0", coding={"0": "a", "1": "b"})
     assert coded.prefix(64).letters == swapped.translate(str.maketrans("01", "ab"))
-    assert len(os.listdir(tmp_path)) == 3
 
 
 def test_saturation_window_stabilizes():
@@ -170,6 +165,8 @@ def test_dfao_text_round_trip():
         (parse_dfao, "base: 2\nstate 0 output a\n0 -> 0\n1 -> 1\n", "line 4: transition to undeclared state 1"),
         (parse_dfao, "base: 2\nstate 0 output a\n0 -> 0\n", "line 2: state 0 needs one transition per digit"),
         (parse_dfao, "base: 2\nstate 0 a\n", "line 2: bad state line 'state 0 a'"),
+        (parse_dfao, "base: 2\nstate 0 output a\n0 -> 0\n0 -> 0\n", "line 4: second transition for 0"),
+        (parse_dfao, "base: 2\nstate 0 output a\nstate 0 output b\n", "line 3: state 0 declared twice"),
     ],
 )
 def test_parse_errors_name_the_line(parse, text, message):
@@ -290,3 +287,15 @@ def test_exact_factors_refuse_past_the_letter_budget():
     with pytest.raises(WindowExceeded, match="letter budget of 33554432 letters"):
         exact_factors(tm, 1 << 26)
     assert exact_factors(tm, 3) == {"001", "010", "011", "100", "101", "110"}
+
+
+@pytest.mark.parametrize("start", [0, -4])
+def test_window_schedule_refuses_a_start_below_one(start):
+    gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
+    with pytest.raises(WindowTooSmall):
+        factor_blocks(gen, 3, start=start)
+    with pytest.raises(WindowTooSmall):
+        saturation_window(gen, 3, start=start)
+    # a start of 0 is passed on, not read as "not given"
+    with pytest.raises(WindowTooSmall):
+        complexity_table(gen, [3], start=start)
