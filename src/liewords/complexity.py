@@ -1,22 +1,35 @@
 """Factor statistics computed directly on factor sets.
 
-Factor sets come from words.factor_blocks: exact for words whose letters
-all grow under their morphism, read from a doubling-stable window
-otherwise.  For a factor set F of length n, the quantities of interest are:
+Factor sets come from words.factor_spans as spans (text, starts): the
+length-n factors are the blocks text[i:i+n] with i < starts.  They are
+exact for words whose letters all grow under their morphism, read from a
+doubling-stable window otherwise.  For a factor set F of length n, the
+quantities of interest are:
 
 * factor count p(n) = |F|
 * cyclic count c(n): rotation classes meeting F
 * abelian count a(n): distinct letter-count vectors over F
 * full-class count L(n): rotation classes entirely inside F
 
-Each factor is canonicalized once, by its least rotation, and the
-factors are tallied per class.  The least rotation compares only the
-rotations that start with the longest run of the least letter, using
-C-level string search and slice comparison.  c(n) is the number of
-classes; a class lies entirely inside F exactly when its tally equals
-the length of its primitive root, which is the number of distinct
-rotations of any member.  a(n) keys each factor by its vector of
-`str.count` values over the letters of F.
+One pass over each span keys every block by its Parikh code.  Letter k
+weighs (n+1)**k, P holds the prefix sums of the weights along the span,
+and the block at i has code P[i+n] - P[i].  No letter count exceeds n, so
+the code is the letter-count vector read as a base-(n+1) numeral, and
+equal codes mean equal vectors.  p(n) is the number of blocks and a(n)
+the number of codes.
+
+Rotation keeps the letter counts, so a rotation class never spans two
+codes.  A factor alone in its code bucket is alone in its class: it adds
+one class to c(n), and a whole class to L(n) only when it is a letter
+power c^n, its own only rotation.  Only the factors of shared buckets are
+canonicalized, by their least rotation, and tallied per class.  The
+least rotation compares only the rotations that start with the longest
+run of the least letter, using C-level string search and slice
+comparison.  A class lies entirely inside F exactly when its tally
+equals the length of its primitive root, which is the number of distinct
+rotations of any member.  `lie_complexity`, `cyclic_complexity` and
+`abelian_complexity` count a FactorSet the same way, each member a span
+of one block.
 
 L is the quantity the rest of the package cross-checks by algebraic rank
 and by automata counting.  All functions are pure; rows can be computed
@@ -28,6 +41,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -37,7 +52,13 @@ from .errors import (
     WindowTooSmall,
 )
 # perfbench/tracing.py looks saturation_window up in this module
-from .words import DEFAULT_WINDOW_START, Prefix, factor_blocks, saturation_window  # noqa: F401
+from .words import (  # noqa: F401
+    DEFAULT_WINDOW_START,
+    Prefix,
+    factor_blocks,
+    factor_spans,
+    saturation_window,
+)
 
 
 @dataclass(frozen=True)
@@ -82,7 +103,11 @@ def saturated_factor_set(generator, n: int, **window_opts) -> FactorSet:
     schedule `window_opts` (`start`, `cap`) sets (see words.factor_blocks).
     """
     members, window = factor_blocks(generator, n, **window_opts)
-    return FactorSet(n, members, window, bool(getattr(generator, "certifiable", False)))
+    return FactorSet(n, members, window, _certified(generator))
+
+
+def _certified(generator) -> bool:
+    return bool(getattr(generator, "certifiable", False))
 
 
 def _rank_seq(v: str, order: Optional[Mapping[str, int]]):
@@ -175,66 +200,91 @@ def primitive_root(v: str) -> str:
     return v[:period]
 
 
-def _class_counts(fs: FactorSet) -> tuple[int, int]:
-    """(c(n), L(n)) from one least rotation per factor and a tally of the
-    factors per rotation class."""
-    if fs.n == 0:
-        return 1, 1
-    sizes = Counter(least_rotation(v) for v in fs.members)
-    full = sum(1 for canon, m in sizes.items() if m == len(primitive_root(canon)))
-    return len(sizes), full
+def _parikh_codes(
+    spans: Iterable[tuple[str, int]], n: int, letters: Sequence[str]
+) -> dict[str, int]:
+    """Each length-n block text[i:i+n], i < starts, of the spans, mapped to
+    its Parikh code: the sum of (n+1)**k over its letters, k the letter's
+    index in `letters`.  A block's code is P[i+n] - P[i] on the prefix sums
+    P of its span, and no letter count exceeds n, so the code is the
+    Parikh vector read as a base-(n+1) numeral."""
+    weight = {c: (n + 1) ** k for k, c in enumerate(letters)}
+    codes: dict[str, int] = {}
+    for text, starts in spans:
+        sums = list(accumulate(map(weight.__getitem__, text), initial=0))
+        blocks = map(text.__getitem__, map(slice, range(starts), range(n, n + starts)))
+        codes.update(zip(blocks, map(sub, sums[n : n + starts], sums)))
+    return codes
+
+
+def _keyed_counts(
+    codes: Mapping[str, int], n: int, letters: Sequence[str]
+) -> tuple[int, int, int, int]:
+    """(p, c, a, L) of a length-n factor set from its Parikh codes.
+
+    p counts the factors and a their distinct codes.  Rotation keeps the
+    Parikh vector, so a rotation class lies inside one code bucket, and a
+    factor alone in its bucket is alone in its class: one class for c, and
+    a whole class for L only when it is a letter power c^n, whose code no
+    other word has.  The factors of shared buckets are canonicalized by
+    least rotation and tallied per class; a class lies inside the set when
+    its tally equals the length of its primitive root.
+    """
+    if n == 0:
+        return len(codes), 1, 1, 1
+    sizes = Counter(codes.values())
+    tally = Counter(least_rotation(v) for v, code in codes.items() if sizes[code] > 1)
+    lone = sum(1 for m in sizes.values() if m == 1)
+    full = sum(1 for canon, m in tally.items() if m == len(primitive_root(canon)))
+    powers = sum(1 for c in letters if c * n in codes)
+    return len(codes), lone + len(tally), len(sizes), powers + full
+
+
+def _span_counts(spans: Sequence[tuple[str, int]], n: int) -> tuple[int, int, int, int]:
+    """(p, c, a, L) of the length-n blocks of the spans."""
+    letters = sorted(set().union(*(text for text, _ in spans)))
+    return _keyed_counts(_parikh_codes(spans, n, letters), n, letters)
+
+
+def _member_counts(fs: FactorSet) -> tuple[int, int, int, int]:
+    # each member is a span of one block
+    return _span_counts([(v, 1) for v in fs.members], fs.n)
 
 
 def lie_complexity(fs: FactorSet) -> int:
     """Number of rotation classes entirely contained in the factor set."""
-    return _class_counts(fs)[1]
+    return _member_counts(fs)[3]
 
 
 def cyclic_complexity(fs: FactorSet) -> int:
     """Number of rotation classes meeting the factor set."""
-    return _class_counts(fs)[0]
+    return _member_counts(fs)[1]
 
 
 def abelian_complexity(fs: FactorSet) -> int:
-    """Number of distinct letter-count vectors over the factor set.
-
-    Each factor is keyed by its counts of the set's letters, in sorted
-    order, with one `str.count` per letter.
-    """
-    letters = sorted(set().union(*fs.members))
-    return len({tuple(map(v.count, letters)) for v in fs.members})
-
-
-def _row(fs: FactorSet) -> ComplexityRow:
-    # the class tally is freed before the abelian count allocates; holding
-    # both at once raises the peak memory of a table
-    c, L = _class_counts(fs)
-    return ComplexityRow(
-        n=fs.n,
-        p=len(fs.members),
-        c=c,
-        a=abelian_complexity(fs),
-        L=L,
-        certified=fs.certified,
-    )
+    """Number of distinct letter-count vectors over the factor set."""
+    return _member_counts(fs)[2]
 
 
 def complexity_row(generator, n: int, **window_opts) -> ComplexityRow:
-    return _row(saturated_factor_set(generator, n, **window_opts))
+    """The row of length n, counted on the spans of words.factor_spans."""
+    spans, _ = factor_spans(generator, n, **window_opts)
+    return ComplexityRow(n, *_span_counts(spans, n), _certified(generator))
 
 
 def complexity_table(generator, ns: Iterable[int], **window_opts) -> list[ComplexityRow]:
-    """Rows for each n, from `saturated_factor_set`.  Exact factor sets
-    need no window; on the window fallback each row's schedule starts at
-    the previous row's window, since the stable window grows with n."""
+    """Rows for each n, as `complexity_row`.  Exact factor sets need no
+    window; on the window fallback each row's schedule starts at the
+    previous row's window, since the stable window grows with n."""
     rows = []
     w = window_opts.pop("start", None)
     if w is None:
         w = DEFAULT_WINDOW_START
+    certified = _certified(generator)
     for n in sorted(ns):
-        fs = saturated_factor_set(generator, n, start=w, **window_opts)
-        w = max(w, fs.window)
-        rows.append(_row(fs))
+        spans, window = factor_spans(generator, n, start=w, **window_opts)
+        w = max(w, window)
+        rows.append(ComplexityRow(n, *_span_counts(spans, n), certified))
     return rows
 
 

@@ -365,8 +365,8 @@ class _MorphicWord:
 
 
 class WordGenerator:
-    """A named source of prefixes, with an in-memory (and optional on-disk,
-    content-keyed) cache.  It also keeps, built on first use, the 2-factors
+    """A named source of prefixes, with an in-memory cache of the longest
+    prefix built so far.  It also keeps, built on first use, the 2-factors
     and letter images that `exact_factors` reads.
 
     Exactly one of `morphism`/`dfao` drives generation when both are given
@@ -434,6 +434,26 @@ class WordGenerator:
         return Prefix(self._cached[:length], self.name)
 
 
+def _exact_spans(word: _MorphicWord, n: int) -> list[tuple[str, int]]:
+    """The spans (sigma^m(a) + sigma^m(b)[:n-1], |sigma^m(a)|) over the
+    2-factors ab, coded (see exact_factors); one empty span for n = 0."""
+    if n == 0:
+        return [("", 1)]
+    images = word.images_for(n)
+    table = word.table
+    spans = []
+    for a, b in word.pairs:
+        s = images[a] + images[b][: n - 1]
+        spans.append((s if table is None else s.translate(table), len(images[a])))
+    return spans
+
+
+def _span_blocks(spans: list[tuple[str, int]], n: int) -> frozenset[str]:
+    # one frozenset straight from the blocks: filling a set and copying it
+    # raised the peak memory of a table
+    return frozenset(s[i : i + n] for s, starts in spans for i in range(starts))
+
+
 def exact_factors(generator, n: int) -> frozenset[str]:
     """Length-n factors of a word whose letters all grow, computed exactly.
 
@@ -455,17 +475,35 @@ def exact_factors(generator, n: int) -> frozenset[str]:
             "%s has a letter that does not grow; its factor sets are not exact"
             % generator.name
         )
-    if n == 0:
-        return frozenset([""])
-    images = word.images_for(n)
-    table = word.table
-    spans = []
-    for a, b in word.pairs:
-        s = images[a] + images[b][: n - 1]
-        spans.append((s if table is None else s.translate(table), len(images[a])))
-    # one frozenset straight from the blocks: filling a set and copying it
-    # raised the peak memory of a table
-    return frozenset(s[i : i + n] for s, starts in spans for i in range(starts))
+    return _span_blocks(_exact_spans(word, n), n)
+
+
+def factor_spans(
+    generator,
+    n: int,
+    *,
+    start: int = DEFAULT_WINDOW_START,
+    cap: int = DEFAULT_WINDOW_CAP,
+) -> tuple[list[tuple[str, int]], int]:
+    """Spans (text, starts) whose blocks text[i:i+n], i < starts, are the
+    length-n factors of the word, and the window they were read from.
+
+    Exact (the spans of `exact_factors`, window 0) when every letter of the
+    word grows.  Otherwise the blocks of the smallest window w of the
+    doubling schedule from `start` that `saturation_window` accepts, each
+    a span of one block: the stability check has already collected them,
+    and a window holds far more blocks than distinct ones.  Raises
+    WindowExceeded past `cap`.  The schedule is checked first, for every
+    word (see `_check_schedule`).
+    """
+    if n < 0:
+        raise ValueError("factor length must be nonnegative")
+    _check_schedule(start, cap)
+    word = generator._morphic_word()
+    if word.growing:
+        return _exact_spans(word, n), 0
+    w, blocks = _stable_window(generator, n, start, cap)
+    return [(v, 1) for v in blocks], w
 
 
 def factor_blocks(
@@ -475,17 +513,10 @@ def factor_blocks(
     start: int = DEFAULT_WINDOW_START,
     cap: int = DEFAULT_WINDOW_CAP,
 ) -> tuple[frozenset[str], int]:
-    """Length-n factors of the word and the window they were read from.
-
-    Exact (`exact_factors`, window 0) when every letter of the word grows.
-    Otherwise they are the blocks of the smallest window of the doubling
-    schedule from `start` that `saturation_window` accepts; raises
-    WindowExceeded past `cap`.
-    """
-    if generator._morphic_word().growing:
-        return exact_factors(generator, n), 0
-    w, blocks = _stable_window(generator, n, start, cap)
-    return frozenset(blocks), w
+    """Length-n factors of the word and the window they were read from:
+    the blocks of `factor_spans`."""
+    spans, window = factor_spans(generator, n, start=start, cap=cap)
+    return _span_blocks(spans, n), window
 
 
 def saturation_window(
@@ -504,19 +535,32 @@ def saturation_window(
 
     Returns (window, certified).  Raises WindowExceeded past the cap.
     """
+    if n < 0:
+        raise ValueError("factor length must be nonnegative")
+    _check_schedule(start, cap)
     w, _ = _stable_window(generator, n, start, cap)
     return w, bool(getattr(generator, "certifiable", False))
 
 
-def _stable_window(generator, n: int, start: int, cap: int) -> tuple[int, set[str]]:
-    """The window `saturation_window` returns, with its length-n blocks."""
-    if n < 0:
-        raise ValueError("factor length must be nonnegative")
+def _check_schedule(start: int, cap: int) -> None:
+    """Refuse a window schedule that can read no window: a start below 1,
+    which doubling never lifts, or a cap below the start."""
     if start < 1:
         raise WindowTooSmall("the window schedule must start at 1 or more, got %d" % start)
+    if cap < start:
+        raise WindowExceeded("window cap %d is below the window start %d" % (cap, start))
+
+
+def _stable_window(generator, n: int, start: int, cap: int) -> tuple[int, set[str]]:
+    """The window `saturation_window` returns, with its length-n blocks,
+    for a checked schedule."""
     w = start
     while w < n:
         w *= 2
+    if w > cap:
+        raise WindowExceeded(
+            "factor length %d needs a window of %d, past the window cap %d" % (n, w, cap)
+        )
     while w <= cap:
         blocks = _block_set(generator.prefix(w).letters, n)
         big = generator.prefix(2 * w).letters

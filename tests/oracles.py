@@ -127,6 +127,23 @@ def booth_least_rotation(v: str, order=None) -> str:
     return v[k:] + v[:k]
 
 
+def booth_counts(members, n: int) -> tuple:
+    """(p, c, a, L) of a set of length-n factors: classes by Booth least
+    rotations, a class whole when its tally equals its number of distinct
+    rotations (the least shift that maps it to itself), letter multisets
+    by `Counter`."""
+    if n == 0:
+        return len(members), 1, 1, 1
+    tally = Counter(booth_least_rotation(v) for v in members)
+    whole = sum(
+        1
+        for canon, m in tally.items()
+        if m == next(d for d in range(1, n + 1) if canon[d:] + canon[:d] == canon)
+    )
+    abelian = len({frozenset(Counter(v).items()) for v in members})
+    return len(members), len(tally), abelian, whole
+
+
 def naive_abelian_count(window: str, n: int) -> int:
     """Distinct letter multisets among the length-n factors of window."""
     facs = {window[i : i + n] for i in range(len(window) - n + 1)}

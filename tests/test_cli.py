@@ -114,6 +114,30 @@ def test_window_options_below_one_exit_one(tmp_path, option):
     assert proc.stderr.startswith(error + ": ")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("complexity", "--n", "3"), ("verify-inequalities", "--n", "3"), ("algebra-check",)],
+)
+def test_window_start_below_one_exits_one_on_a_growing_word(capsys, command):
+    # thue-morse takes the exact path, which reads no window
+    argv = [command[0], "--word", "thue-morse", *command[1:], "--window-start", "-4"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "WindowTooSmall: the window schedule must start at 1 or more, got -4\n"
+
+
+@pytest.mark.parametrize(
+    "options, start, cap",
+    [(("--window-cap", "0"), 1024, 0), (("--window-start", "64", "--window-cap", "32"), 64, 32)],
+)
+def test_window_cap_below_start_names_both(tmp_path, capsys, options, start, cap):
+    path = tmp_path / "runs.rules"
+    path.write_text("alphabet: a b\na -> aab\nb -> b\n")
+    code, out, err = run(capsys, "complexity", "--morphism-file", str(path), "--n", "3", *options)
+    assert (code, out) == (1, "")
+    assert err == "WindowExceeded: window cap %d is below the window start %d\n" % (cap, start)
+
+
 def test_verify_inequalities_pass(capsys):
     code, out, _ = run(
         capsys, "verify-inequalities", "--word", "thue-morse", "--n", "1..12"

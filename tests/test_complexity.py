@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from liewords.bundled import get_word
 from liewords.complexity import (
+    _parikh_codes,
     abelian_complexity,
     complexity_table,
     cyclic_complexity,
@@ -20,9 +22,11 @@ from liewords.complexity import (
     unbounded_exponent_scan,
 )
 from liewords.errors import EmptyWord, UncertifiedData
-from liewords.words import exact_factors, saturation_window
+from liewords.words import WordGenerator, exact_factors, morphism, saturation_window
 
 from oracles import (
+    blocks,
+    booth_counts,
     booth_least_rotation,
     naive_abelian_count,
     naive_cyclic_count,
@@ -187,6 +191,86 @@ def test_class_counts_match_naive_orbits(s, data):
 def test_abelian_count_matches_counter_oracle(s, data):
     n = data.draw(st.integers(min_value=0, max_value=len(s)))
     assert abelian_complexity(factor_set(s, n)) == naive_abelian_count(s, n)
+
+
+# binary strings put their factors in a few big Parikh buckets; strings
+# over 8 to 12 letters leave almost every bucket a single factor; a
+# one-letter power is a single factor whose class is whole
+_binary = st.text(alphabet="01", max_size=60)
+_wide = st.integers(min_value=8, max_value=12).flatmap(
+    lambda k: st.text(alphabet="abcdefghijkl"[:k], max_size=60)
+)
+_letter_powers = st.builds(
+    lambda c, k: c * k, st.sampled_from("abc"), st.integers(min_value=1, max_value=40)
+)
+
+
+@given(st.one_of(_binary, _wide, _letter_powers), st.data())
+def test_keyed_counts_match_naive_oracles(s, data):
+    n = data.draw(st.integers(min_value=0, max_value=len(s)))
+    fs = factor_set(s, n)
+    assert lie_complexity(fs) == naive_lie_count(s, n)
+    assert cyclic_complexity(fs) == naive_cyclic_count(s, n)
+    assert abelian_complexity(fs) == naive_abelian_count(s, n)
+
+
+def test_letter_power_is_a_whole_class():
+    fs = factor_set("aaaaa", 3)
+    assert (lie_complexity(fs), cyclic_complexity(fs), abelian_complexity(fs)) == (1, 1, 1)
+    # 'aab' is alone in its bucket among the factors of 'aaab' and not whole
+    fs = factor_set("aaab", 3)
+    assert (lie_complexity(fs), cyclic_complexity(fs), abelian_complexity(fs)) == (1, 2, 2)
+
+
+@st.composite
+def _spans(draw):
+    """Texts over up to 12 letters, a factor length n that each text can
+    hold, and for each text a number of block starts it has room for."""
+    texts = draw(
+        st.lists(st.text(alphabet="abcdefghijkl", min_size=1, max_size=40), min_size=1, max_size=5)
+    )
+    n = draw(st.integers(min_value=0, max_value=min(map(len, texts))))
+    return [(t, draw(st.integers(min_value=1, max_value=len(t) - n + 1))) for t in texts], n
+
+
+@given(_spans())
+def test_span_codes_are_parikh_vectors(case):
+    spans, n = case
+    letters = sorted(set().union(*(t for t, _ in spans)))
+    codes = _parikh_codes(spans, n, letters)
+    assert set(codes) == {t[i : i + n] for t, starts in spans for i in range(starts)}
+    for v, code in codes.items():
+        digits = []
+        for _ in letters:
+            code, d = divmod(code, n + 1)
+            digits.append(d)
+        assert code == 0
+        assert {c: d for c, d in zip(letters, digits) if d} == Counter(v)
+
+
+# twelve's 181,485 factors up to n = 100 take Booth's scan about 14 s, so
+# it is checked on a sample of lengths
+_TWELVE_NS = (0, 1, 2, 3, 4, 5, 7, 10, 20, 30, 40, 50, 60, 70, 80, 90, 99, 100)
+
+
+@pytest.mark.parametrize(
+    "name", ["thue-morse", "vtm", "cantor", "fibonacci", "tribonacci", "twelve"]
+)
+def test_table_matches_booth_counts_on_exact_sets(name):
+    gen = get_word(name)
+    for row in complexity_table(gen, _TWELVE_NS if name == "twelve" else range(101)):
+        expected = booth_counts(exact_factors(gen, row.n), row.n)
+        assert (row.p, row.c, row.a, row.L) == expected, row.n
+
+
+def test_window_fallback_rows_match_booth_counts():
+    # `a -> aab, b -> b` has a non-growing letter, so its rows come from
+    # the doubling window
+    gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
+    for row in complexity_table(gen, range(13)):
+        window, _ = saturation_window(gen, row.n)
+        expected = booth_counts(blocks(gen.prefix(window).letters, row.n), row.n)
+        assert (row.p, row.c, row.a, row.L) == expected, row.n
 
 
 def test_lie_counts_match_suffix_automaton_on_fibonacci():

@@ -289,6 +289,29 @@ def test_exact_factors_refuse_past_the_letter_budget():
     assert exact_factors(tm, 3) == {"001", "010", "011", "100", "101", "110"}
 
 
+def _no_prefix(length):
+    raise AssertionError("a prefix was built")
+
+
+@pytest.mark.parametrize("growing", [True, False])
+def test_window_schedule_is_checked_before_any_prefix(growing):
+    rules = {"0": "01", "1": "10"} if growing else {"0": "001", "1": "1"}
+    gen = WordGenerator("w", morphism=morphism("01", rules), seed="0")
+    gen.prefix = _no_prefix
+    with pytest.raises(WindowTooSmall, match="got -4"):
+        factor_blocks(gen, 3, start=-4)
+    for call in (factor_blocks, saturation_window):
+        with pytest.raises(WindowExceeded, match="window cap 32 is below the window start 64"):
+            call(gen, 3, start=64, cap=32)
+
+
+def test_window_past_the_cap_is_not_reported_as_read():
+    gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
+    gen.prefix = _no_prefix
+    with pytest.raises(WindowExceeded, match="length 20 needs a window of 32, past the window cap 16"):
+        factor_blocks(gen, 20, start=4, cap=16)
+
+
 @pytest.mark.parametrize("start", [0, -4])
 def test_window_schedule_refuses_a_start_below_one(start):
     gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
