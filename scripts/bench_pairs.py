@@ -4,10 +4,11 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload routes-tables \\
         --pairs 10 --seed 901
 
-Each tree is a checkout of the repository.  Every run is the tree's own
-`perfbench/run.py`, started from that tree's root with `--trace 0`, so
-each side is measured by the benchmark code it ships.  Pair k runs both
-sides with seed S+k and the same run length; the side that runs first
+Each tree is a checkout of the repository, named in the output by its
+directory name.  Every run is the tree's own `perfbench/run.py`, started
+from that tree's root with `--trace 0`, so each side is measured by the
+benchmark code it ships.  Pair k runs both sides with seed S+k for the
+`run_seconds` of CHANGE_DIR's BENCHMARK.json; the side that runs first
 alternates from pair to pair (the parent first in pair 0).  With
 `--traced`, one more run per side with `--trace 1` and seed S records
 the per-layer metrics.
@@ -95,13 +96,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seed", type=int, required=True, help="seed of pair 0; pair k uses seed+k"
     )
-    parser.add_argument(
-        "--seconds", type=float, help="run length; BENCHMARK.json's run_seconds if omitted"
-    )
     parser.add_argument("--traced", action="store_true", help="add one traced run per side")
-    parser.add_argument("--out", help="output path; BENCH_<workload>.json if omitted")
-    parser.add_argument("--parent-label", help="name of the parent tree in the output")
-    parser.add_argument("--change-label", help="name of the changed tree in the output")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -111,7 +106,7 @@ def main(argv=None) -> int:
             parser.error("%s has no perfbench/run.py" % tree)
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     runs = []
     for k in range(args.pairs):
@@ -141,8 +136,7 @@ def main(argv=None) -> int:
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "seconds": seconds,
         "trees": {
-            "parent": args.parent_label or os.path.basename(os.path.abspath(args.parent_dir)),
-            "change": args.change_label or os.path.basename(os.path.abspath(args.change_dir)),
+            side: os.path.basename(os.path.abspath(tree)) for side, tree in trees.items()
         },
         "machine": {
             "platform": platform.platform(),
@@ -161,7 +155,7 @@ def main(argv=None) -> int:
             side: run_benchmark(trees[side], args.workload, args.seed, seconds, True)["metrics"]
             for side in ("parent", "change")
         }
-    path = args.out or "BENCH_%s.json" % args.workload
+    path = "BENCH_%s.json" % args.workload
     with open(path, "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")

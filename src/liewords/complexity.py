@@ -211,6 +211,11 @@ def _parikh_codes(
     weight = {c: (n + 1) ** k for k, c in enumerate(letters)}
     codes: dict[str, int] = {}
     for text, starts in spans:
+        if starts == 1:
+            # one block needs its sum, not the prefix sums
+            v = text[:n]
+            codes[v] = sum(map(weight.__getitem__, v))
+            continue
         sums = list(accumulate(map(weight.__getitem__, text), initial=0))
         blocks = map(text.__getitem__, map(slice, range(starts), range(n, n + starts)))
         codes.update(zip(blocks, map(sub, sums[n : n + starts], sums)))
@@ -240,30 +245,40 @@ def _keyed_counts(
     return len(codes), lone + len(tally), len(sizes), powers + full
 
 
+def _span_codes(
+    spans: Sequence[tuple[str, int]], n: int
+) -> tuple[dict[str, int], list[str]]:
+    """Parikh codes of the length-n blocks of the spans, and the letters."""
+    letters = sorted(set().union(*(text for text, _ in spans)))
+    return _parikh_codes(spans, n, letters), letters
+
+
 def _span_counts(spans: Sequence[tuple[str, int]], n: int) -> tuple[int, int, int, int]:
     """(p, c, a, L) of the length-n blocks of the spans."""
-    letters = sorted(set().union(*(text for text, _ in spans)))
-    return _keyed_counts(_parikh_codes(spans, n, letters), n, letters)
+    codes, letters = _span_codes(spans, n)
+    return _keyed_counts(codes, n, letters)
 
 
-def _member_counts(fs: FactorSet) -> tuple[int, int, int, int]:
+def _member_spans(fs: FactorSet) -> list[tuple[str, int]]:
     # each member is a span of one block
-    return _span_counts([(v, 1) for v in fs.members], fs.n)
+    return [(v, 1) for v in fs.members]
 
 
 def lie_complexity(fs: FactorSet) -> int:
     """Number of rotation classes entirely contained in the factor set."""
-    return _member_counts(fs)[3]
+    return _span_counts(_member_spans(fs), fs.n)[3]
 
 
 def cyclic_complexity(fs: FactorSet) -> int:
     """Number of rotation classes meeting the factor set."""
-    return _member_counts(fs)[1]
+    return _span_counts(_member_spans(fs), fs.n)[1]
 
 
 def abelian_complexity(fs: FactorSet) -> int:
-    """Number of distinct letter-count vectors over the factor set."""
-    return _member_counts(fs)[2]
+    """Number of distinct letter-count vectors over the factor set: its
+    distinct Parikh codes, with no least rotation taken."""
+    codes, _ = _span_codes(_member_spans(fs), fs.n)
+    return len(set(codes.values()))
 
 
 def complexity_row(generator, n: int, **window_opts) -> ComplexityRow:

@@ -179,20 +179,6 @@ _periodic = st.builds(
 )
 
 
-@given(st.one_of(_ternary, _periodic), st.data())
-def test_class_counts_match_naive_orbits(s, data):
-    n = data.draw(st.integers(min_value=0, max_value=min(12, len(s))))
-    fs = factor_set(s, n)
-    assert lie_complexity(fs) == naive_lie_count(s, n)
-    assert cyclic_complexity(fs) == naive_cyclic_count(s, n)
-
-
-@given(st.one_of(_ternary, _periodic), st.data())
-def test_abelian_count_matches_counter_oracle(s, data):
-    n = data.draw(st.integers(min_value=0, max_value=len(s)))
-    assert abelian_complexity(factor_set(s, n)) == naive_abelian_count(s, n)
-
-
 # binary strings put their factors in a few big Parikh buckets; strings
 # over 8 to 12 letters leave almost every bucket a single factor; a
 # one-letter power is a single factor whose class is whole
@@ -203,23 +189,21 @@ _wide = st.integers(min_value=8, max_value=12).flatmap(
 _letter_powers = st.builds(
     lambda c, k: c * k, st.sampled_from("abc"), st.integers(min_value=1, max_value=40)
 )
+_counted = st.one_of(_ternary, _periodic, _binary, _wide, _letter_powers)
 
 
-@given(st.one_of(_binary, _wide, _letter_powers), st.data())
-def test_keyed_counts_match_naive_oracles(s, data):
-    n = data.draw(st.integers(min_value=0, max_value=len(s)))
+@given(_counted, st.data())
+def test_class_counts_match_naive_orbits(s, data):
+    n = data.draw(st.integers(min_value=0, max_value=min(12, len(s))))
     fs = factor_set(s, n)
     assert lie_complexity(fs) == naive_lie_count(s, n)
     assert cyclic_complexity(fs) == naive_cyclic_count(s, n)
-    assert abelian_complexity(fs) == naive_abelian_count(s, n)
 
 
-def test_letter_power_is_a_whole_class():
-    fs = factor_set("aaaaa", 3)
-    assert (lie_complexity(fs), cyclic_complexity(fs), abelian_complexity(fs)) == (1, 1, 1)
-    # 'aab' is alone in its bucket among the factors of 'aaab' and not whole
-    fs = factor_set("aaab", 3)
-    assert (lie_complexity(fs), cyclic_complexity(fs), abelian_complexity(fs)) == (1, 2, 2)
+@given(_counted, st.data())
+def test_abelian_count_matches_counter_oracle(s, data):
+    n = data.draw(st.integers(min_value=0, max_value=len(s)))
+    assert abelian_complexity(factor_set(s, n)) == naive_abelian_count(s, n)
 
 
 @st.composite
