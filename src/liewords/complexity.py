@@ -3,8 +3,9 @@
 Factor sets come from words.factor_spans as spans (text, starts): the
 length-n factors are the blocks text[i:i+n] with i < starts.  They are
 exact for words whose letters all grow under their morphism, read from a
-doubling-stable window otherwise.  For a factor set F of length n, the
-quantities of interest are:
+doubling-stable window otherwise.  Counting them needs nothing from the
+rank route: no algebra, linalg, union-find or commutator rows.  For a
+factor set F of length n, the quantities of interest are:
 
 * factor count p(n) = |F|
 * cyclic count c(n): rotation classes meeting F
@@ -21,15 +22,23 @@ the number of codes.
 Rotation keeps the letter counts, so a rotation class never spans two
 codes.  A factor alone in its code bucket is alone in its class: it adds
 one class to c(n), and a whole class to L(n) only when it is a letter
-power c^n, its own only rotation.  Only the factors of shared buckets are
-canonicalized, by their least rotation, and tallied per class.  The
-least rotation compares only the rotations that start with the longest
-run of the least letter, using C-level string search and slice
-comparison.  A class lies entirely inside F exactly when its tally
-equals the length of its primitive root, which is the number of distinct
-rotations of any member.  `lie_complexity`, `cyclic_complexity` and
-`abelian_complexity` count a FactorSet the same way, each member a span
-of one block.
+power c^n, its own only rotation.  In the shared buckets the counts come
+from rotate-by-one, rho(v) = v[1:] + v[0].  rho permutes the words of
+length n and keeps their codes, so the edges v -> rho(v) between factors
+have in- and out-degree at most 1, and each component is a cycle or a
+path.  A cycle is a whole rotation class inside F; a path is one arc of a
+class that is not, which may be cut into several arcs.  The walks from
+the heads (factors whose rho-predecessor is not a factor) mark the
+paths; the factors left lie on cycles, and a class of period d (the
+first return of a member in its own square) is a cycle of d of them, so
+L(n) is the letter powers plus the sum of (cycle members of period d)
+// d.  c(n) adds to the lone factors and the cycles one class per arc
+head alone among the heads of its bucket, and the distinct least
+rotations of the other heads.  The least rotation compares only the
+rotations that start with the longest run of the least letter, using
+C-level string search and slice comparison.  `lie_complexity`,
+`cyclic_complexity` and `abelian_complexity` count a FactorSet the same
+way, each member a span of one block.
 
 L is the quantity the rest of the package cross-checks by algebraic rank
 and by automata counting.  All functions are pure; rows can be computed
@@ -231,18 +240,39 @@ def _keyed_counts(
     Parikh vector, so a rotation class lies inside one code bucket, and a
     factor alone in its bucket is alone in its class: one class for c, and
     a whole class for L only when it is a letter power c^n, whose code no
-    other word has.  The factors of shared buckets are canonicalized by
-    least rotation and tallied per class; a class lies inside the set when
-    its tally equals the length of its primitive root.
+    other word has.
+
+    In the shared buckets, rotate-by-one rho(v) = v[1:] + v[0] is a
+    permutation of words that keeps the code, so the edges v -> rho(v)
+    with both ends factors have in- and out-degree at most 1 and split the
+    shared factors into cycles and paths.  A cycle is a whole class inside
+    the set; a path is one arc of a class that is not, and a class may be
+    cut into several arcs.  Walking rho from every head (a factor whose
+    rho-predecessor v[-1] + v[:-1] is not a factor) marks the paths; the
+    factors left are the cycles, and a cycle of a class of period d (the
+    least shift that maps a member to itself) has d members.  A head alone
+    among the heads of its bucket is a class of its own; only the other
+    heads are canonicalized by least rotation, so that the arcs of one
+    class are counted once.
     """
     if n == 0:
         return len(codes), 1, 1, 1
     sizes = Counter(codes.values())
-    tally = Counter(least_rotation(v) for v, code in codes.items() if sizes[code] > 1)
     lone = sum(1 for m in sizes.values() if m == 1)
-    full = sum(1 for canon, m in tally.items() if m == len(primitive_root(canon)))
     powers = sum(1 for c in letters if c * n in codes)
-    return len(codes), lone + len(tally), len(sizes), powers + full
+    shared = {v for v, code in codes.items() if sizes[code] > 1}
+    heads = [v for v in shared if v[-1] + v[:-1] not in shared]
+    on_arcs = set()
+    for v in heads:
+        while v in shared:
+            on_arcs.add(v)
+            v = v[1:] + v[0]
+    periods = Counter((v + v).find(v, 1) for v in shared - on_arcs)
+    whole = sum(m // d for d, m in periods.items())
+    head_sizes = Counter(codes[v] for v in heads)
+    lone_heads = sum(1 for m in head_sizes.values() if m == 1)
+    arcs = len({least_rotation(v) for v in heads if head_sizes[codes[v]] > 1})
+    return len(codes), lone + whole + lone_heads + arcs, len(sizes), powers + whole
 
 
 def _span_codes(

@@ -283,6 +283,22 @@ def verify_complexity_bound(
     return rows
 
 
+def _factors_occur_twice(small: str, big: str) -> bool:
+    """Whether every nonempty factor of `small` occurs at least twice in
+    `big`, overlaps allowed.
+
+    Every factor of `small` is a prefix of one of its suffixes, and two
+    occurrences of a suffix give two occurrences of each of its prefixes,
+    so it is enough to find each suffix twice: two `find` calls per suffix
+    instead of per factor."""
+    for start in range(len(small)):
+        suffix = small[start:]
+        first = big.find(suffix)
+        if first == -1 or big.find(suffix, first + 1) == -1:
+            return False
+    return True
+
+
 def verify_structure(trace: ConstructionTrace) -> list[tuple[str, bool]]:
     """Named structural invariants of a built trace."""
     checks: list[tuple[str, bool]] = []
@@ -322,20 +338,9 @@ def verify_structure(trace: ConstructionTrace) -> list[tuple[str, bool]]:
             if u[i - 1] * a[n - 1][i - 1] not in vn:
                 powers_ok = False
     checks.append(("powers-in-separators", powers_ok))
-    twice_ok = True
-    for i in range(depth - 1):
-        small, big = trace.s[i], trace.s[i + 1]
-        for ln in range(1, len(small) + 1):
-            for start in range(len(small) - ln + 1):
-                fct = small[start : start + ln]
-                first = big.find(fct)
-                if first == -1 or big.find(fct, first + 1) == -1:
-                    twice_ok = False
-                    break
-            if not twice_ok:
-                break
-        if not twice_ok:
-            break
+    twice_ok = all(
+        _factors_occur_twice(trace.s[i], trace.s[i + 1]) for i in range(depth - 1)
+    )
     checks.append(("factors-occur-twice", twice_ok))
     roots_ok = all(primitive_root(w)[1] in (1, 2, 3) for w in u)
     checks.append(("root-exponents", roots_ok))

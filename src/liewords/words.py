@@ -9,7 +9,11 @@ states (Cobham), so every word here is morphic.
 Factor sets are exact when every letter of the word grows under its
 morphism (Pansiot 1984): the length-n factors are the blocks of
 sigma^m(ab) that start inside sigma^m(a), over the 2-factors ab, which
-are themselves computed as a closure.  All bundled words and every DFAO
+are themselves computed as a closure.  They are handed on as spans of
+text with a number of block starts: each letter's image once for the
+blocks inside it, and per 2-factor ab only the last min(|sigma^m(a)|,
+n-1) letters of sigma^m(a) with the first n-1 of sigma^m(b), for the
+blocks that cross into sigma^m(b).  All bundled words and every DFAO
 word qualify.  A word with a non-growing letter falls back to a doubling
 window: once the factor set of a prefix stops changing when the window
 doubles, it is taken as the factor set of the infinite word, which is
@@ -435,16 +439,36 @@ class WordGenerator:
 
 
 def _exact_spans(word: _MorphicWord, n: int) -> list[tuple[str, int]]:
-    """The spans (sigma^m(a) + sigma^m(b)[:n-1], |sigma^m(a)|) over the
-    2-factors ab, coded (see exact_factors); one empty span for n = 0."""
+    """Spans whose blocks are the length-n factors of `exact_factors`,
+    coded, with each image's interior read once.
+
+    A block that starts inside sigma^m(a) either ends inside it or runs
+    into the image of the next letter b.  So the spans are:
+
+    * (sigma^m(a), |sigma^m(a)|-n+1) once per letter a whose image has at
+      least n letters: the blocks inside the image, read once however many
+      2-factors begin with a;
+    * (sigma^m(a)[-k:] + sigma^m(b)[:n-1], k) with k = min(|sigma^m(a)|, n-1)
+      once per 2-factor ab with k >= 1: the blocks that start in the last k
+      letters of sigma^m(a) and end inside sigma^m(b).
+
+    One empty span for n = 0."""
     if n == 0:
         return [("", 1)]
     images = word.images_for(n)
     table = word.table
     spans = []
-    for a, b in word.pairs:
-        s = images[a] + images[b][: n - 1]
-        spans.append((s if table is None else s.translate(table), len(images[a])))
+    for a in word.letters:
+        s = images[a]
+        if len(s) >= n:
+            spans.append((s, len(s) - n + 1))
+    if n > 1:
+        for a, b in word.pairs:
+            s = images[a]
+            k = min(len(s), n - 1)
+            spans.append((s[-k:] + images[b][: n - 1], k))
+    if table is not None:
+        spans = [(s.translate(table), starts) for s, starts in spans]
     return spans
 
 

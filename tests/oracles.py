@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own algorithms: the
 rotation-class counts come from a suffix automaton plus a vectorized
 rotate-by-one walk, the small-scale counts check every rotation of every
 factor explicitly, least rotations come from Booth's failure-function
-scan, abelian counts from `Counter`, ranks come from Gaussian
+scan, abelian counts from `Counter`, repeated factors from one lookup per
+factor, ranks come from Gaussian
 elimination over Z/p, growing letters from image lengths, factor
 sets of morphic words from a prefix long enough to hold every factor,
 and minimal automata from Moore refinement on exact signature tuples.
@@ -148,6 +149,18 @@ def naive_abelian_count(window: str, n: int) -> int:
     """Distinct letter multisets among the length-n factors of window."""
     facs = {window[i : i + n] for i in range(len(window) - n + 1)}
     return len({frozenset(Counter(v).items()) for v in facs})
+
+
+def factors_occur_twice(small: str, big: str) -> bool:
+    """Whether every nonempty factor of small occurs at least twice in big,
+    each factor looked up on its own with two `find` calls."""
+    for ln in range(1, len(small) + 1):
+        for start in range(len(small) - ln + 1):
+            fct = small[start : start + ln]
+            first = big.find(fct)
+            if first == -1 or big.find(fct, first + 1) == -1:
+                return False
+    return True
 
 
 def rank_mod(rows, width: int, p: int) -> int:

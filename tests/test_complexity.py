@@ -1,12 +1,14 @@
+import ast
 import json
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liewords.bundled import get_word
 from liewords.complexity import (
+    FactorSet,
     _parikh_codes,
     abelian_complexity,
     complexity_table,
@@ -207,6 +209,66 @@ def test_abelian_count_matches_counter_oracle(s, data):
 
 
 @st.composite
+def _rotation_subsets(draw):
+    """A length n and a set of length-n words: random subsets of the
+    rotations of a few words over 1 to 3 letters, among them random words,
+    periodic words such as (ab)^k and letter powers.  Of each word's
+    rotations all are taken, or a run of consecutive ones, or any."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    alphabet = "abc"[: draw(st.integers(min_value=1, max_value=3))]
+    members = set()
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(("random", "periodic", "letter-power")))
+        if kind == "random":
+            w = draw(st.text(alphabet=alphabet, min_size=n, max_size=n))
+        elif kind == "periodic":
+            w = (draw(st.text(alphabet=alphabet, min_size=1, max_size=3)) * n)[:n]
+        else:
+            w = draw(st.sampled_from(alphabet)) * n
+        orbit = [w[t:] + w[:t] for t in range(n)]
+        take = draw(st.sampled_from(("all", "arc", "any")))
+        if take == "all":
+            members.update(orbit)
+        elif take == "arc":
+            # consecutive rotations, one path of rotate-by-one
+            i = draw(st.integers(min_value=0, max_value=n - 1))
+            members.update((orbit * 2)[i : i + draw(st.integers(min_value=1, max_value=n))])
+        else:
+            members |= draw(st.sets(st.sampled_from(orbit), min_size=1))
+    return n, frozenset(members)
+
+
+@settings(max_examples=400)
+@given(_rotation_subsets())
+def test_arc_counts_match_booth_counts(case):
+    n, members = case
+    fs = FactorSet(n, members, 0, True)
+    _, c, a, L = booth_counts(members, n)
+    assert lie_complexity(fs) == L
+    assert cyclic_complexity(fs) == c
+    assert abelian_complexity(fs) == a
+
+
+@pytest.mark.parametrize(
+    "members, c, L",
+    [
+        # one class, cut into the arcs 0011 and 1100 by the missing 0110, 1001
+        ({"0011", "1100"}, 1, 0),
+        # the whole class of 01 squared, a cycle of period 2
+        ({"0101", "1010"}, 1, 1),
+        # a letter power, its own only rotation
+        ({"0000"}, 1, 1),
+        # two classes, each one arc of three of its four rotations
+        ({"0011", "0110", "1100", "0001", "0010", "0100"}, 2, 0),
+    ],
+)
+def test_arcs_and_cycles_at_length_four(members, c, L):
+    fs = FactorSet(4, frozenset(members), 0, True)
+    assert cyclic_complexity(fs) == c
+    assert lie_complexity(fs) == L
+
+
+@st.composite
 def _spans(draw):
     """Texts over up to 12 letters, a factor length n that each text can
     hold, and for each text a number of block starts it has room for."""
@@ -333,3 +395,19 @@ def test_exact_route_ignores_the_window_schedule():
     assert rows == complexity_table(tm, range(0, 40))
     fs = saturated_factor_set(tm, 39, start=4, cap=8)
     assert fs.window == 0 and fs.certified
+
+
+@pytest.mark.parametrize("module", ["complexity", "words"])
+def test_direct_route_imports_nothing_from_the_rank_route(module):
+    import liewords
+
+    path = liewords.__path__[0] + "/%s.py" % module
+    tree = ast.parse(open(path).read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {"algebra", "linalg", "liewords.algebra", "liewords.linalg"} & imported

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liewords.construction import (
+    _factors_occur_twice,
     BoundRow,
     ConstructionParams,
     build,
@@ -15,6 +18,8 @@ from liewords.construction import (
     verify_structure,
 )
 from liewords.errors import ParameterOverflow, PrefixTooShort, WindowUnstable
+
+from oracles import factors_occur_twice
 
 
 def toy(depth=4, variant="symmetric"):
@@ -63,6 +68,37 @@ def test_every_stage_factor_occurs_twice():
                 first = s_next.find(block)
                 assert first >= 0
                 assert s_next.find(block, first + 1) >= 0
+
+
+@st.composite
+def _small_and_big(draw):
+    """A short binary word and a longer one: random, or built from two
+    copies of the short word so that the answer is often true."""
+    small = draw(st.text(alphabet="01", max_size=8))
+    if draw(st.booleans()):
+        gap = draw(st.text(alphabet="01", max_size=4))
+        big = draw(st.text(alphabet="01", max_size=3)) + small + gap + small
+        if draw(st.booleans()) and big:
+            # one flipped letter often leaves a factor with one occurrence
+            i = draw(st.integers(min_value=0, max_value=len(big) - 1))
+            big = big[:i] + "10"[int(big[i])] + big[i + 1 :]
+    else:
+        big = draw(st.text(alphabet="01", max_size=20))
+    return small, big
+
+
+@given(_small_and_big())
+def test_factors_occur_twice_matches_per_factor_oracle(case):
+    small, big = case
+    assert _factors_occur_twice(small, big) == factors_occur_twice(small, big)
+
+
+def test_factors_occur_twice_by_hand():
+    assert _factors_occur_twice("010", "01010")
+    assert _factors_occur_twice("", "")
+    # "0" occurs three times, but "1" and "01" once
+    assert not _factors_occur_twice("01", "0010")
+    assert not _factors_occur_twice("0110", "0110")
 
 
 def test_power_blocks_present():

@@ -14,6 +14,8 @@ from liewords.errors import (
 )
 from liewords.words import (
     Dfao,
+    _exact_spans,
+    _span_blocks,
     Morphism,
     WordGenerator,
     dfao_eval,
@@ -322,3 +324,40 @@ def test_window_schedule_refuses_a_start_below_one(start):
     # a start of 0 is passed on, not read as "not given"
     with pytest.raises(WindowTooSmall):
         complexity_table(gen, [3], start=start)
+
+
+_BUNDLED = ("thue-morse", "vtm", "cantor", "fibonacci", "tribonacci", "twelve")
+
+
+def _pair_spans(word, n):
+    """One span (sigma^m(a) + sigma^m(b)[:n-1], |sigma^m(a)|) per 2-factor
+    ab, coded: each image interior read once per 2-factor it begins."""
+    images = word.images_for(n)
+    spans = [(images[a] + images[b][: n - 1], len(images[a])) for a, b in word.pairs]
+    if word.table is not None:
+        spans = [(s.translate(word.table), starts) for s, starts in spans]
+    return spans
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_exact_spans_read_each_image_interior_once(name):
+    word = get_word(name)._morphic_word()
+    for n in range(1, 101):
+        images = word.images_for(n)
+        spans = _exact_spans(word, n)
+        interiors = sum(max(0, len(images[a]) - n + 1) for a in word.letters)
+        crossings = sum(min(len(images[a]), n - 1) for a, _ in word.pairs)
+        assert sum(starts for _, starts in spans) == interiors + crossings, n
+        assert _span_blocks(spans, n) == _span_blocks(_pair_spans(word, n), n), n
+
+
+def test_an_image_of_n_minus_one_letters_has_no_interior_span():
+    # at n = 90 fibonacci's images are sigma^m(0), 144 letters, and
+    # sigma^m(1), 89 letters: no block of length 90 fits inside the latter
+    word = get_word("fibonacci")._morphic_word()
+    images = word.images_for(90)
+    assert (len(images["0"]), len(images["1"])) == (144, 89)
+    spans = _exact_spans(word, 90)
+    assert [span for span in spans if span[0] in images.values()] == [(images["0"], 55)]
+    assert [starts for _, starts in spans] == [55] + [89] * len(word.pairs)
+    assert len(_span_blocks(spans, 90)) == 91
