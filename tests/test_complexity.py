@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liewords
 from liewords.bundled import get_word
 from liewords.complexity import (
     FactorSet,
@@ -399,8 +400,6 @@ def test_exact_route_ignores_the_window_schedule():
 
 @pytest.mark.parametrize("module", ["complexity", "words"])
 def test_direct_route_imports_nothing_from_the_rank_route(module):
-    import liewords
-
     path = liewords.__path__[0] + "/%s.py" % module
     tree = ast.parse(open(path).read())
     imported = set()

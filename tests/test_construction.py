@@ -93,14 +93,6 @@ def test_factors_occur_twice_matches_per_factor_oracle(case):
     assert _factors_occur_twice(small, big) == factors_occur_twice(small, big)
 
 
-def test_factors_occur_twice_by_hand():
-    assert _factors_occur_twice("010", "01010")
-    assert _factors_occur_twice("", "")
-    # "0" occurs three times, but "1" and "01" once
-    assert not _factors_occur_twice("01", "0010")
-    assert not _factors_occur_twice("0110", "0110")
-
-
 def test_power_blocks_present():
     trace = build(toy())
     assert verify_powers(trace, 1, trace.exponent(4, 1))
