@@ -27,7 +27,7 @@ def main() -> int:
                 ok,
                 len(group),
                 "ok" if ok == len(group) else "FAIL",
-                "" if certified else "  (heuristic windows)",
+                "" if certified else "  (uncertified)",
             )
         )
     for r in failures:

@@ -2,9 +2,8 @@
 
 The quantity tracked everywhere is the number of rotation (conjugacy)
 classes of length n that sit entirely inside the factor set of a word.
-The package computes it by direct enumeration over factor sets (exact
-whenever every letter of the word grows under its morphism), as a
-difference of ranks in a factor algebra, and through a
+The package computes it by direct enumeration over exact factor sets,
+as a difference of ranks in a factor algebra, and through a
 formula-to-automaton pipeline that also yields the counting sequence as
 an automatic sequence in the digit base of the word.
 """

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .complexity import FactorSet, saturated_factor_set
-from .errors import UncertifiedData
+from .errors import InvalidParameter, UncertifiedData
 from .linalg import signed_incidence_rank
 
 
@@ -104,12 +104,14 @@ def lie_via_algebra(fs_by_len: Mapping[int, FactorSet], n: int) -> int:
     return len(fs_by_len[n].members) - commutator_rank(fs_by_len, n)
 
 
-def factor_sets_up_to(generator, max_n: int, *, strict: bool = True, **window_opts):
+def factor_sets_up_to(generator, max_n: int, *, strict: bool = True):
     """Factor sets (see complexity.saturated_factor_set) for every length
     0..max_n, keyed by length; strict mode refuses uncertified ones."""
+    if max_n < 0:
+        raise InvalidParameter("largest factor length must be nonnegative, got %d" % max_n)
     out: dict[int, FactorSet] = {}
     for n in range(max_n + 1):
-        fs = saturated_factor_set(generator, n, **window_opts)
+        fs = saturated_factor_set(generator, n)
         if strict and not fs.certified:
             raise UncertifiedData(
                 "factor set of %s at n=%d is not certified" % (generator.name, n)
@@ -131,11 +133,11 @@ class AlgebraRow:
         return self.lie_algebra == self.lie_direct
 
 
-def algebra_report(generator, max_n: int, *, strict: bool = True, **window_opts):
+def algebra_report(generator, max_n: int, *, strict: bool = True):
     """Per-n comparison of the rank route against the direct count."""
     from .complexity import lie_complexity
 
-    fs_by_len = factor_sets_up_to(generator, max_n, strict=strict, **window_opts)
+    fs_by_len = factor_sets_up_to(generator, max_n, strict=strict)
     rows = []
     for n in range(max_n + 1):
         span = commutator_span(fs_by_len, n)

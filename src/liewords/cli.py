@@ -40,7 +40,7 @@ from .counting import (
     sup_value,
     to_dfao,
 )
-from .errors import ToolError
+from .errors import InvalidParameter, ToolError
 from .golden import golden_report
 from .logic import build_predicate_library, compile_formula, parse_with_library
 from .words import WordGenerator
@@ -96,17 +96,8 @@ def _sequence(value: str) -> wd.Dfao:
         return wd.parse_dfao(fh.read())
 
 
-def _window_opts(args) -> dict:
-    opts = {}
-    if getattr(args, "window_start", None) is not None:
-        opts["start"] = args.window_start
-    if getattr(args, "window_cap", None) is not None:
-        opts["cap"] = args.window_cap
-    return opts
-
-
 def cmd_complexity(args) -> int:
-    rows = complexity_table(_generator(args), args.n, **_window_opts(args))
+    rows = complexity_table(_generator(args), args.n)
     text = rows_to_json(rows) if args.format == "json" else rows_to_tsv(rows)
     sys.stdout.write(text)
     return 0
@@ -116,7 +107,8 @@ def cmd_verify_inequalities(args) -> int:
     gen = _generator(args)
     ns = args.n
     lo = min(ns)
-    rows = complexity_table(gen, range(max(lo - 1, 0), max(ns) + 1), **_window_opts(args))
+    # from n-1 for the margin; a negative lo is passed on to be refused
+    rows = complexity_table(gen, range(lo - 1 if lo > 0 else lo, max(ns) + 1))
     by_n = {r.n: r for r in rows}
     failures = []
     skipped = 0
@@ -158,9 +150,7 @@ def cmd_verify_inequalities(args) -> int:
 
 
 def cmd_algebra_check(args) -> int:
-    rows = algebra_report(
-        _generator(args), args.max_n, strict=not args.allow_heuristic, **_window_opts(args)
-    )
+    rows = algebra_report(_generator(args), args.max_n, strict=not args.allow_heuristic)
     sys.stdout.write(algebra_rows_to_tsv(rows))
     return 0 if all(r.match for r in rows) else 1
 
@@ -207,8 +197,15 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _growth(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidParameter("--g needs comma-separated integers, got %r" % text) from None
+
+
 def cmd_construct(args) -> int:
-    growth = tuple(int(x) for x in args.g.split(",")) if args.g else ()
+    growth = _growth(args.g) if args.g else ()
     params = ConstructionParams(
         depth=args.depth,
         mode=args.mode,
@@ -275,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_word_source(p)
     p.add_argument("--n", type=_parse_span, required=True, help="range a..b or single n")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--window-start", type=int)
-    p.add_argument("--window-cap", type=int)
     p.set_defaults(fn=cmd_complexity)
 
     p = sub.add_parser(
@@ -285,16 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_word_source(p)
     p.add_argument("--n", type=_parse_span, required=True)
     p.add_argument("--allow-heuristic", action="store_true")
-    p.add_argument("--window-start", type=int)
-    p.add_argument("--window-cap", type=int)
     p.set_defaults(fn=cmd_verify_inequalities)
 
     p = sub.add_parser("algebra-check", help="rank route against the direct count")
     _add_word_source(p)
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--allow-heuristic", action="store_true")
-    p.add_argument("--window-start", type=int)
-    p.add_argument("--window-cap", type=int)
     p.set_defaults(fn=cmd_algebra_check)
 
     p = sub.add_parser("logic", help="formula operations")

@@ -2,9 +2,8 @@
 
 Factor sets come from words.factor_spans as spans (text, starts): the
 length-n factors are the blocks text[i:i+n] with i < starts.  They are
-exact for words whose letters all grow under their morphism, read from a
-doubling-stable window otherwise.  Counting them needs nothing from the
-rank route: no algebra, linalg, union-find or commutator rows.  For a
+exact for every word.  Counting them needs nothing from the rank route:
+no algebra, linalg, union-find or commutator rows.  For a
 factor set F of length n, the quantities of interest are:
 
 * factor count p(n) = |F|
@@ -56,15 +55,16 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     EmptyWord,
+    InvalidParameter,
     LengthExceedsPrefix,
     UncertifiedData,
     WindowTooSmall,
 )
 # perfbench/tracing.py looks saturation_window up in this module
 from .words import (  # noqa: F401
-    DEFAULT_WINDOW_START,
     Prefix,
-    factor_blocks,
+    _check_length,
+    exact_factors,
     factor_spans,
     saturation_window,
 )
@@ -72,12 +72,10 @@ from .words import (  # noqa: F401
 
 @dataclass(frozen=True)
 class FactorSet:
-    """Length-n factors; `window` is the prefix length they were read from,
-    0 when they were computed exactly."""
+    """Length-n factors, labeled with the certification status."""
 
     n: int
     members: frozenset[str]
-    window: int
     certified: bool
 
 
@@ -94,25 +92,17 @@ class ComplexityRow:
 def factor_set(p, n: int, *, certified: bool = False) -> FactorSet:
     """All length-n blocks of the prefix."""
     s = p.letters if isinstance(p, Prefix) else p
-    if n < 0:
-        raise ValueError("factor length must be nonnegative")
+    _check_length(n)
     if n > len(s):
         raise LengthExceedsPrefix("length %d exceeds prefix of %d" % (n, len(s)))
     members = frozenset(s[i : i + n] for i in range(len(s) - n + 1))
-    return FactorSet(n, members, len(s), certified)
+    return FactorSet(n, members, certified)
 
 
-def saturated_factor_set(generator, n: int, **window_opts) -> FactorSet:
-    """The length-n factor set of the word, labeled with the generator's
-    certification status.
-
-    Exact when every letter of the word grows under its morphism, which
-    holds for all bundled words and every DFAO word; `window` is then 0.
-    Otherwise the blocks of the smallest doubling-stable window, whose
-    schedule `window_opts` (`start`, `cap`) sets (see words.factor_blocks).
-    """
-    members, window = factor_blocks(generator, n, **window_opts)
-    return FactorSet(n, members, window, _certified(generator))
+def saturated_factor_set(generator, n: int) -> FactorSet:
+    """The exact length-n factor set of the word (words.exact_factors),
+    labeled with the generator's certification status."""
+    return FactorSet(n, exact_factors(generator, n), _certified(generator))
 
 
 def _certified(generator) -> bool:
@@ -311,26 +301,15 @@ def abelian_complexity(fs: FactorSet) -> int:
     return len(set(codes.values()))
 
 
-def complexity_row(generator, n: int, **window_opts) -> ComplexityRow:
+def complexity_row(generator, n: int) -> ComplexityRow:
     """The row of length n, counted on the spans of words.factor_spans."""
-    spans, _ = factor_spans(generator, n, **window_opts)
+    spans = factor_spans(generator, n)
     return ComplexityRow(n, *_span_counts(spans, n), _certified(generator))
 
 
-def complexity_table(generator, ns: Iterable[int], **window_opts) -> list[ComplexityRow]:
-    """Rows for each n, as `complexity_row`.  Exact factor sets need no
-    window; on the window fallback each row's schedule starts at the
-    previous row's window, since the stable window grows with n."""
-    rows = []
-    w = window_opts.pop("start", None)
-    if w is None:
-        w = DEFAULT_WINDOW_START
-    certified = _certified(generator)
-    for n in sorted(ns):
-        spans, window = factor_spans(generator, n, start=w, **window_opts)
-        w = max(w, window)
-        rows.append(ComplexityRow(n, *_span_counts(spans, n), certified))
-    return rows
+def complexity_table(generator, ns: Iterable[int]) -> list[ComplexityRow]:
+    """Rows for each n in increasing order, as `complexity_row`."""
+    return [complexity_row(generator, n) for n in sorted(ns)]
 
 
 def first_difference_margin(
@@ -363,7 +342,7 @@ def unbounded_exponent_scan(
     """Primitive roots y with |y| <= max_root_len whose exponent-th power
     occurs in the window; one canonical rotation per class, sorted."""
     if exponent < 2:
-        raise ValueError("exponent must be at least 2")
+        raise InvalidParameter("exponent must be at least 2, got %d" % exponent)
     if window < exponent * max_root_len:
         raise WindowTooSmall(
             "window %d cannot hold a root of length %d at exponent %d"

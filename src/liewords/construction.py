@@ -25,6 +25,7 @@ from . import complexity
 from .bundled import fibonacci_morphism
 from .complexity import factor_set
 from .errors import (
+    InvalidParameter,
     ParameterOverflow,
     PrefixTooShort,
     SuffixSearchExceeded,
@@ -52,20 +53,20 @@ class ConstructionParams:
 
     def __post_init__(self):
         if self.depth < 1:
-            raise ValueError("depth must be at least 1")
+            raise InvalidParameter("depth must be at least 1")
         if self.mode not in ("toy", "honest"):
-            raise ValueError("mode must be 'toy' or 'honest'")
+            raise InvalidParameter("mode must be 'toy' or 'honest'")
         if self.variant not in ("symmetric", "verbatim"):
-            raise ValueError("variant must be 'symmetric' or 'verbatim'")
+            raise InvalidParameter("variant must be 'symmetric' or 'verbatim'")
         if self.mode == "toy":
             if len(self.growth) != self.depth:
-                raise ValueError(
+                raise InvalidParameter(
                     "toy mode needs one growth multiplier per stage"
                 )
             if any(g < 2 for g in self.growth):
-                raise ValueError("growth multipliers must be at least 2")
+                raise InvalidParameter("growth multipliers must be at least 2")
         elif self.f is None:
-            raise ValueError("honest mode needs a threshold function")
+            raise InvalidParameter("honest mode needs a threshold function")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,13 @@ class UnknownLetter(ToolError):
 
 
 class WindowExceeded(ToolError):
-    """Factor sets kept changing up to the window cap, or their exact
-    computation would hold more image letters than its budget."""
+    """An exact factor set would hold more letters, in images, members or
+    prefixes, than the letter budget."""
+
+
+class InvalidParameter(ToolError, ValueError):
+    """A parameter outside its range: a negative factor length, an exponent
+    below 2, or construction parameters that name no construction."""
 
 
 class FormatError(ToolError, ValueError):

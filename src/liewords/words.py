@@ -6,18 +6,17 @@ reading the base-k digits of the position, most significant digit first.
 A DFAO word is also the coded fixed point of a k-uniform morphism on its
 states (Cobham), so every word here is morphic.
 
-Factor sets are exact when every letter of the word grows under its
-morphism (Pansiot 1984): the length-n factors are the blocks of
-sigma^m(ab) that start inside sigma^m(a), over the 2-factors ab, which
-are themselves computed as a closure.  They are handed on as spans of
-text with a number of block starts: each letter's image once for the
-blocks inside it, and per 2-factor ab only the last min(|sigma^m(a)|,
-n-1) letters of sigma^m(a) with the first n-1 of sigma^m(b), for the
-blocks that cross into sigma^m(b).  All bundled words and every DFAO
-word qualify.  A word with a non-growing letter falls back to a doubling
-window: once the factor set of a prefix stops changing when the window
-doubles, it is taken as the factor set of the infinite word, which is
-a heuristic.
+Factor sets are exact for every word.  When every letter of the word
+grows under its morphism (Pansiot 1984), the length-n factors are the
+blocks of sigma^m(ab) that start inside sigma^m(a), over the 2-factors
+ab, which are themselves computed as a closure.  They are handed on as
+spans of text with a number of block starts: each letter's image once
+for the blocks inside it, and per 2-factor ab only the last
+min(|sigma^m(a)|, n-1) letters of sigma^m(a) with the first n-1 of
+sigma^m(b), for the blocks that cross into sigma^m(b).  All bundled
+words and every DFAO word qualify.  A word with a non-growing letter
+takes the n-prefix closure instead (see `_MorphicWord.closure`), each
+coded factor a span of one block.
 
 The `certified` label is separate: it is set only when the generator is
 the fixed point of a primitive morphism (or a coding of one).
@@ -30,18 +29,15 @@ from typing import Mapping, Optional
 
 from .errors import (
     FormatError,
+    InvalidParameter,
     NotProlongable,
-    ToolError,
     UnknownLetter,
     WindowExceeded,
-    WindowTooSmall,
 )
 
-DEFAULT_WINDOW_START = 1 << 10
-DEFAULT_WINDOW_CAP = 1 << 24
-# letters the exact path may hold in images, as many as the largest prefix
-# (twice the window cap) the fallback reads
-IMAGE_LETTER_BUDGET = 2 * DEFAULT_WINDOW_CAP
+# letters a factor set may hold: in the images of the growing path, in the
+# members of the closure, and in the prefixes of `saturation_window`
+LETTER_BUDGET = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -332,11 +328,12 @@ def _cyclic_letters(succ: dict[str, set[str]], pred: dict[str, set[str]]) -> set
 
 class _MorphicWord:
     """A word as the coded fixed point of a morphism, with what exact factor
-    sets need: the 2-factors, their letters (the 1-factors), whether those
-    all grow, and the images sigma^k(c) built so far, by k."""
+    sets need: the seed, the 2-factors, their letters (the 1-factors),
+    whether those all grow, and the images sigma^k(c) built so far, by k."""
 
     def __init__(self, m: Morphism, seed: str, coding: Optional[Mapping[str, str]]):
         self.rules = m.rule_map
+        self.seed = seed
         self.pairs = sorted(two_factor_closure(m, seed))
         self.letters = sorted({c for ab in self.pairs for c in ab})
         self.growing = set(self.letters) <= growing_letters(m)
@@ -347,7 +344,7 @@ class _MorphicWord:
         """sigma^m(c) for each letter, with m the least power that makes
         every image at least n-1 letters long.  Sizes are worked out before
         any image is built; raises WindowExceeded when the images held
-        would pass IMAGE_LETTER_BUDGET letters."""
+        would pass LETTER_BUDGET letters."""
         rules, images = self.rules, self.images
         held = sum(len(s) for level in images for s in level.values())
         size = dict.fromkeys(self.letters, 1)
@@ -357,21 +354,55 @@ class _MorphicWord:
             size = {c: sum(size[d] for d in rules[c]) for c in self.letters}
             if m >= len(images):
                 held += sum(size.values())
-                if held > IMAGE_LETTER_BUDGET:
+                if held > LETTER_BUDGET:
                     raise WindowExceeded(
                         "exact factor set of length %d needs images of more than "
-                        "the letter budget of %d letters" % (n, IMAGE_LETTER_BUDGET)
+                        "the letter budget of %d letters" % (n, LETTER_BUDGET)
                     )
         while len(images) <= m:
             last = images[-1]
             images.append({c: "".join([last[d] for d in rules[c]]) for c in self.letters})
         return images[m]
 
+    def closure(self, n: int) -> set[str]:
+        """The length-n factors of the fixed point x, before the coding,
+        for n >= 1: the closure of {x[0:n]} under v -> the blocks t[i:i+n],
+        i < |sigma(v[0])|, with t the first |sigma(v[0])|+n-1 letters of
+        sigma(v).
+
+        A factor at a position p >= 1 starts inside sigma(x[q]) for some
+        q < p, since |sigma(seed)| >= 2, so it is such a block of
+        sigma(x[q:q+n]), a factor at an earlier position; by induction on
+        p, nothing is missed.  Raises WindowExceeded when the members would
+        pass LETTER_BUDGET letters."""
+        rules = self.rules
+        x = self.seed
+        # a first member past the budget is not built; the check below fires
+        while len(x) < n <= LETTER_BUDGET:
+            x = "".join([rules[c] for c in x[:n]])
+        found = {x[:n]}
+        todo = [x[:n]]
+        while todo:
+            v = todo.pop()
+            head = len(rules[v[0]])
+            t = "".join([rules[c] for c in v])[: head + n - 1]
+            for i in range(head):
+                u = t[i : i + n]
+                if u not in found:
+                    found.add(u)
+                    todo.append(u)
+            if n * len(found) > LETTER_BUDGET:
+                raise WindowExceeded(
+                    "factor set of length %d holds more than the letter budget "
+                    "of %d letters" % (n, LETTER_BUDGET)
+                )
+        return found
+
 
 class WordGenerator:
     """A named source of prefixes, with an in-memory cache of the longest
-    prefix built so far.  It also keeps, built on first use, the 2-factors
-    and letter images that `exact_factors` reads.
+    prefix built so far.  It also keeps, built on first use, the morphic
+    word (`_MorphicWord`) that `factor_spans` reads.
 
     Exactly one of `morphism`/`dfao` drives generation when both are given
     the morphism wins (it is cheaper); tests assert the two agree for the
@@ -439,8 +470,8 @@ class WordGenerator:
 
 
 def _exact_spans(word: _MorphicWord, n: int) -> list[tuple[str, int]]:
-    """Spans whose blocks are the length-n factors of `exact_factors`,
-    coded, with each image's interior read once.
+    """Spans whose blocks are the length-n factors, n >= 1, of a word whose
+    letters all grow, coded, with each image's interior read once.
 
     A block that starts inside sigma^m(a) either ends inside it or runs
     into the image of the next letter b.  So the spans are:
@@ -450,11 +481,7 @@ def _exact_spans(word: _MorphicWord, n: int) -> list[tuple[str, int]]:
       2-factors begin with a;
     * (sigma^m(a)[-k:] + sigma^m(b)[:n-1], k) with k = min(|sigma^m(a)|, n-1)
       once per 2-factor ab with k >= 1: the blocks that start in the last k
-      letters of sigma^m(a) and end inside sigma^m(b).
-
-    One empty span for n = 0."""
-    if n == 0:
-        return [("", 1)]
+      letters of sigma^m(a) and end inside sigma^m(b)."""
     images = word.images_for(n)
     table = word.table
     spans = []
@@ -478,126 +505,68 @@ def _span_blocks(spans: list[tuple[str, int]], n: int) -> frozenset[str]:
     return frozenset(s[i : i + n] for s, starts in spans for i in range(starts))
 
 
-def exact_factors(generator, n: int) -> frozenset[str]:
-    """Length-n factors of a word whose letters all grow, computed exactly.
-
-    For n >= 1 they are the blocks (sigma^m(a) + sigma^m(b)[:n-1])[i:i+n]
-    with i < |sigma^m(a)|, over the 2-factors ab, where m is the least power
-    with |sigma^m(c)| >= n-1 for every letter c of the word: the word is
-    sigma^m of itself, so a factor starts inside the image of some letter
-    a and ends inside the image of the letter b after it (Pansiot 1984).
-    The coding, if any, is applied to the blocks.
-
-    Raises ToolError when a letter of the word does not grow, and
-    WindowExceeded when the images would pass IMAGE_LETTER_BUDGET letters.
-    """
+def _check_length(n: int) -> None:
     if n < 0:
-        raise ValueError("factor length must be nonnegative")
-    word = generator._morphic_word()
-    if not word.growing:
-        raise ToolError(
-            "%s has a letter that does not grow; its factor sets are not exact"
-            % generator.name
-        )
-    return _span_blocks(_exact_spans(word, n), n)
+        raise InvalidParameter("factor length must be nonnegative, got %d" % n)
 
 
-def factor_spans(
-    generator,
-    n: int,
-    *,
-    start: int = DEFAULT_WINDOW_START,
-    cap: int = DEFAULT_WINDOW_CAP,
-) -> tuple[list[tuple[str, int]], int]:
-    """Spans (text, starts) whose blocks text[i:i+n], i < starts, are the
-    length-n factors of the word, and the window they were read from.
+def factor_spans(generator, n: int) -> list[tuple[str, int]]:
+    """Spans (text, starts) whose blocks text[i:i+n], i < starts, are
+    exactly the length-n factors of the word.
 
-    Exact (the spans of `exact_factors`, window 0) when every letter of the
-    word grows.  Otherwise the blocks of the smallest window w of the
-    doubling schedule from `start` that `saturation_window` accepts, each
-    a span of one block: the stability check has already collected them,
-    and a window holds far more blocks than distinct ones.  Raises
-    WindowExceeded past `cap`.  The schedule is checked first, for every
-    word (see `_check_schedule`).
+    When every letter of the word grows, the blocks of sigma^m(ab) that
+    start inside sigma^m(a), over the 2-factors ab, where m is the least
+    power with |sigma^m(c)| >= n-1 for every letter c of the word: the word
+    is sigma^m of itself, so a factor starts inside the image of some
+    letter a and ends inside the image of the letter b after it (Pansiot
+    1984); see `_exact_spans`.  Otherwise each member of the n-prefix
+    closure (`_MorphicWord.closure`) is a span of one block.  The coding,
+    if any, is applied to the blocks; n = 0 gives one empty span.
+
+    Raises WindowExceeded when the images or the closure would pass
+    LETTER_BUDGET letters.
     """
-    if n < 0:
-        raise ValueError("factor length must be nonnegative")
-    _check_schedule(start, cap)
+    _check_length(n)
     word = generator._morphic_word()
+    if n == 0:
+        return [("", 1)]
     if word.growing:
-        return _exact_spans(word, n), 0
-    w, blocks = _stable_window(generator, n, start, cap)
-    return [(v, 1) for v in blocks], w
+        return _exact_spans(word, n)
+    members = word.closure(n)
+    if word.table is not None:
+        members = {v.translate(word.table) for v in members}
+    return [(v, 1) for v in members]
 
 
-def factor_blocks(
-    generator,
-    n: int,
-    *,
-    start: int = DEFAULT_WINDOW_START,
-    cap: int = DEFAULT_WINDOW_CAP,
-) -> tuple[frozenset[str], int]:
-    """Length-n factors of the word and the window they were read from:
-    the blocks of `factor_spans`."""
-    spans, window = factor_spans(generator, n, start=start, cap=cap)
-    return _span_blocks(spans, n), window
+def exact_factors(generator, n: int) -> frozenset[str]:
+    """Length-n factors of the word, computed exactly: the blocks of
+    `factor_spans`."""
+    return _span_blocks(factor_spans(generator, n), n)
 
 
-def saturation_window(
-    generator,
-    n: int,
-    *,
-    start: int = DEFAULT_WINDOW_START,
-    cap: int = DEFAULT_WINDOW_CAP,
-) -> tuple[int, bool]:
-    """Smallest window (from a doubling schedule) whose length-n factor set
-    agrees with the doubled window, plus the certification flag.
+def saturation_window(generator, n: int) -> tuple[int, bool]:
+    """The least power of two w >= max(n, 1) whose prefix has exactly
+    `exact_factors(generator, n)` as its length-n blocks, plus the
+    certification flag.  Sizes a prefix for brute-force checks; no route
+    reads it.
 
-    The doubled prefix extends the window, so its blocks are those of the
-    window plus the blocks that start at or after w-n+1; the two sets agree
-    exactly when each of those tail blocks is already a block of the window.
-
-    Returns (window, certified).  Raises WindowExceeded past the cap.
+    Raises WindowExceeded when w would pass LETTER_BUDGET letters.
     """
-    if n < 0:
-        raise ValueError("factor length must be nonnegative")
-    _check_schedule(start, cap)
-    w, _ = _stable_window(generator, n, start, cap)
-    return w, bool(getattr(generator, "certifiable", False))
-
-
-def _check_schedule(start: int, cap: int) -> None:
-    """Refuse a window schedule that can read no window: a start below 1,
-    which doubling never lifts, or a cap below the start."""
-    if start < 1:
-        raise WindowTooSmall("the window schedule must start at 1 or more, got %d" % start)
-    if cap < start:
-        raise WindowExceeded("window cap %d is below the window start %d" % (cap, start))
-
-
-def _stable_window(generator, n: int, start: int, cap: int) -> tuple[int, set[str]]:
-    """The window `saturation_window` returns, with its length-n blocks,
-    for a checked schedule."""
-    w = start
+    members = exact_factors(generator, n)
+    w = 1
     while w < n:
         w *= 2
-    if w > cap:
-        raise WindowExceeded(
-            "factor length %d needs a window of %d, past the window cap %d" % (n, w, cap)
-        )
-    while w <= cap:
-        blocks = _block_set(generator.prefix(w).letters, n)
-        big = generator.prefix(2 * w).letters
-        if _block_set(big[w - n + 1 :], n) <= blocks:
-            return w, blocks
+    while True:
+        if w > LETTER_BUDGET:
+            raise WindowExceeded(
+                "no prefix within the letter budget of %d letters holds every "
+                "factor of length %d" % (LETTER_BUDGET, n)
+            )
+        s = generator.prefix(w).letters
+        # the blocks of a prefix are factors, so equal counts mean equal sets
+        if len({s[i : i + n] for i in range(w - n + 1)}) == len(members):
+            return w, bool(getattr(generator, "certifiable", False))
         w *= 2
-    raise WindowExceeded(
-        "factor set of length %d still growing at window cap %d" % (n, cap)
-    )
-
-
-def _block_set(s: str, n: int) -> set[str]:
-    return {s[i : i + n] for i in range(len(s) - n + 1)}
 
 
 # ---------------------------------------------------------------------------

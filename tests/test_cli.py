@@ -1,12 +1,7 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import liewords
 from liewords import automata as au
 from liewords.cli import main
 from liewords.words import parse_dfao
@@ -93,49 +88,31 @@ def test_morphism_file_with_relative_path(tmp_path, monkeypatch, capsys):
     assert run(capsys, "complexity", "--word", "fibonacci", "--n", "0..4")[1] == out
 
 
-@pytest.mark.parametrize(
-    "option", [("--window-start", "-4"), ("--window-start", "0"), ("--window-cap", "0")]
-)
-def test_window_options_below_one_exit_one(tmp_path, option):
-    # the word has a non-growing letter, so it runs the window schedule,
-    # and doubling a start below 1 never reaches n
+def test_morphism_file_with_a_non_growing_letter(tmp_path, capsys):
     path = tmp_path / "runs.rules"
-    path.write_text("alphabet: a b\na -> aab\nb -> b\n")
-    argv = ["complexity", "--morphism-file", str(path), "--n", "3", *option]
-    proc = subprocess.run(
-        [sys.executable, "-m", "liewords.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(liewords.__file__).parents[1])},
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    error = "WindowExceeded" if option[0] == "--window-cap" else "WindowTooSmall"
-    assert proc.stderr.startswith(error + ": ")
+    path.write_text("alphabet: a b\na -> aaab\nb -> b\n")
+    code, out, err = run(capsys, "complexity", "--morphism-file", str(path), "--n", "7..9")
+    assert (code, err) == (0, "")
+    assert [line.split("\t")[1] for line in out.strip().split("\n")[1:]] == ["25", "32", "40"]
 
 
 @pytest.mark.parametrize(
-    "command",
-    [("complexity", "--n", "3"), ("verify-inequalities", "--n", "3"), ("algebra-check",)],
+    "argv, message",
+    [
+        (("construct", "--depth", "4"), "toy mode needs one growth multiplier per stage"),
+        (("construct", "--depth", "0", "--g", "2"), "depth must be at least 1"),
+        (("construct", "--depth", "2", "--g", "2,1"), "growth multipliers must be at least 2"),
+        (("construct", "--depth", "2", "--g", "2,x"), "--g needs comma-separated integers, got '2,x'"),
+        (("complexity", "--word", "thue-morse", "--n", "-3"), "factor length must be nonnegative, got -3"),
+        (("verify-inequalities", "--word", "thue-morse", "--n", "-3"), "factor length must be nonnegative, got -3"),
+        (("scan-powers", "--word", "thue-morse", "--exponent", "1"), "exponent must be at least 2, got 1"),
+        (("algebra-check", "--word", "thue-morse", "--max-n", "-1"), "largest factor length must be nonnegative, got -1"),
+    ],
 )
-def test_window_start_below_one_exits_one_on_a_growing_word(capsys, command):
-    # thue-morse takes the exact path, which reads no window
-    argv = [command[0], "--word", "thue-morse", *command[1:], "--window-start", "-4"]
+def test_bad_numeric_input_exits_one(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == "WindowTooSmall: the window schedule must start at 1 or more, got -4\n"
-
-
-@pytest.mark.parametrize(
-    "options, start, cap",
-    [(("--window-cap", "0"), 1024, 0), (("--window-start", "64", "--window-cap", "32"), 64, 32)],
-)
-def test_window_cap_below_start_names_both(tmp_path, capsys, options, start, cap):
-    path = tmp_path / "runs.rules"
-    path.write_text("alphabet: a b\na -> aab\nb -> b\n")
-    code, out, err = run(capsys, "complexity", "--morphism-file", str(path), "--n", "3", *options)
-    assert (code, out) == (1, "")
-    assert err == "WindowExceeded: window cap %d is below the window start %d\n" % (cap, start)
+    assert err == "InvalidParameter: %s\n" % message
 
 
 def test_verify_inequalities_pass(capsys):

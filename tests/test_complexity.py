@@ -34,6 +34,7 @@ from oracles import (
     naive_abelian_count,
     naive_cyclic_count,
     naive_lie_count,
+    provable_prefix_length,
     sam_lie_counts,
 )
 
@@ -243,7 +244,7 @@ def _rotation_subsets(draw):
 @given(_rotation_subsets())
 def test_arc_counts_match_booth_counts(case):
     n, members = case
-    fs = FactorSet(n, members, 0, True)
+    fs = FactorSet(n, members, True)
     _, c, a, L = booth_counts(members, n)
     assert lie_complexity(fs) == L
     assert cyclic_complexity(fs) == c
@@ -264,7 +265,7 @@ def test_arc_counts_match_booth_counts(case):
     ],
 )
 def test_arcs_and_cycles_at_length_four(members, c, L):
-    fs = FactorSet(4, frozenset(members), 0, True)
+    fs = FactorSet(4, frozenset(members), True)
     assert cyclic_complexity(fs) == c
     assert lie_complexity(fs) == L
 
@@ -310,13 +311,15 @@ def test_table_matches_booth_counts_on_exact_sets(name):
         assert (row.p, row.c, row.a, row.L) == expected, row.n
 
 
-def test_window_fallback_rows_match_booth_counts():
-    # `a -> aab, b -> b` has a non-growing letter, so its rows come from
-    # the doubling window
-    gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
-    for row in complexity_table(gen, range(13)):
-        window, _ = saturation_window(gen, row.n)
-        expected = booth_counts(blocks(gen.prefix(window).letters, row.n), row.n)
+@pytest.mark.parametrize("image, max_n", [("aab", 12), ("aaab", 9)])
+def test_closure_rows_match_booth_counts(image, max_n):
+    # `a -> aab, b -> b` and `a -> aaab, b -> b` have a non-growing letter,
+    # so their rows come from the closure; up to max_n the first 2^16
+    # letters hold every factor
+    gen = WordGenerator("runs", morphism=morphism("ab", {"a": image, "b": "b"}), seed="a")
+    prefix = gen.prefix(1 << 16).letters
+    for row in complexity_table(gen, range(max_n + 1)):
+        expected = booth_counts(blocks(prefix, row.n), row.n)
         assert (row.p, row.c, row.a, row.L) == expected, row.n
 
 
@@ -383,19 +386,12 @@ def test_json_round_trips_values():
 @pytest.mark.parametrize(
     "name", ["thue-morse", "vtm", "cantor", "fibonacci", "tribonacci", "twelve"]
 )
-def test_exact_sets_equal_doubling_window_sets(name):
+def test_bundled_exact_sets_equal_blocks_of_a_provable_prefix(name):
     gen = get_word(name)
+    rules = gen.morphism.rule_map
     for n in range(101):
-        window, _ = saturation_window(gen, n)
-        assert exact_factors(gen, n) == factor_set(gen.prefix(window), n).members, n
-
-
-def test_exact_route_ignores_the_window_schedule():
-    tm = get_word("thue-morse")
-    rows = complexity_table(tm, range(0, 40), start=4, cap=8)
-    assert rows == complexity_table(tm, range(0, 40))
-    fs = saturated_factor_set(tm, 39, start=4, cap=8)
-    assert fs.window == 0 and fs.certified
+        prefix = gen.prefix(provable_prefix_length(rules, gen.seed, n))
+        assert exact_factors(gen, n) == factor_set(prefix, n).members, n
 
 
 @pytest.mark.parametrize("module", ["complexity", "words"])

@@ -4,16 +4,17 @@ from hypothesis import strategies as st
 
 from liewords.bundled import get_word
 from liewords.complexity import complexity_table
+from liewords import words
 from liewords.errors import (
     FormatError,
     NotProlongable,
     ToolError,
     UnknownLetter,
     WindowExceeded,
-    WindowTooSmall,
 )
 from liewords.words import (
     Dfao,
+    _MorphicWord,
     _exact_spans,
     _span_blocks,
     Morphism,
@@ -24,7 +25,7 @@ from liewords.words import (
     digits_msd,
     dfao_to_text,
     exact_factors,
-    factor_blocks,
+    factor_spans,
     fixed_point_prefix,
     growing_letters,
     morphism,
@@ -122,12 +123,6 @@ def test_saturation_window_stabilizes():
     big = tm.prefix(2 * w).letters
     blocks = lambda s: {s[i : i + 12] for i in range(len(s) - 11)}
     assert blocks(small) == blocks(big)
-
-
-def test_saturation_window_respects_cap():
-    tm = get_word("thue-morse")
-    with pytest.raises(WindowExceeded):
-        saturation_window(tm, 12, start=4, cap=8)
 
 
 def test_cantor_generator_is_heuristic():
@@ -245,10 +240,9 @@ def test_dfao_words_take_the_exact_path(d):
     length = provable_prefix_length(rules, seed, 10)
     prefix = dfao_prefix(d, length).letters
     gen = WordGenerator("dfao", dfao=d)
+    assert gen._morphic_word().growing
     for n in range(11):
-        members, window = factor_blocks(gen, n, start=4, cap=8)
-        assert window == 0
-        assert members == blocks(prefix, n), n
+        assert exact_factors(gen, n) == blocks(prefix, n), n
 
 
 @st.composite
@@ -273,15 +267,21 @@ def test_exact_factors_of_random_dfaos(d):
         assert exact_factors(gen, n) == blocks(prefix, n), n
 
 
-def test_non_growing_letter_takes_the_window_fallback():
-    gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
-    members, window = factor_blocks(gen, 3)
-    assert window >= 1024
-    assert members == blocks(gen.prefix(window).letters, 3)
-    with pytest.raises(WindowExceeded):
-        factor_blocks(gen, 6, start=4, cap=8)
-    with pytest.raises(ToolError, match="does not grow"):
-        exact_factors(gen, 3)
+_RUNS = morphism("ab", {"a": "aab", "b": "b"})
+
+
+def test_non_growing_letter_takes_the_closure():
+    gen = WordGenerator("runs", morphism=_RUNS, seed="a")
+    assert not gen._morphic_word().growing
+    spans = factor_spans(gen, 3)
+    assert {starts for _, starts in spans} == {1}
+    assert exact_factors(gen, 3) == blocks(gen.prefix(1 << 16).letters, 3)
+
+
+def test_closure_mends_the_doubling_window_rows():
+    gen = WordGenerator("runs3", morphism=morphism("ab", {"a": "aaab", "b": "b"}), seed="a")
+    assert [len(exact_factors(gen, n)) for n in (7, 8, 9)] == [25, 32, 40]
+    assert [row.p for row in complexity_table(gen, range(7, 10))] == [25, 32, 40]
 
 
 def test_exact_factors_refuse_past_the_letter_budget():
@@ -291,42 +291,79 @@ def test_exact_factors_refuse_past_the_letter_budget():
     assert exact_factors(tm, 3) == {"001", "010", "011", "100", "101", "110"}
 
 
-def _no_prefix(length):
-    raise AssertionError("a prefix was built")
+def test_closure_refuses_past_the_letter_budget(monkeypatch):
+    gen = WordGenerator("runs", morphism=_RUNS, seed="a")
+    monkeypatch.setattr(words, "LETTER_BUDGET", 100)
+    # 13 factors of length 5 hold 65 letters, 17 of length 6 hold 102
+    assert len(exact_factors(gen, 5)) == 13
+    with pytest.raises(WindowExceeded, match="length 6 holds more than the letter budget of 100"):
+        exact_factors(gen, 6)
+    with pytest.raises(WindowExceeded, match="length 101 holds more"):
+        exact_factors(gen, 101)
 
 
-@pytest.mark.parametrize("growing", [True, False])
-def test_window_schedule_is_checked_before_any_prefix(growing):
-    rules = {"0": "01", "1": "10"} if growing else {"0": "001", "1": "1"}
-    gen = WordGenerator("w", morphism=morphism("01", rules), seed="0")
-    gen.prefix = _no_prefix
-    with pytest.raises(WindowTooSmall, match="got -4"):
-        factor_blocks(gen, 3, start=-4)
-    for call in (factor_blocks, saturation_window):
-        with pytest.raises(WindowExceeded, match="window cap 32 is below the window start 64"):
-            call(gen, 3, start=64, cap=32)
+def test_saturation_window_refuses_past_the_letter_budget(monkeypatch):
+    tm = WordGenerator("tm", morphism=morphism("01", {"0": "01", "1": "10"}), seed="0")
+    assert saturation_window(tm, 3) == (8, True)
+    # the images for length 3 hold 6 letters, the prefix 8
+    monkeypatch.setattr(words, "LETTER_BUDGET", 7)
+    with pytest.raises(WindowExceeded, match="within the letter budget of 7 letters"):
+        saturation_window(tm, 3)
 
 
-def test_window_past_the_cap_is_not_reported_as_read():
-    gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
-    gen.prefix = _no_prefix
-    with pytest.raises(WindowExceeded, match="length 20 needs a window of 32, past the window cap 16"):
-        factor_blocks(gen, 20, start=4, cap=16)
+@st.composite
+def _non_growing_morphisms(draw):
+    """Rules on 2-3 letters, prolongable on a, with images of length 1-3,
+    and a letter of the word that does not grow."""
+    letters = "abc"[: draw(st.integers(min_value=2, max_value=3))]
+    rules = {c: draw(st.text(alphabet=letters, min_size=1, max_size=3)) for c in letters}
+    rules["a"] = "a" + draw(st.text(alphabet=letters, min_size=1, max_size=2))
+    pairs, _ = closure_in_rounds(rules, "a")
+    assume(not {c for ab in pairs for c in ab} <= growing_by_lengths(rules))
+    return rules
 
 
-@pytest.mark.parametrize("start", [0, -4])
-def test_window_schedule_refuses_a_start_below_one(start):
-    gen = WordGenerator("runs", morphism=morphism("ab", {"a": "aab", "b": "b"}), seed="a")
-    with pytest.raises(WindowTooSmall):
-        factor_blocks(gen, 3, start=start)
-    with pytest.raises(WindowTooSmall):
-        saturation_window(gen, 3, start=start)
-    # a start of 0 is passed on, not read as "not given"
-    with pytest.raises(WindowTooSmall):
-        complexity_table(gen, [3], start=start)
+def _fixed_point_blocks(rules, n, want, cap=1 << 22):
+    """Length-n blocks of sigma^k(a), cut at `cap` letters, for the least
+    k whose blocks hold `want` (or the last k tried).  Blocks of a prefix
+    are factors, so a non-factor in `want` never stops this early.  A cut
+    at 2^16 letters is not always enough: ccccca, a factor of the fixed
+    point of a -> abc, b -> bba, c -> c, first occurs past it."""
+    s = "a"
+    for _ in range(400):
+        found = blocks(s, n)
+        if found >= want or len(s) >= cap:
+            break
+        s = "".join([rules[c] for c in s[:cap]])[:cap]
+    return found
+
+
+@given(_non_growing_morphisms(), st.booleans())
+def test_closure_equals_blocks_of_fixed_point_prefixes(rules, coded):
+    coding = {"a": "0", "b": "1", "c": "0"} if coded else None
+    gen = WordGenerator("h", morphism=morphism("".join(rules), rules), seed="a", coding=coding)
+    word = gen._morphic_word()
+    for n in range(1, 7):
+        members = word.closure(n)
+        assert members == _fixed_point_blocks(rules, n, members), n
+        if coded:
+            members = {v.translate(word.table) for v in members}
+        assert exact_factors(gen, n) == members, n
 
 
 _BUNDLED = ("thue-morse", "vtm", "cantor", "fibonacci", "tribonacci", "twelve")
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_closure_equals_the_growing_path_on_bundled_words(name):
+    gen = get_word(name)
+    word = _MorphicWord(gen.morphism, gen.seed, gen.coding)
+    assert word.growing
+    for n in range(1, 101):
+        members = word.closure(n)
+        if word.table is not None:
+            members = {v.translate(word.table) for v in members}
+        assert members == exact_factors(gen, n), n
 
 
 def _pair_spans(word, n):
