@@ -27,7 +27,7 @@ extra tracks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,8 +52,12 @@ class MultiTrackDfa:
         return self.base ** len(self.tracks)
 
 
-def _check_cap(count: int, cap: Optional[int]):
-    if cap is not None and count > cap:
+# the most states any automaton operation may build; read at call time
+STATE_CAP = 10**6
+
+
+def _check_cap(count: int, cap: int):
+    if count > cap:
         raise CompileBlowup("automaton grew past the state cap (%d states)" % count)
 
 
@@ -144,14 +148,14 @@ def _refine(rows: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         attempt += 1
 
 
-def minimize(a: MultiTrackDfa, state_cap: Optional[int] = None) -> MultiTrackDfa:
+def minimize(a: MultiTrackDfa) -> MultiTrackDfa:
     """Trim, merge language-equivalent states, renumber breadth first.
 
     The result is canonical: any two automata with the same language
     over the same tracks minimize to identical objects."""
     table = _table(a)
     live = _bfs_order(table, a.initial)
-    _check_cap(len(live), state_cap)
+    _check_cap(len(live), STATE_CAP)
     index = np.zeros(a.n_states, dtype=np.intp)
     index[live] = np.arange(len(live))
     rows = index[table[live]]
@@ -187,7 +191,7 @@ def _coreachable(a: MultiTrackDfa) -> frozenset[int]:
     return frozenset(seen)
 
 
-def normalize_padding(a: MultiTrackDfa, state_cap: Optional[int] = None) -> MultiTrackDfa:
+def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
     """Close the language under leading all-zero columns, both ways.
 
     Afterwards a string is accepted iff any string with the same track
@@ -196,7 +200,7 @@ def normalize_padding(a: MultiTrackDfa, state_cap: Optional[int] = None) -> Mult
     is the identity (checked cheaply on the minimal automaton: the
     initial state must be fixed by the zero column).
     """
-    a = minimize(a, state_cap)
+    a = minimize(a)
     if a.transitions[a.initial][0] == a.initial:
         return a
     n = a.n_states
@@ -223,8 +227,8 @@ def normalize_padding(a: MultiTrackDfa, state_cap: Optional[int] = None) -> Mult
             out[0, chain + [n]] = True
         return out
 
-    rows, acc_ids = _det_by_sets(initial, step_all, accepting, state_cap)
-    return minimize(MultiTrackDfa(a.base, a.tracks, tuple(rows), acc_ids, 0), state_cap)
+    rows, acc_ids = _det_by_sets(initial, step_all, accepting, STATE_CAP)
+    return minimize(MultiTrackDfa(a.base, a.tracks, tuple(rows), acc_ids, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +355,6 @@ def _product(
     left: tuple[Sequence[Sequence[int]], int, Sequence[int]],
     right: tuple[Sequence[Sequence[int]], int, Sequence[int]],
     accept: Callable[[int, int], bool],
-    state_cap: Optional[int] = None,
 ) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
     """Reachable part of the product of two transition tables.
 
@@ -370,16 +373,14 @@ def _product(
             if pair not in index:
                 index[pair] = len(order)
                 order.append(pair)
-                _check_cap(len(order), state_cap)
+                _check_cap(len(order), STATE_CAP)
             row.append(index[pair])
         rows.append(tuple(row))
     accepting = frozenset(i for i, (p, q) in enumerate(order) if accept(p, q))
     return tuple(rows), accepting
 
 
-def combine(
-    a: MultiTrackDfa, b: MultiTrackDfa, op: str, state_cap: Optional[int] = None
-) -> MultiTrackDfa:
+def combine(a: MultiTrackDfa, b: MultiTrackDfa, op: str) -> MultiTrackDfa:
     """Product automaton; op is 'and' or 'or'.  Missing tracks on either
     side are simply not read by that side."""
     if a.base != b.base:
@@ -393,19 +394,18 @@ def combine(
         (a.transitions, a.initial, _submap(tracks, a.tracks, base)),
         (b.transitions, b.initial, _submap(tracks, b.tracks, base)),
         lambda p, q: join((p in a.accepting, q in b.accepting)),
-        state_cap,
     )
-    return minimize(MultiTrackDfa(base, tracks, rows, accepting, 0), state_cap)
+    return minimize(MultiTrackDfa(base, tracks, rows, accepting, 0))
 
 
-def conjoin(automata: Sequence[MultiTrackDfa], state_cap: Optional[int] = None) -> MultiTrackDfa:
+def conjoin(automata: Sequence[MultiTrackDfa]) -> MultiTrackDfa:
     """Fold a conjunction smallest first to keep intermediates small."""
     if not automata:
         raise ValueError("need at least one operand")
     todo = sorted(automata, key=lambda x: x.n_states)
     out = todo[0]
     for nxt in todo[1:]:
-        out = combine(out, nxt, "and", state_cap)
+        out = combine(out, nxt, "and")
     return out
 
 
@@ -477,9 +477,10 @@ def _det_by_sets(
     initial: np.ndarray,
     step_all: Callable[[np.ndarray], np.ndarray],
     accepting: np.ndarray,
-    state_cap: Optional[int],
+    cap: int,
 ) -> tuple[list[tuple[int, ...]], frozenset[int]]:
-    """Subset construction over boolean state vectors.
+    """Subset construction over boolean state vectors, raising
+    CompileBlowup past `cap` subsets.
 
     ``step_all`` maps one subset to successor subsets for all symbols in
     a single array; subsets are keyed by their packed bits."""
@@ -492,7 +493,7 @@ def _det_by_sets(
             k = len(order)
             index[key] = k
             order.append(vec.copy())
-            _check_cap(len(order), state_cap)
+            _check_cap(len(order), cap)
         return k
 
     intern(initial, np.packbits(initial, bitorder="little").tobytes())
@@ -512,19 +513,15 @@ def _det_by_sets(
     return rows, frozenset(acc_ids)
 
 
-def _project_one(a: MultiTrackDfa, track: str, state_cap: Optional[int]) -> MultiTrackDfa:
+def _project_one(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
     nfa = _GuessNfa(a, track)
     base, kept = nfa.base, nfa.kept
 
     def finish(rows, accepting):
-        return normalize_padding(
-            MultiTrackDfa(base, kept, tuple(rows), accepting, 0), state_cap
-        )
+        return normalize_padding(MultiTrackDfa(base, kept, tuple(rows), accepting, 0))
 
     # forward subset construction first; most projections stay small
-    soft = 20000 + 4 * nfa.n
-    if state_cap is not None:
-        soft = min(soft, state_cap)
+    soft = min(20000 + 4 * nfa.n, STATE_CAP)
     try:
         rows, accepting = _det_by_sets(
             nfa.initial, nfa.forward_all, nfa.accepting, soft
@@ -535,10 +532,8 @@ def _project_one(a: MultiTrackDfa, track: str, state_cap: Optional[int]) -> Mult
 
     # determinize the reversed language, minimize, reverse again: lands
     # directly on the minimal automaton even when forward subsets blow up
-    rows, accepting = _det_by_sets(
-        nfa.accepting, nfa.backward_all, nfa.initial, state_cap
-    )
-    mid = minimize(MultiTrackDfa(base, kept, tuple(rows), accepting, 0), state_cap)
+    rows, accepting = _det_by_sets(nfa.accepting, nfa.backward_all, nfa.initial, STATE_CAP)
+    mid = minimize(MultiTrackDfa(base, kept, tuple(rows), accepting, 0))
 
     mid_trans = _table(mid)
     mid_acc = np.zeros(mid.n_states, dtype=bool)
@@ -547,12 +542,12 @@ def _project_one(a: MultiTrackDfa, track: str, state_cap: Optional[int]) -> Mult
     mid_init[mid.initial] = True
 
     rows, accepting = _det_by_sets(
-        mid_acc, lambda s: s[mid_trans].T.copy(), mid_init, state_cap
+        mid_acc, lambda s: s[mid_trans].T.copy(), mid_init, STATE_CAP
     )
     return finish(rows, accepting)
 
 
-def project(a: MultiTrackDfa, track: str, state_cap: Optional[int] = None) -> MultiTrackDfa:
+def project(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
     """Existential quantification over one track.
 
     The projected value may need more digit columns than the remaining
@@ -562,19 +557,17 @@ def project(a: MultiTrackDfa, track: str, state_cap: Optional[int] = None) -> Mu
     """
     if track not in a.tracks:
         return a
-    return _project_one(a, track, state_cap)
+    return _project_one(a, track)
 
 
-def forall(a: MultiTrackDfa, track: str, state_cap: Optional[int] = None) -> MultiTrackDfa:
+def forall(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
     """Universal quantification as the dual of projection."""
     if track not in a.tracks:
         return a
-    return complement(project(complement(a), track, state_cap))
+    return complement(project(complement(a), track))
 
 
-def rename_tracks(
-    a: MultiTrackDfa, mapping: Mapping[str, str], state_cap: Optional[int] = None
-) -> MultiTrackDfa:
+def rename_tracks(a: MultiTrackDfa, mapping: Mapping[str, str]) -> MultiTrackDfa:
     """Rename tracks; mapping two tracks to one name restricts to the
     diagonal (both read the same digits)."""
     for t in mapping:
@@ -584,9 +577,7 @@ def rename_tracks(
     new_tracks = tuple(sorted(set(image)))
     old_sym = _submap(new_tracks, image, a.base)
     rows = tuple(tuple(row[s] for s in old_sym) for row in a.transitions)
-    return minimize(
-        MultiTrackDfa(a.base, new_tracks, rows, a.accepting, a.initial), state_cap
-    )
+    return minimize(MultiTrackDfa(a.base, new_tracks, rows, a.accepting, a.initial))
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,8 @@ def unbounded_exponent_scan(
     occurs in the window; one canonical rotation per class, sorted."""
     if exponent < 2:
         raise InvalidParameter("exponent must be at least 2, got %d" % exponent)
+    if max_root_len < 0:
+        raise InvalidParameter("largest root length must be nonnegative, got %d" % max_root_len)
     if window < exponent * max_root_len:
         raise WindowTooSmall(
             "window %d cannot hold a root of length %d at exponent %d"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal, Optional
+from typing import Optional
 
 from .automata import MultiTrackDfa, _coreachable, normalize_padding
 from .errors import (
@@ -57,13 +57,6 @@ class LinearRepresentation:
     @property
     def dimension(self) -> int:
         return len(self.v)
-
-
-@dataclass(frozen=True)
-class CountEvaluation:
-    n: int
-    value: int
-    method: Literal["direct", "linear-representation"]
 
 
 def _require_in_tracks(a: MultiTrackDfa, free: str, fixed: str):

@@ -17,7 +17,6 @@ automaton by renaming tracks and adding constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -25,20 +24,13 @@ from . import automata as au
 from . import formulas as fo
 from .errors import (
     BaseMismatch,
+    InvalidParameter,
     ToolError,
     UnboundSequence,
     UnboundVariable,
     UnknownLetter,
 )
 from .words import Dfao
-
-
-@dataclass(frozen=True)
-class CompileConfig:
-    state_cap: int = 10**6
-
-
-_DEFAULT = CompileConfig()
 
 
 class _Temps:
@@ -82,22 +74,18 @@ def _flatten(
 
 
 def _discharge(
-    core: au.MultiTrackDfa,
-    constraints: list[au.MultiTrackDfa],
-    temps: _Temps,
-    cap: int,
+    core: au.MultiTrackDfa, constraints: list[au.MultiTrackDfa], temps: _Temps
 ) -> au.MultiTrackDfa:
-    out = au.conjoin([core] + constraints, cap) if constraints else core
+    out = au.conjoin([core] + constraints) if constraints else core
     for name in reversed(temps.names):
-        out = au.project(out, name, cap)
+        out = au.project(out, name)
     return out
 
 
 class _Compiler:
-    def __init__(self, sequences: Mapping[str, Dfao], base: int, config: CompileConfig):
+    def __init__(self, sequences: Mapping[str, Dfao], base: int):
         self.seqs = sequences
         self.base = base
-        self.cap = config.state_cap
 
     def compile(self, f: fo.Formula) -> au.MultiTrackDfa:
         if isinstance(f, (fo.Eq, fo.Lt, fo.Leq)):
@@ -111,25 +99,23 @@ class _Compiler:
         if isinstance(f, (fo.And, fo.Or)):
             parts = [self.compile(g) for g in _chain(f, type(f))]
             if isinstance(f, fo.And):
-                return au.conjoin(parts, self.cap)
+                return au.conjoin(parts)
             parts.sort(key=lambda a: a.n_states)
             out = parts[0]
             for nxt in parts[1:]:
-                out = au.combine(out, nxt, "or", self.cap)
+                out = au.combine(out, nxt, "or")
             return out
         if isinstance(f, fo.Implies):
-            return au.combine(
-                au.complement(self.compile(f.left)), self.compile(f.right), "or", self.cap
-            )
+            return au.combine(au.complement(self.compile(f.left)), self.compile(f.right), "or")
         if isinstance(f, fo.Exists):
             out = self.compile(f.body)
             for name in f.names:
-                out = au.project(out, name, self.cap)
+                out = au.project(out, name)
             return out
         if isinstance(f, fo.Forall):
             out = au.complement(self.compile(f.body))
             for name in f.names:
-                out = au.project(out, name, self.cap)
+                out = au.project(out, name)
             return au.complement(out)
         raise TypeError("not a formula: %r" % (f,))
 
@@ -158,14 +144,14 @@ class _Compiler:
             core = au.lt_predicate(left, right, self.base)
         else:
             core = au.leq_predicate(left, right, self.base)
-        return _discharge(core, constraints, temps, self.cap)
+        return _discharge(core, constraints, temps)
 
     def seq_is(self, f: fo.SeqIs) -> au.MultiTrackDfa:
         temps = _Temps()
         constraints: list[au.MultiTrackDfa] = []
         pos = _flatten(f.pos, self.base, temps, constraints)
         core = au.seq_letter_predicate(self.dfao(f.seq), pos, f.letter)
-        return _discharge(core, constraints, temps, self.cap)
+        return _discharge(core, constraints, temps)
 
     def seq_pair(self, f) -> au.MultiTrackDfa:
         d_left = self.dfao(f.left_seq)
@@ -185,7 +171,7 @@ class _Compiler:
         lpos = _flatten(f.left_pos, self.base, temps, constraints)
         rpos = _flatten(f.right_pos, self.base, temps, constraints)
         core = _seq_pair_automaton(d_left, lpos, d_right, rpos, rel)
-        return _discharge(core, constraints, temps, self.cap)
+        return _discharge(core, constraints, temps)
 
 
 def _chain(f: fo.Formula, cls) -> list[fo.Formula]:
@@ -217,9 +203,12 @@ def compile_formula(
     f: fo.Formula,
     sequences: Optional[Mapping[str, Dfao]] = None,
     base: Optional[int] = None,
-    config: CompileConfig = _DEFAULT,
 ) -> au.MultiTrackDfa:
-    """Compile to an automaton whose tracks are the free variables."""
+    """Compile to an automaton whose tracks are the free variables.
+
+    `base` may be left out when the formula reads a sequence; it must be
+    at least 2.  Raises CompileBlowup when an operation would build more
+    than `automata.STATE_CAP` states."""
     seqs = dict(sequences or {})
     used = fo.sequence_names(f)
     missing = used - seqs.keys()
@@ -233,24 +222,22 @@ def compile_formula(
         raise BaseMismatch("sequences use bases %s" % sorted(bases))
     if base is None:
         if not bases:
-            raise ValueError("formula reads no sequence; pass base explicitly")
+            raise InvalidParameter("formula reads no sequence; pass a base")
         base = bases.pop()
+    elif base < 2:
+        raise InvalidParameter("base must be at least 2, got %d" % base)
     elif bases and base not in bases:
         raise BaseMismatch("base %d but sequences use base %d" % (base, bases.pop()))
-    out = _Compiler(seqs, base, config).compile(f)
+    out = _Compiler(seqs, base).compile(f)
     if set(out.tracks) != set(fo.free_vars(f)):
         raise ToolError(
             "compiled tracks %s differ from the free variables %s"
             % (sorted(out.tracks), sorted(fo.free_vars(f)))
         )
-    return au.normalize_padding(out, config.state_cap)
+    return au.normalize_padding(out)
 
 
-def apply_predicate(
-    auto: au.MultiTrackDfa,
-    args: Mapping[str, fo.Term],
-    config: CompileConfig = _DEFAULT,
-) -> au.MultiTrackDfa:
+def apply_predicate(auto: au.MultiTrackDfa, args: Mapping[str, fo.Term]) -> au.MultiTrackDfa:
     """Substitute terms into a compiled predicate.
 
     Each parameter track is renamed to its argument variable, or to a
@@ -258,7 +245,6 @@ def apply_predicate(
     then projected out.  Equivalent to inlining the substitution into
     the predicate's formula and recompiling, but much cheaper."""
     base = auto.base
-    cap = config.state_cap
     temps = _Temps()
     constraints: list[au.MultiTrackDfa] = []
     rename: dict[str, str] = {}
@@ -269,8 +255,8 @@ def apply_predicate(
             target = _flatten(term, base, temps, constraints)
         if target != param:
             rename[param] = target
-    out = au.rename_tracks(auto, rename, cap) if rename else auto
-    return _discharge(out, constraints, temps, cap)
+    out = au.rename_tracks(auto, rename) if rename else auto
+    return _discharge(out, constraints, temps)
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +293,17 @@ def parse_with_library(text: str) -> fo.Formula:
     return fo.parse(text, predicate_defs())
 
 
-def build_predicate_library(
-    d: Dfao, config: CompileConfig = _DEFAULT
-) -> dict[str, au.MultiTrackDfa]:
+def build_predicate_library(d: Dfao) -> dict[str, au.MultiTrackDfa]:
     """Compile the eight bundled predicates against one sequence.
 
     factoreq comes from its formula; everything else is assembled with
     automaton operations, mirroring the formula texts in
     PREDICATE_TEXTS operation by operation."""
-    return dict(_library_cached(d, config.state_cap))
+    return dict(_library_cached(d))
 
 
 @lru_cache(maxsize=8)
-def _library_cached(d: Dfao, state_cap: int) -> tuple[tuple[str, au.MultiTrackDfa], ...]:
-    cfg = CompileConfig(state_cap)
-    cap = state_cap
+def _library_cached(d: Dfao) -> tuple[tuple[str, au.MultiTrackDfa], ...]:
     base = d.base
     V, P, M = fo.Var, fo.Plus, fo.Minus
     lib: dict[str, au.MultiTrackDfa] = {}
@@ -329,61 +311,44 @@ def _library_cached(d: Dfao, state_cap: int) -> tuple[tuple[str, au.MultiTrackDf
     # variable instead of two coupled ones: the offset form keeps the
     # projection deterministic and scales to larger bases
     offset_form = fo.parse("Au (u<n) => W[i+u]=W[j+u]")
-    lib["factoreq"] = compile_formula(offset_form, {"W": d}, config=cfg)
+    lib["factoreq"] = compile_formula(offset_form, {"W": d})
 
     lib["shift"] = au.conjoin(
         [
             apply_predicate(
                 lib["factoreq"],
                 {"i": V("j"), "j": P(V("i"), V("t")), "n": M(V("n"), V("t"))},
-                cfg,
             ),
-            apply_predicate(
-                lib["factoreq"],
-                {"j": M(P(V("j"), V("n")), V("t")), "n": V("t")},
-                cfg,
-            ),
-        ],
-        cap,
+            apply_predicate(lib["factoreq"], {"j": M(P(V("j"), V("n")), V("t")), "n": V("t")}),
+        ]
     )
-    lib["conj"] = au.project(
-        au.combine(au.leq_predicate("t", "n", base), lib["shift"], "and", cap), "t", cap
-    )
-    letter_lt = compile_formula(
-        fo.parse("W[i+t]<W[j+t]"), {"W": d}, config=cfg
-    )
+    lib["conj"] = au.project(au.combine(au.leq_predicate("t", "n", base), lib["shift"], "and"), "t")
+    letter_lt = compile_formula(fo.parse("W[i+t]<W[j+t]"), {"W": d})
     lib["lessthan"] = au.project(
         au.conjoin(
             [
                 au.lt_predicate("t", "n", base),
-                apply_predicate(lib["factoreq"], {"n": V("t")}, cfg),
+                apply_predicate(lib["factoreq"], {"n": V("t")}),
                 letter_lt,
-            ],
-            cap,
+            ]
         ),
         "t",
-        cap,
     )
-    lib["lessthaneq"] = au.combine(lib["lessthan"], lib["factoreq"], "or", cap)
+    lib["lessthaneq"] = au.combine(lib["lessthan"], lib["factoreq"], "or")
     lib["allconj"] = au.forall(
         au.combine(
             au.complement(au.leq_predicate("t", "n", base)),
-            au.project(lib["shift"], "j", cap),
+            au.project(lib["shift"], "j"),
             "or",
-            cap,
         ),
         "t",
-        cap,
     )
     lib["lexleast"] = au.forall(
-        au.combine(au.complement(lib["conj"]), lib["lessthaneq"], "or", cap), "j", cap
+        au.combine(au.complement(lib["conj"]), lib["lessthaneq"], "or"), "j"
     )
     tail = au.forall(
-        au.combine(
-            au.complement(lib["factoreq"]), au.leq_predicate("i", "j", base), "or", cap
-        ),
+        au.combine(au.complement(lib["factoreq"]), au.leq_predicate("i", "j", base), "or"),
         "j",
-        cap,
     )
-    lib["lie"] = au.conjoin([lib["allconj"], lib["lexleast"], tail], cap)
+    lib["lie"] = au.conjoin([lib["allconj"], lib["lexleast"], tail])
     return tuple(sorted(lib.items()))

@@ -4,19 +4,21 @@ Words come from two interchangeable sources: fixed points of prolongable
 morphisms (optionally followed by a letter-to-letter coding) and DFAOs
 reading the base-k digits of the position, most significant digit first.
 A DFAO word is also the coded fixed point of a k-uniform morphism on its
-states (Cobham), so every word here is morphic.
+states (Cobham), and `WordGenerator` reads it as one, so every word here
+is generated and factored as a coded morphic fixed point.
 
-Factor sets are exact for every word.  When every letter of the word
-grows under its morphism (Pansiot 1984), the length-n factors are the
-blocks of sigma^m(ab) that start inside sigma^m(a), over the 2-factors
-ab, which are themselves computed as a closure.  They are handed on as
-spans of text with a number of block starts: each letter's image once
-for the blocks inside it, and per 2-factor ab only the last
-min(|sigma^m(a)|, n-1) letters of sigma^m(a) with the first n-1 of
-sigma^m(b), for the blocks that cross into sigma^m(b).  All bundled
+Factor sets are exact for every word.  The n-prefix closure
+(`_MorphicWord.closure`) gives the length-n factors of any such fixed
+point; at n = 1 and n = 2 it gives the letters and the 2-factors.  When
+every letter of the word grows under its morphism (Pansiot 1984), the
+length-n factors are also the blocks of sigma^m(ab) that start inside
+sigma^m(a), over the 2-factors ab, and this faster path is taken.  They
+are handed on as spans of text with a number of block starts: each
+letter's image once for the blocks inside it, and per 2-factor ab only
+the last min(|sigma^m(a)|, n-1) letters of sigma^m(a) with the first n-1
+of sigma^m(b), for the blocks that cross into sigma^m(b).  All bundled
 words and every DFAO word qualify.  A word with a non-growing letter
-takes the n-prefix closure instead (see `_MorphicWord.closure`), each
-coded factor a span of one block.
+takes the closure at n itself, each coded factor a span of one block.
 
 The `certified` label is separate: it is set only when the generator is
 the fixed point of a primitive morphism (or a coding of one).
@@ -241,101 +243,42 @@ def is_primitive_morphism(m: Morphism) -> bool:
     return False
 
 
-def two_factor_closure(m: Morphism, seed: str) -> frozenset[str]:
-    """The 2-factors of the fixed point of m from seed, computed exactly.
-
-    Starts from sigma(seed)[:2] and adds every 2-block of sigma(a)sigma(b)
-    for each pair ab already found, until nothing new appears.  Each
-    2-factor of the fixed point x = sigma(x) lies in the image of an
-    earlier one, so nothing is missed, and images of factors are factors.
-    """
-    _require_prolongable(m, seed)
-    rules = m.rule_map
-    first = rules[seed][:2]
-    found = {first}
-    todo = [first]
-    while todo:
-        ab = todo.pop()
-        s = rules[ab[0]] + rules[ab[1]]
-        for i in range(len(s) - 1):
-            block = s[i : i + 2]
-            if block not in found:
-                found.add(block)
-                todo.append(block)
-    return frozenset(found)
-
-
 def growing_letters(m: Morphism) -> frozenset[str]:
-    """Letters c whose images sigma^k(c) grow without bound.
+    """Letters c whose images sigma^k(c) grow without bound: with d
+    letters, those with |sigma^(2d)(c)| > |sigma^d(c)|.
 
-    That holds exactly when c reaches, in the letter graph (c itself
-    included), a letter that lies on a cycle and has an image of length
-    >= 2: each turn of that cycle adds a letter.  Without one, every long
-    path ends on a cycle of one-letter images, which adds none.
+    Image lengths never shrink.  Say c reaches, in the letter graph (c
+    itself included), a letter e that lies on a cycle and has an image of
+    length >= 2.  Then c grows, since each turn of the cycle adds a letter.
+    Also sigma^d(c) holds a letter f of e's cycle (walk to e, then round),
+    and f reaches e in r < d steps, so |sigma^(r+1)(f)| >= |sigma(e)| >= 2:
+    sigma^d(c) gains a letter within d more steps.  Otherwise take a path
+    of d steps from c.  It repeats a letter, and from there on it stays on
+    a cycle of one-letter images, because the one successor of a letter on
+    such a cycle is on the cycle.  So every letter of sigma^d(c) lies on a
+    cycle of one-letter images, and |sigma^k(c)| = |sigma^d(c)| for k >= d.
     """
     rules = m.rule_map
-    succ = {a: set(rules[a]) for a in m.alphabet}
-    pred: dict[str, set[str]] = {a: set() for a in m.alphabet}
-    for a, out in succ.items():
-        for b in out:
-            pred[b].add(a)
-    found = {a for a in _cyclic_letters(succ, pred) if len(rules[a]) >= 2}
-    todo = list(found)
-    while todo:
-        for a in pred[todo.pop()]:
-            if a not in found:
-                found.add(a)
-                todo.append(a)
-    return frozenset(found)
-
-
-def _cyclic_letters(succ: dict[str, set[str]], pred: dict[str, set[str]]) -> set[str]:
-    """Letters on a cycle: the strongly connected components with more than
-    one letter or with a loop (Kosaraju's two passes)."""
-    order: list[str] = []
-    seen: set[str] = set()
-    for root in succ:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            node, nexts = stack[-1]
-            for b in nexts:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append((b, iter(succ[b])))
-                    break
-            else:
-                stack.pop()
-                order.append(node)
-    cyclic: set[str] = set()
-    done: set[str] = set()
-    for root in reversed(order):
-        if root in done:
-            continue
-        done.add(root)
-        comp = [root]
-        for a in comp:
-            for p in pred[a]:
-                if p not in done:
-                    done.add(p)
-                    comp.append(p)
-        if len(comp) > 1 or root in succ[root]:
-            cyclic.update(comp)
-    return cyclic
+    size = dict.fromkeys(m.alphabet, 1)
+    for _ in range(2):
+        low = size
+        for _ in m.alphabet:
+            size = {c: sum(size[e] for e in rules[c]) for c in m.alphabet}
+    return frozenset(c for c in m.alphabet if size[c] > low[c])
 
 
 class _MorphicWord:
     """A word as the coded fixed point of a morphism, with what exact factor
-    sets need: the seed, the 2-factors, their letters (the 1-factors),
-    whether those all grow, and the images sigma^k(c) built so far, by k."""
+    sets need: the seed, the 2-factors and the letters (the closure at n = 2
+    and n = 1), whether the letters all grow, and the images sigma^k(c)
+    built so far, by k."""
 
     def __init__(self, m: Morphism, seed: str, coding: Optional[Mapping[str, str]]):
+        _require_prolongable(m, seed)
         self.rules = m.rule_map
         self.seed = seed
-        self.pairs = sorted(two_factor_closure(m, seed))
-        self.letters = sorted({c for ab in self.pairs for c in ab})
+        self.pairs = sorted(self.closure(2))
+        self.letters = sorted(self.closure(1))
         self.growing = set(self.letters) <= growing_letters(m)
         self.table = str.maketrans(dict(coding)) if coding else None
         self.images: list[dict[str, str]] = [{c: c for c in self.letters}]
@@ -404,10 +347,12 @@ class WordGenerator:
     prefix built so far.  It also keeps, built on first use, the morphic
     word (`_MorphicWord`) that `factor_spans` reads.
 
-    Exactly one of `morphism`/`dfao` drives generation when both are given
-    the morphism wins (it is cheaper); tests assert the two agree for the
-    bundled words.  `coding` is an optional letter-to-letter map applied to
-    the fixed point.
+    The word is resolved once, at construction, to a coded fixed point
+    (morphism, seed, coding): the given morphism when there is one (tests
+    assert it agrees with the DFAO for the bundled words), else the DFAO's
+    k-uniform morphism (`dfao_morphism`).  Prefixes and factor sets both
+    read that fixed point.  `coding` is an optional letter-to-letter map
+    applied to the fixed point.
     """
 
     def __init__(
@@ -438,6 +383,10 @@ class WordGenerator:
         else:
             self.letters = morphism.alphabet
         self.certifiable = morphism is not None and is_primitive_morphism(morphism)
+        if morphism is not None:
+            self._fixed_point = (morphism, seed, self.coding)
+        else:
+            self._fixed_point = dfao_morphism(dfao)
         self._cached = ""
         self._morphic: Optional[_MorphicWord] = None
 
@@ -448,24 +397,15 @@ class WordGenerator:
         """The word as a coded morphic fixed point, with its 2-factors and
         the images cached for exact factor sets; built on first use."""
         if self._morphic is None:
-            if self.morphism is not None:
-                self._morphic = _MorphicWord(self.morphism, self.seed, self.coding)
-            else:
-                self._morphic = _MorphicWord(*dfao_morphism(self.dfao))
+            self._morphic = _MorphicWord(*self._fixed_point)
         return self._morphic
-
-    def _generate(self, length: int) -> str:
-        if self.morphism is not None:
-            s = fixed_point_prefix(self.morphism, self.seed, length).letters
-            if self.coding:
-                s = s.translate(str.maketrans(self.coding))
-            return s
-        return dfao_prefix(self.dfao, length).letters
 
     def prefix(self, length: int) -> Prefix:
         """The first `length` letters, memoized in memory."""
         if length > len(self._cached):
-            self._cached = self._generate(length)
+            m, seed, coding = self._fixed_point
+            s = fixed_point_prefix(m, seed, length).letters
+            self._cached = s.translate(str.maketrans(coding)) if coding else s
         return Prefix(self._cached[:length], self.name)
 
 

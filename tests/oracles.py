@@ -30,18 +30,22 @@ def image_lengths(rules: dict, k: int) -> dict:
     return size
 
 
-def growing_by_lengths(rules: dict) -> set:
-    """Letters c with |sigma^(2d)(c)| > |sigma^d(c)|, d the alphabet size.
-
-    A length-d path in the letter graph repeats a letter, and from there on
-    it is forced when every cycle it can reach has one-letter images, so
-    bounded letters stop growing after d steps; a growing letter reaches a
-    branching cycle letter within d steps and comes back to it within d
-    more, so it gains a letter between d and 2d.
-    """
-    d = len(rules)
-    low, high = image_lengths(rules, d), image_lengths(rules, 2 * d)
-    return {c for c in rules if high[c] > low[c]}
+def growing_by_cycles(rules: dict) -> set:
+    """Letters c that reach, c itself included, a letter e with
+    |sigma(e)| >= 2 that reaches itself in one or more steps: each turn of
+    that cycle adds a letter.  Reachability by a transitive closure over
+    all pairs of letters."""
+    reach = {a: set(rules[a]) for a in rules}
+    changed = True
+    while changed:
+        changed = False
+        for a in rules:
+            more = set().union(*(reach[b] for b in reach[a])) - reach[a]
+            if more:
+                reach[a] |= more
+                changed = True
+    pumps = {e for e in rules if e in reach[e] and len(rules[e]) >= 2}
+    return {c for c in rules if ({c} | reach[c]) & pumps}
 
 
 def closure_in_rounds(rules: dict, seed: str) -> tuple[set, int]:

@@ -107,12 +107,27 @@ def test_morphism_file_with_a_non_growing_letter(tmp_path, capsys):
         (("verify-inequalities", "--word", "thue-morse", "--n", "-3"), "factor length must be nonnegative, got -3"),
         (("scan-powers", "--word", "thue-morse", "--exponent", "1"), "exponent must be at least 2, got 1"),
         (("algebra-check", "--word", "thue-morse", "--max-n", "-1"), "largest factor length must be nonnegative, got -1"),
+        (("logic", "compile", "--formula", "i<j", "--base", "0"), "base must be at least 2, got 0"),
+        (("logic", "compile", "--formula", "i<j", "--base", "1"), "base must be at least 2, got 1"),
+        (("logic", "compile", "--formula", "i<j", "--base", "-2"), "base must be at least 2, got -2"),
+        (("logic", "compile", "--formula", "i<j"), "formula reads no sequence; pass a base"),
+        (("scan-powers", "--word", "thue-morse", "--max-root-len", "-1"), "largest root length must be nonnegative, got -1"),
     ],
 )
 def test_bad_numeric_input_exits_one(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "InvalidParameter: %s\n" % message
+
+
+def test_logic_compile_past_the_state_cap_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(au, "STATE_CAP", 3)
+    code, out, err = run(
+        capsys, "logic", "compile", "--seq", "thue-morse", "--formula", "Au (u<n) => W[i+u]=W[j+u]"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("CompileBlowup: automaton grew past the state cap")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_verify_inequalities_pass(capsys):

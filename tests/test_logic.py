@@ -1,10 +1,12 @@
+import hashlib
+
 import pytest
 
 from liewords import automata as au
 from liewords import formulas as fo
 from liewords.bundled import get_word
 from liewords.complexity import least_rotation, saturated_factor_set
-from liewords.errors import BaseMismatch, UnboundSequence
+from liewords.errors import BaseMismatch, CompileBlowup, UnboundSequence
 from liewords.logic import (
     PREDICATE_TEXTS,
     apply_predicate,
@@ -159,3 +161,55 @@ def test_apply_predicate_truncated_argument(tm_library):
     )
     assert not au.accepts(trimmed, {"i": 0, "j": 0, "n": 2})
     assert au.accepts(trimmed, {"i": 0, "j": 0, "n": 7})
+
+
+def test_state_cap_stops_compilation(monkeypatch):
+    monkeypatch.setattr(au, "STATE_CAP", 3)
+    assert compile_formula(fo.parse("i<j"), base=2).n_states == 3
+    with pytest.raises(CompileBlowup, match="past the state cap"):
+        compile_formula(fo.parse("Au (u<n) => W[i+u]=W[j+u]"), {"W": get_word("thue-morse").dfao})
+
+
+# sha256 of `to_text` for each library predicate; any change to the
+# automaton layer must leave these bytes as they are
+LIBRARY_SHA256 = {
+    "thue-morse": {
+        "allconj": "433366f6b6b62baa7b6a7523c9f173a8a620cf120084a369f1d24401da83abc8",
+        "conj": "7806a6bab818350a9640089b5500dd8539e95ce22809ce5b752ffd778e8655de",
+        "factoreq": "27c3144ea91a3e8cd11e6b074977759419cbad25222f9dda47bbd8d8ea19c431",
+        "lessthan": "0469c8df754b295b3ed1431dc7539d6c09f64aee2ce64d878184f783b04e0b68",
+        "lessthaneq": "5d6e84a1dd48bec764c49d8ea015b4d9beae2b5f0a3fd276321092550f4924f5",
+        "lexleast": "ec22d9480bb9dcc6b45903c78e29556c0f2856c4827d28407903f8b818b1f202",
+        "lie": "4802ec5d01ccc73add7b9f74642179425d95bff9240c0541559528869ca7a392",
+        "shift": "80c90e17d0206a48bb89ca986c4cb903f3f661496fda30e0feb097257f7af75c",
+    },
+    "vtm": {
+        "allconj": "bc51dad74a1a637bfd484a9d82750040e758913dcd652c0a8a411dcb1f5e7f13",
+        "conj": "a1d66f7013def37616345dada0fa00648ff6f9c8a42c389f7961a28d4e3139cf",
+        "factoreq": "287b2b718de643deb3fd48e2ba8e9daec604cdc897647029aaa7a26352f7737c",
+        "lessthan": "50a0532b60bf113894e2afba87a4ae9beb429c2b8ed8110b66aa7eb742a4e538",
+        "lessthaneq": "6eeb3e208cbd5b99ee6d9147b74fce7fd4e001347589bad9f2e96ec31f2a6935",
+        "lexleast": "2bea072c113b382ed34e641a1d90c06ac572ecb1f6aa2083660e7a8459ad5c3c",
+        "lie": "46bd78e1fd9c92abaa17e7e81c73efddd6642b9fbbd6d60b9258bbcc03f8690f",
+        "shift": "5362aaffbcab3f02f361214eaa2cc937b4c31f1949b94074c180334e67166609",
+    },
+    "cantor": {
+        "allconj": "64db119c59225563698d827cccb536705d5b6b48f76aa07b421d7b1e9a4eea76",
+        "conj": "61bbf947c2506e9cc9c2025d8662a71c026ce5280e5845ee32af3b44b31c9e1c",
+        "factoreq": "382d35df5446ac55d7cdf1710d9d9edd9f43a808a39d947e659b1ab9d25b138f",
+        "lessthan": "47f6243a7f8d0df2f72a9a29914590ea3b0e0d25cb71d95170b4ba63d8440f4c",
+        "lessthaneq": "347a870de2530967d23c9aa2920c25322be031a7ff514357f21903758655a644",
+        "lexleast": "76d7600f0e13cfb6fe5a73029439c202693ff74113ded12b942a21a8d5a43ffc",
+        "lie": "7dab85b9f39a4fcfa66f6808a0230cc41cae78d79c6e472d8a26d93019fe87bc",
+        "shift": "2d82de859e4caa99983c9ee68a14d4068b3bf85d8c982e17d158955faf6b2acd",
+    },
+}
+
+_LIBRARY_FIXTURES = {"thue-morse": "tm_library", "vtm": "vtm_library", "cantor": "cantor_library"}
+
+
+@pytest.mark.parametrize("word", sorted(LIBRARY_SHA256))
+def test_library_text_is_pinned(request, word):
+    lib = request.getfixturevalue(_LIBRARY_FIXTURES[word])
+    digests = {name: hashlib.sha256(au.to_text(a).encode()).hexdigest() for name, a in lib.items()}
+    assert digests == LIBRARY_SHA256[word]

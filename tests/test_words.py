@@ -33,10 +33,9 @@ from liewords.words import (
     parse_dfao,
     parse_morphism,
     saturation_window,
-    two_factor_closure,
 )
 
-from oracles import blocks, closure_in_rounds, growing_by_lengths, provable_prefix_length
+from oracles import blocks, closure_in_rounds, growing_by_cycles, provable_prefix_length
 
 
 def test_morphism_apply():
@@ -180,6 +179,8 @@ def test_parse_errors_name_the_line(parse, text, message):
         ({"a": "aab", "b": "b"}, "a"),
         ({"a": "b", "b": "ac", "c": "c"}, "ab"),
         ({"0": "01", "1": "0"}, "01"),
+        # gains a letter only every second step, on a cycle through all letters
+        ({"a": "bb", "b": "a"}, "ab"),
     ],
 )
 def test_growing_letters_on_the_letter_graph(rules, growing):
@@ -195,23 +196,30 @@ def _morphisms(draw):
     return rules
 
 
-@given(_morphisms())
-def test_growing_letters_match_image_lengths(rules):
+@st.composite
+def _rule_sets(draw):
+    """Rules on 1-4 letters with images of length 1-3, prolongable or not."""
+    letters = "abcd"[: draw(st.integers(min_value=1, max_value=4))]
+    return {c: draw(st.text(alphabet=letters, min_size=1, max_size=3)) for c in letters}
+
+
+@given(_rule_sets())
+def test_growing_letters_match_the_cycle_oracle(rules):
     m = morphism("".join(rules), rules)
-    assert growing_letters(m) == growing_by_lengths(rules)
+    assert growing_letters(m) == growing_by_cycles(rules)
 
 
 @given(_morphisms(), st.booleans())
 def test_exact_factors_equal_blocks_of_a_provable_prefix(rules, coded):
     m = morphism("".join(rules), rules)
     pairs, _ = closure_in_rounds(rules, "a")
-    assume({c for ab in pairs for c in ab} <= growing_by_lengths(rules))
+    assume({c for ab in pairs for c in ab} <= growing_by_cycles(rules))
     max_n = 10
     length = provable_prefix_length(rules, "a", max_n)
     assume(length <= 1 << 17)
     coding = {"a": "0", "b": "1", "c": "0", "d": "1"} if coded else None
     gen = WordGenerator("h", morphism=m, seed="a", coding=coding)
-    assert two_factor_closure(m, "a") == pairs
+    assert set(gen._morphic_word().pairs) == pairs
     prefix = gen.prefix(length).letters
     for n in range(max_n + 1):
         assert exact_factors(gen, n) == blocks(prefix, n), n
@@ -263,6 +271,7 @@ def test_exact_factors_of_random_dfaos(d):
     assume(length <= 1 << 14)
     prefix = dfao_prefix(d, length).letters
     gen = WordGenerator("dfao", dfao=d)
+    assert gen.prefix(length).letters == prefix
     for n in range(9):
         assert exact_factors(gen, n) == blocks(prefix, n), n
 
@@ -319,7 +328,7 @@ def _non_growing_morphisms(draw):
     rules = {c: draw(st.text(alphabet=letters, min_size=1, max_size=3)) for c in letters}
     rules["a"] = "a" + draw(st.text(alphabet=letters, min_size=1, max_size=2))
     pairs, _ = closure_in_rounds(rules, "a")
-    assume(not {c for ab in pairs for c in ab} <= growing_by_lengths(rules))
+    assume(not {c for ab in pairs for c in ab} <= growing_by_cycles(rules))
     return rules
 
 
