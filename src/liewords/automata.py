@@ -19,6 +19,16 @@ the next multipliers.  Every subset construction (projection, padding
 normalization) runs `_det_by_sets` over boolean state vectors, and every
 product (`combine`, and the sequence atoms in `logic`) runs `_product`.
 
+Both searches are breadth first and work a chunk of the frontier at a
+time, as numpy arrays: the successors of up to `CHUNK_CELLS` cells are
+computed in one step, deduplicated in one np.unique pass, and only the
+distinct new ones are numbered, by parent and then by symbol, which is
+the numbering an item-by-item search gives.  Projection tries the
+forward subset construction under a soft cap and falls back to
+Brzozowski's double reversal, whose predecessor step ORs one gather per
+guessed digit.  Reachability (`_bfs_order`) and coreachability
+(`_coreachable`) also step a whole frontier at a time.
+
 Tracks are kept sorted by name; combining automata with different track
 sets implicitly cylindrifies (the automaton simply does not read the
 extra tracks).
@@ -55,6 +65,11 @@ class MultiTrackDfa:
 # the most states any automaton operation may build; read at call time
 STATE_CAP = 10**6
 
+# the most cells one chunk of a breadth-first frontier may expand at
+# once: pairs x symbols in `_product`, subsets x symbols x states in
+# `_det_by_sets`; read at call time
+CHUNK_CELLS = 1 << 21
+
 
 def _check_cap(count: int, cap: int):
     if count > cap:
@@ -75,15 +90,36 @@ def digits_of(sym: int, base: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _submap(all_tracks: Sequence[str], sub_tracks: Sequence[str], base: int) -> list[int]:
+def _submap(all_tracks: Sequence[str], sub_tracks: Sequence[str], base: int) -> np.ndarray:
     """For each symbol over all_tracks, the induced symbol over sub_tracks."""
-    positions = [all_tracks.index(t) for t in sub_tracks]
     m = len(all_tracks)
-    n_all = base**m
-    out = []
-    for sym in range(n_all):
-        digs = digits_of(sym, base, m)
-        out.append(sym_of([digs[p] for p in positions], base))
+    syms = np.arange(base**m)
+    out = np.zeros(base**m, dtype=np.intp)
+    for t in sub_tracks:
+        out = out * base + syms // base ** (m - 1 - all_tracks.index(t)) % base
+    return out
+
+
+def _mask(n: int, states: Iterable[int]) -> np.ndarray:
+    out = np.zeros(n, dtype=bool)
+    out[list(states)] = True
+    return out
+
+
+def _rows(table: np.ndarray, ids: list[int]) -> list[tuple[int, ...]]:
+    """The rows of a state table as tuples that refer to one int object
+    per state, ids[q], instead of one per cell: a cell then costs 8
+    bytes, not 40."""
+    get = ids.__getitem__
+    return [tuple(map(get, row)) for row in table.tolist()]
+
+
+def _grown(buf: np.ndarray, size: int) -> np.ndarray:
+    """buf with room for at least size rows, doubling when it must grow."""
+    if size <= len(buf):
+        return buf
+    out = np.empty((max(size, 2 * len(buf)),) + buf.shape[1:], dtype=buf.dtype)
+    out[: len(buf)] = buf
     return out
 
 
@@ -159,6 +195,7 @@ def minimize(a: MultiTrackDfa) -> MultiTrackDfa:
     index = np.zeros(a.n_states, dtype=np.intp)
     index[live] = np.arange(len(live))
     rows = index[table[live]]
+    del table  # the peak of a large minimization is in _refine
     acc = np.isin(live, list(a.accepting))
     block, first = _refine(rows, acc)
 
@@ -166,29 +203,33 @@ def minimize(a: MultiTrackDfa) -> MultiTrackDfa:
     order = _bfs_order(quotient, int(block[0]))
     renum = np.zeros(len(first), dtype=np.intp)
     renum[order] = np.arange(len(order))
-    # rows refer to one int object per state, as the Python-built tables
-    # do, instead of one per cell: a cell then costs 8 bytes, not 40
-    ids = list(range(len(order)))
-    canon = renum[quotient[order]]
-    final_rows = tuple(tuple(map(ids.__getitem__, row.tolist())) for row in canon)
+    final_rows = tuple(_rows(renum[quotient[order]], list(range(len(order)))))
     final_acc = frozenset(np.flatnonzero(acc[first[order]]).tolist())
     return MultiTrackDfa(a.base, a.tracks, final_rows, final_acc, 0)
 
 
-def _coreachable(a: MultiTrackDfa) -> frozenset[int]:
-    preds: list[list[int]] = [[] for _ in range(a.n_states)]
-    for q, row in enumerate(a.transitions):
-        for t in set(row):
-            preds[t].append(q)
-    seen = set(a.accepting)
-    stack = list(a.accepting)
-    while stack:
-        q = stack.pop()
-        for p in preds[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
+def _coreachable(a: MultiTrackDfa) -> np.ndarray:
+    """Mask of the states that can reach acceptance: one breadth-first
+    pass from the accepting states over the reversed edges, a whole
+    frontier per step."""
+    n = a.n_states
+    # reversed edges target*n + source, sorted and distinct, so the
+    # sources of the edges into q are src[starts[q]:starts[q+1]]
+    edges = np.sort((_table(a).astype(np.int64) * n + np.arange(n)[:, None]).ravel())
+    edges = edges[np.diff(edges, prepend=-1) != 0]
+    src = edges % n
+    starts = np.searchsorted(edges, np.arange(n + 1, dtype=np.int64) * n)
+    seen = _mask(n, a.accepting)
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        lo = starts[frontier]
+        lengths = starts[frontier + 1] - lo
+        offsets = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        preds = src[offsets + np.arange(len(offsets))]
+        before = seen.copy()
+        seen[preds] = True
+        frontier = np.flatnonzero(seen & ~before)
+    return seen
 
 
 def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
@@ -214,20 +255,19 @@ def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
     # subsets get one extra slot, n, for the sentinel "input so far is all
     # zero columns"; it carries the zero-closure states with it so
     # acceptance of 0^j s needs no lookahead
-    initial = np.zeros(n + 1, dtype=bool)
-    initial[chain + [n]] = True
-    accepting = np.zeros(n + 1, dtype=bool)
-    accepting[list(a.accepting)] = True
-    syms = np.arange(a.n_symbols)[:, None]
+    restart = np.array(chain + [n])
+    syms = np.arange(a.n_symbols)[None, :]
 
-    def step_all(subset: np.ndarray) -> np.ndarray:
-        out = np.zeros((a.n_symbols, n + 1), dtype=bool)
-        out[syms, table[np.flatnonzero(subset[:n])].T] = True
-        if subset[n]:
-            out[0, chain + [n]] = True
+    def step(subsets: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(subsets), a.n_symbols, n + 1), dtype=bool)
+        b, q = np.nonzero(subsets[:, :n])
+        out[b[:, None], syms, table[q]] = True
+        out[np.flatnonzero(subsets[:, n])[:, None], 0, restart] = True
         return out
 
-    rows, acc_ids = _det_by_sets(initial, step_all, accepting, STATE_CAP)
+    rows, acc_ids = _det_by_sets(
+        _mask(n + 1, restart), step, a.n_symbols, _mask(n + 1, a.accepting), STATE_CAP
+    )
     return minimize(MultiTrackDfa(a.base, a.tracks, tuple(rows), acc_ids, 0))
 
 
@@ -352,31 +392,57 @@ def seq_letter_predicate(d: Dfao, track: str, letter: str) -> MultiTrackDfa:
 
 
 def _product(
-    left: tuple[Sequence[Sequence[int]], int, Sequence[int]],
-    right: tuple[Sequence[Sequence[int]], int, Sequence[int]],
-    accept: Callable[[int, int], bool],
+    left: tuple[Sequence[Sequence[int]], int, np.ndarray],
+    right: tuple[Sequence[Sequence[int]], int, np.ndarray],
+    accept: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
     """Reachable part of the product of two transition tables.
 
     Each side is (table, start state, symbol map): symbol s of the product
-    moves that side on map[s].  A pair of states accepts when accept(p, q)
-    holds.  Pairs are numbered breadth first from the pair of starts."""
+    moves that side on map[s].  accept(P, Q) maps arrays of left and
+    right states to the acceptance of each pair (P[i], Q[i]).
+
+    Pairs are numbered breadth first from the pair of starts, by parent
+    and then by symbol.  The frontier is expanded a chunk of pairs at a
+    time: each pair (p, q) is keyed by the code p*nb + q, a chunk's
+    successor codes are deduplicated with np.unique and looked up among
+    the known codes, kept sorted, and new codes are numbered by first
+    occurrence, which is the order a pair-by-pair search would give."""
     (ta, ia, map_a), (tb, ib, map_b) = left, right
-    index = {(ia, ib): 0}
-    order = [(ia, ib)]
-    rows = []
-    for p, q in order:
-        ra, rb = ta[p], tb[q]
-        row = []
-        for sa, sb in zip(map_a, map_b):
-            pair = (ra[sa], rb[sb])
-            if pair not in index:
-                index[pair] = len(order)
-                order.append(pair)
-                _check_cap(len(order), STATE_CAP)
-            row.append(index[pair])
-        rows.append(tuple(row))
-    accepting = frozenset(i for i, (p, q) in enumerate(order) if accept(p, q))
+    ta = np.asarray(ta, dtype=np.int64)
+    tb = np.asarray(tb, dtype=np.int64)
+    nb = len(tb)
+    codes = np.array([ia * nb + ib], dtype=np.int64)  # by pair id
+    count = 1
+    known = codes.copy()  # sorted, with the id of each code
+    known_ids = np.zeros(1, dtype=np.int64)
+    ids = [0]
+    rows: list[tuple[int, ...]] = []
+    chunk = max(1, CHUNK_CELLS // len(map_a))
+    done = 0
+    while done < count:
+        p, q = np.divmod(codes[done : min(count, done + chunk)], nb)
+        succ = (ta[p[:, None], map_a] * nb + tb[q[:, None], map_b]).ravel()
+        uniq, first, inverse = np.unique(succ, return_index=True, return_inverse=True)
+        at = np.searchsorted(known, uniq)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == uniq[hit]
+        uid = np.empty(len(uniq), dtype=np.int64)
+        uid[hit] = known_ids[at[hit]]
+        new = np.flatnonzero(~hit)
+        by_first = new[np.argsort(first[new])]
+        uid[by_first] = np.arange(count, count + len(new))
+        codes = _grown(codes, count + len(new))
+        codes[count : count + len(new)] = uniq[by_first]
+        count += len(new)
+        _check_cap(count, STATE_CAP)
+        known = np.insert(known, at[new], uniq[new])
+        known_ids = np.insert(known_ids, at[new], uid[new])
+        ids.extend(range(len(ids), count))
+        rows += _rows(uid[inverse].reshape(len(p), len(map_a)), ids)
+        done += len(p)
+    p, q = np.divmod(codes[:count], nb)
+    accepting = frozenset(np.flatnonzero(accept(p, q)).tolist())
     return tuple(rows), accepting
 
 
@@ -389,11 +455,13 @@ def combine(a: MultiTrackDfa, b: MultiTrackDfa, op: str) -> MultiTrackDfa:
         raise ValueError("op must be 'and' or 'or'")
     base = a.base
     tracks = tuple(sorted(set(a.tracks) | set(b.tracks)))
-    join = all if op == "and" else any
+    join = np.logical_and if op == "and" else np.logical_or
+    acc_a = _mask(a.n_states, a.accepting)
+    acc_b = _mask(b.n_states, b.accepting)
     rows, accepting = _product(
-        (a.transitions, a.initial, _submap(tracks, a.tracks, base)),
-        (b.transitions, b.initial, _submap(tracks, b.tracks, base)),
-        lambda p, q: join((p in a.accepting, q in b.accepting)),
+        (_table(a), a.initial, _submap(tracks, a.tracks, base)),
+        (_table(b), b.initial, _submap(tracks, b.tracks, base)),
+        lambda p, q: join(acc_a[p], acc_b[q]),
     )
     return minimize(MultiTrackDfa(base, tracks, rows, accepting, 0))
 
@@ -436,115 +504,125 @@ class _GuessNfa:
             (hi[:, None] * base + np.arange(base)[None, :]) * pow_low + lo[:, None]
         )
         self.trans = _table(a)
-        useful = _coreachable(a)
-        self.useful = np.zeros(self.n, dtype=bool)
-        self.useful[list(useful)] = True
-        closure = {a.initial}
-        stack = [a.initial]
-        zero_syms = [int(s) for s in self.guess_cols[0]]
-        while stack:
-            q = stack.pop()
-            for s in zero_syms:
-                t = a.transitions[q][s]
-                if t not in closure:
-                    closure.add(t)
-                    stack.append(t)
-        self.initial = np.zeros(self.n, dtype=bool)
-        self.initial[[q for q in closure if self.useful[q]]] = True
-        self.accepting = np.zeros(self.n, dtype=bool)
-        self.accepting[[q for q in a.accepting if self.useful[q]]] = True
+        self.useful = _coreachable(a)
+        zero_closure = _bfs_order(self.trans[:, self.guess_cols[0]], a.initial)
+        self.initial = _mask(self.n, zero_closure) & self.useful
+        self.accepting = _mask(self.n, a.accepting) & self.useful
+        # back[d][red, p] = the successor of p on reduced symbol red with
+        # guessed digit d
+        self.back = [
+            np.ascontiguousarray(self.trans[:, self.guess_cols[:, d]].T) for d in range(base)
+        ]
 
-    def forward_all(self, subset: np.ndarray) -> np.ndarray:
-        """Successor subsets for every reduced symbol at once, [n_red, n]."""
-        out = np.zeros((self.n_red, self.n), dtype=bool)
-        states = np.flatnonzero(subset)
-        if len(states):
-            targets = self.trans[states][:, self.guess_cols]
-            reds = np.arange(self.n_red)[:, None, None]
-            out[reds, targets.transpose(1, 0, 2)] = True
-            out &= self.useful[None, :]
+    def forward(self, subsets: np.ndarray) -> np.ndarray:
+        """Successor subsets [B, n_red, n] of subsets [B, n], for every
+        reduced symbol."""
+        out = np.zeros((len(subsets), self.n_red, self.n), dtype=bool)
+        b, q = np.nonzero(subsets)
+        reds = np.arange(self.n_red)[None, :, None]
+        out[b[:, None, None], reds, self.trans[q[:, None, None], self.guess_cols]] = True
+        out &= self.useful
         return out
 
-    def backward_all(self, member: np.ndarray) -> np.ndarray:
-        """Predecessor subsets for every reduced symbol, [n_red, n]."""
-        hits = member[self.trans]
-        out = hits[:, self.guess_cols].any(axis=2).T.copy()
-        out &= self.useful[None, :]
+    def backward(self, members: np.ndarray) -> np.ndarray:
+        """Predecessor subsets [B, n_red, n] of subsets [B, n], for every
+        reduced symbol: p precedes on red when some guessed digit leads
+        into the subset."""
+        out = np.take(members, self.back[0], axis=1)
+        for table in self.back[1:]:
+            out |= np.take(members, table, axis=1)
+        out &= self.useful
         return out
 
 
 def _det_by_sets(
     initial: np.ndarray,
-    step_all: Callable[[np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray], np.ndarray],
+    n_symbols: int,
     accepting: np.ndarray,
     cap: int,
 ) -> tuple[list[tuple[int, ...]], frozenset[int]]:
     """Subset construction over boolean state vectors, raising
     CompileBlowup past `cap` subsets.
 
-    ``step_all`` maps one subset to successor subsets for all symbols in
-    a single array; subsets are keyed by their packed bits."""
-    index: dict[bytes, int] = {}
-    order: list[np.ndarray] = []
-
-    def intern(vec: np.ndarray, key: bytes) -> int:
-        k = index.get(key)
-        if k is None:
-            k = len(order)
-            index[key] = k
-            order.append(vec.copy())
-            _check_cap(len(order), cap)
-        return k
-
-    intern(initial, np.packbits(initial, bitorder="little").tobytes())
+    ``step`` maps a [B, n] stack of subsets to their [B, n_symbols, n]
+    successors.  Subsets are numbered breadth first, by parent and then
+    by symbol, and the frontier is expanded a chunk of subsets at a
+    time: a chunk's successors are packed to bits and deduplicated in one
+    np.unique pass over the packed rows, and only the distinct ones are
+    interned by their bytes."""
+    n = len(initial)
+    width = (n + 7) // 8
+    row_key = np.dtype((np.void, width))
+    subsets = np.packbits(initial[None, :], axis=1, bitorder="little")  # by id
+    index = {subsets[0].tobytes(): 0}
+    ids = [0]
     rows: list[tuple[int, ...]] = []
-    acc_ids = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        if bool(np.any(subset & accepting)):
-            acc_ids.append(i)
-        nxt = step_all(subset)
-        packed = np.packbits(nxt, axis=1, bitorder="little")
-        rows.append(
-            tuple(intern(nxt[r], packed[r].tobytes()) for r in range(nxt.shape[0]))
+    acc_ids: list[int] = []
+    chunk = max(1, CHUNK_CELLS // (n_symbols * n))
+    done = 0
+    while done < len(index):
+        block = subsets[done : min(len(index), done + chunk)]
+        sets = np.unpackbits(block, axis=1, count=n, bitorder="little").view(bool)
+        acc_ids += (done + np.flatnonzero((sets & accepting).any(axis=1))).tolist()
+        succ = np.packbits(step(sets).reshape(-1, n), axis=1, bitorder="little")
+        _, first, inverse = np.unique(
+            succ.view(row_key).ravel(), return_index=True, return_inverse=True
         )
-        i += 1
+        by_first = np.argsort(first)
+        distinct = succ[first[by_first]]
+        blob = distinct.tobytes()
+        old = len(index)
+        uid = np.empty(len(first), dtype=np.intp)
+        uid[by_first] = [
+            index.setdefault(blob[k : k + width], len(index))
+            for k in range(0, len(blob), width)
+        ]
+        _check_cap(len(index), cap)
+        fresh = uid[by_first] >= old
+        subsets = _grown(subsets, len(index))
+        subsets[old : len(index)] = distinct[fresh]
+        ids.extend(range(old, len(index)))
+        rows += _rows(uid[inverse].reshape(len(block), n_symbols), ids)
+        done += len(block)
     return rows, frozenset(acc_ids)
+
+
+def _project_forward(nfa: _GuessNfa, cap: int) -> MultiTrackDfa:
+    """Projection by the forward subset construction of the guess NFA,
+    raising CompileBlowup past `cap` subsets."""
+    rows, accepting = _det_by_sets(nfa.initial, nfa.forward, nfa.n_red, nfa.accepting, cap)
+    return normalize_padding(MultiTrackDfa(nfa.base, nfa.kept, tuple(rows), accepting, 0))
+
+
+def _project_reversal(nfa: _GuessNfa) -> MultiTrackDfa:
+    """Projection by determinizing the reversed language, minimizing and
+    reversing again (Brzozowski): lands directly on the minimal automaton
+    even when forward subsets blow up."""
+    base, kept = nfa.base, nfa.kept
+    rows, accepting = _det_by_sets(nfa.accepting, nfa.backward, nfa.n_red, nfa.initial, STATE_CAP)
+    mid = minimize(MultiTrackDfa(base, kept, tuple(rows), accepting, 0))
+    mid_back = np.ascontiguousarray(_table(mid).T)
+    rows, accepting = _det_by_sets(
+        _mask(mid.n_states, mid.accepting),
+        lambda members: np.take(members, mid_back, axis=1),
+        mid.n_symbols,
+        _mask(mid.n_states, [mid.initial]),
+        STATE_CAP,
+    )
+    return normalize_padding(MultiTrackDfa(base, kept, tuple(rows), accepting, 0))
 
 
 def _project_one(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
     nfa = _GuessNfa(a, track)
-    base, kept = nfa.base, nfa.kept
-
-    def finish(rows, accepting):
-        return normalize_padding(MultiTrackDfa(base, kept, tuple(rows), accepting, 0))
-
-    # forward subset construction first; most projections stay small
-    soft = min(20000 + 4 * nfa.n, STATE_CAP)
+    # forward subset construction first; most projections stay small.
+    # The fallback runs outside the handler, so the traceback does not
+    # keep the abandoned subsets alive.
     try:
-        rows, accepting = _det_by_sets(
-            nfa.initial, nfa.forward_all, nfa.accepting, soft
-        )
-        return finish(rows, accepting)
+        return _project_forward(nfa, min(20000 + 4 * nfa.n, STATE_CAP))
     except CompileBlowup:
         pass
-
-    # determinize the reversed language, minimize, reverse again: lands
-    # directly on the minimal automaton even when forward subsets blow up
-    rows, accepting = _det_by_sets(nfa.accepting, nfa.backward_all, nfa.initial, STATE_CAP)
-    mid = minimize(MultiTrackDfa(base, kept, tuple(rows), accepting, 0))
-
-    mid_trans = _table(mid)
-    mid_acc = np.zeros(mid.n_states, dtype=bool)
-    mid_acc[list(mid.accepting)] = True
-    mid_init = np.zeros(mid.n_states, dtype=bool)
-    mid_init[mid.initial] = True
-
-    rows, accepting = _det_by_sets(
-        mid_acc, lambda s: s[mid_trans].T.copy(), mid_init, STATE_CAP
-    )
-    return finish(rows, accepting)
+    return _project_reversal(nfa)
 
 
 def project(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
@@ -576,7 +654,7 @@ def rename_tracks(a: MultiTrackDfa, mapping: Mapping[str, str]) -> MultiTrackDfa
     image = [mapping.get(t, t) for t in a.tracks]
     new_tracks = tuple(sorted(set(image)))
     old_sym = _submap(new_tracks, image, a.base)
-    rows = tuple(tuple(row[s] for s in old_sym) for row in a.transitions)
+    rows = tuple(_rows(_table(a)[:, old_sym], list(range(a.n_states))))
     return minimize(MultiTrackDfa(a.base, new_tracks, rows, a.accepting, a.initial))
 
 
@@ -626,7 +704,7 @@ def accepted_values(
 
 
 def is_empty(a: MultiTrackDfa) -> bool:
-    return a.initial not in _coreachable(a)
+    return not _coreachable(a)[a.initial]
 
 
 def is_universal(a: MultiTrackDfa) -> bool:

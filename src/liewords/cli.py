@@ -175,6 +175,8 @@ def cmd_logic_compile(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.state_cap < 1:
+        raise InvalidParameter("state cap must be at least 1, got %d" % args.state_cap)
     seq = _sequence(args.seq)
     lib = build_predicate_library(seq)
     lie = lib["lie"]

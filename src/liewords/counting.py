@@ -191,7 +191,7 @@ def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
     a = normalize_padding(a)
     mats, lead = _count_matrices(a, "i", "n")
     nn = a.n_states
-    core = _coreachable(a)
+    core = [q for q, live in enumerate(_coreachable(a).tolist()) if live]
 
     v = [0] * nn
     v[a.initial] = 1

@@ -9,7 +9,10 @@ factor, ranks come from Gaussian
 elimination over Z/p, growing letters from image lengths, factor
 sets of morphic words from a prefix long enough to hold every factor,
 and minimal automata from Moore refinement on exact signature tuples.
-Agreement between these and the package is an algorithm-level check, not
+Products and subset constructions run one pair or one subset at a
+time, where the package expands a frontier a chunk at a time, and
+predicates take their arguments with every constraint conjoined
+before any temporary is projected.  Agreement between these and the package is an algorithm-level check, not
 a restatement.
 """
 
@@ -19,7 +22,10 @@ from collections import Counter
 
 import numpy as np
 
-from liewords.automata import MultiTrackDfa
+from liewords import automata as au
+from liewords import formulas as fo
+from liewords import logic
+from liewords.automata import MultiTrackDfa, digits_of, sym_of
 
 
 def image_lengths(rules: dict, k: int) -> dict:
@@ -365,3 +371,151 @@ def moore_minimal(a):
     final_rows = tuple(tuple(renum[block[t]] for t in rows[rep[b]]) for b in bfs)
     final_acc = frozenset(renum[b] for b in bfs if acc[rep[b]])
     return MultiTrackDfa(a.base, a.tracks, final_rows, final_acc, 0)
+
+
+def loop_submap(all_tracks, sub_tracks, base: int) -> list:
+    """For each symbol over all_tracks, the induced symbol over
+    sub_tracks, one symbol at a time through its digit tuple."""
+    positions = [all_tracks.index(t) for t in sub_tracks]
+    m = len(all_tracks)
+    out = []
+    for sym in range(base**m):
+        digs = digits_of(sym, base, m)
+        out.append(sym_of([digs[p] for p in positions], base))
+    return out
+
+
+def loop_product(left, right, accept) -> tuple:
+    """Reachable part of the product of two tables, pair by pair and
+    symbol by symbol: each side is (table, start, symbol map), accept(p, q)
+    takes one pair of states, and pairs are numbered breadth first, by
+    parent and then by symbol."""
+    (ta, ia, map_a), (tb, ib, map_b) = left, right
+    index = {(ia, ib): 0}
+    order = [(ia, ib)]
+    rows = []
+    for p, q in order:
+        row = []
+        for sa, sb in zip(map_a, map_b):
+            pair = (ta[p][sa], tb[q][sb])
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+            row.append(index[pair])
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, (p, q) in enumerate(order) if accept(p, q))
+    return tuple(rows), accepting
+
+
+def loop_det_by_sets(initial, step_all, accepting) -> tuple:
+    """Subset construction one subset at a time: step_all maps one boolean
+    subset to its successors [S, n] for every symbol, and each successor
+    is interned by its packed bits, one at a time."""
+    index = {}
+    order = []
+
+    def intern(vec):
+        key = np.packbits(vec, bitorder="little").tobytes()
+        if key not in index:
+            index[key] = len(order)
+            order.append(vec.copy())
+        return index[key]
+
+    intern(initial)
+    rows = []
+    acc = []
+    i = 0
+    while i < len(order):
+        if np.any(order[i] & accepting):
+            acc.append(i)
+        rows.append(tuple(intern(vec) for vec in step_all(order[i])))
+        i += 1
+    return tuple(rows), frozenset(acc)
+
+
+def loop_normalize_padding(a):
+    """Close the language under leading all-zero columns both ways, by
+    `loop_det_by_sets` over subsets with one extra slot for "all zero
+    columns so far", then `moore_minimal`."""
+    a = moore_minimal(a)
+    if a.transitions[0][0] == 0:
+        return a
+    n = a.n_states
+    chain = []
+    q = 0
+    while q not in chain:
+        chain.append(q)
+        q = a.transitions[q][0]
+    table = np.array(a.transitions, dtype=np.intp).reshape(n, a.n_symbols)
+    restart = chain + [n]
+
+    def step_all(subset):
+        out = np.zeros((a.n_symbols, n + 1), dtype=bool)
+        for q in np.flatnonzero(subset[:n]):
+            out[np.arange(a.n_symbols), table[q]] = True
+        if subset[n]:
+            out[0, restart] = True
+        return out
+
+    initial = np.zeros(n + 1, dtype=bool)
+    initial[restart] = True
+    accepting = np.zeros(n + 1, dtype=bool)
+    accepting[list(a.accepting)] = True
+    rows, acc = loop_det_by_sets(initial, step_all, accepting)
+    return moore_minimal(MultiTrackDfa(a.base, a.tracks, rows, acc, 0))
+
+
+def loop_project(a, track: str):
+    """Existential projection of one track: the subset construction of the
+    automaton with that track's digits guessed, started from the states
+    reachable on columns that are zero on the kept tracks, subset by
+    subset and symbol by symbol, then `loop_normalize_padding`."""
+    base, m = a.base, len(a.tracks)
+    p = a.tracks.index(track)
+    kept = tuple(t for t in a.tracks if t != track)
+    groups = [[] for _ in range(base ** len(kept))]
+    for sym in range(a.n_symbols):
+        digs = digits_of(sym, base, m)
+        groups[sym_of(digs[:p] + digs[p + 1 :], base)].append(sym)
+    start = {a.initial}
+    stack = [a.initial]
+    while stack:
+        q = stack.pop()
+        for sym in groups[0]:
+            if a.transitions[q][sym] not in start:
+                start.add(a.transitions[q][sym])
+                stack.append(a.transitions[q][sym])
+
+    def step_all(subset):
+        out = np.zeros((len(groups), a.n_states), dtype=bool)
+        for q in np.flatnonzero(subset):
+            for red, syms in enumerate(groups):
+                out[red, [a.transitions[q][s] for s in syms]] = True
+        return out
+
+    initial = np.zeros(a.n_states, dtype=bool)
+    initial[list(start)] = True
+    accepting = np.zeros(a.n_states, dtype=bool)
+    accepting[list(a.accepting)] = True
+    rows, acc = loop_det_by_sets(initial, step_all, accepting)
+    return loop_normalize_padding(MultiTrackDfa(base, kept, rows, acc, 0))
+
+
+def conjoin_then_project(auto, args):
+    """`logic.apply_predicate` with every constraint conjoined before any
+    temporary is projected."""
+    temps = logic._Temps()
+    constraints = []
+    rename = {}
+    for param, term in args.items():
+        if isinstance(term, fo.Var):
+            target = term.name
+        else:
+            target = logic._flatten(term, auto.base, temps, constraints)
+        if target != param:
+            rename[param] = target
+    out = au.rename_tracks(auto, rename) if rename else auto
+    out = au.conjoin([out] + constraints) if constraints else out
+    for name in reversed(temps.names):
+        out = au.project(out, name)
+    return out

@@ -10,7 +10,14 @@ from liewords import automata as au
 from liewords.bundled import get_word
 from liewords.errors import UnknownTrack
 from liewords.words import digits_msd
-from oracles import moore_minimal
+from oracles import (
+    loop_det_by_sets,
+    loop_normalize_padding,
+    loop_product,
+    loop_project,
+    loop_submap,
+    moore_minimal,
+)
 
 small = st.integers(min_value=0, max_value=300)
 bases = st.integers(min_value=2, max_value=4)
@@ -197,12 +204,14 @@ def test_large_projection_falls_back_to_reversal(twelve_library):
 
 
 @st.composite
-def raw_tables(draw, max_states=6, copies=1):
-    """A total table over 1 or 2 tracks in base 2 or 3.  With copies > 1
-    each state comes in up to that many copies, whose transitions lead to
-    random copies of the same targets, so many states are equivalent."""
-    base = draw(st.integers(min_value=2, max_value=3))
-    tracks = draw(st.sampled_from([("x",), ("x", "y")]))
+def raw_tables(draw, max_states=6, copies=1, base=None, track_sets=(("x",), ("x", "y"))):
+    """A total table over one of track_sets (by default 1 or 2 tracks) in
+    the given base, or base 2 or 3.  With copies > 1 each state comes in
+    up to that many copies, whose transitions lead to random copies of
+    the same targets, so many states are equivalent."""
+    if base is None:
+        base = draw(st.integers(min_value=2, max_value=3))
+    tracks = draw(st.sampled_from(track_sets))
     nsym = base ** len(tracks)
     k = draw(st.integers(min_value=1, max_value=max_states))
     targets = st.lists(st.integers(0, k - 1), min_size=nsym, max_size=nsym)
@@ -233,6 +242,7 @@ def test_normalize_padding_closes_raw_tables_under_zero_columns(a):
     assume(au.minimize(a).transitions[0][0] != 0)
     norm = au.normalize_padding(a)
     assert norm.transitions[norm.initial][0] == norm.initial
+    assert au.to_text(norm) == au.to_text(loop_normalize_padding(a))
     # a tuple is accepted iff some zero padding of its shortest columns is;
     # within n_states zero columns the padded start state repeats
     starts, q = set(), a.initial
@@ -273,3 +283,94 @@ def test_minimize_restarts_after_a_hash_collision(monkeypatch):
     assert attempts == [0, 1]
     assert m.n_states == 3
     assert au.to_text(m) == au.to_text(moore_minimal(a))
+
+
+def _raw_product(a, b, op):
+    """The unminimized product that combine(a, b, op) builds."""
+    seen = []
+    real = au.minimize
+
+    def record(x):
+        seen.append(x)
+        return real(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(au, "minimize", record)
+        out = au.combine(a, b, op)
+    return seen[0], out
+
+
+@st.composite
+def table_pairs(draw):
+    base = draw(st.integers(min_value=2, max_value=3))
+    a = draw(raw_tables(max_states=6, copies=2, base=base))
+    b = draw(raw_tables(max_states=6, copies=2, base=base, track_sets=(("y",), ("x", "y"), ("y", "z"))))
+    return a, b, draw(st.sampled_from(["and", "or"]))
+
+
+@given(table_pairs())
+def test_combine_matches_the_pair_by_pair_product(pair):
+    a, b, op = pair
+    raw, _ = _raw_product(a, b, op)
+    join = all if op == "and" else any
+    rows, accepting = loop_product(
+        (a.transitions, a.initial, loop_submap(raw.tracks, a.tracks, a.base)),
+        (b.transitions, b.initial, loop_submap(raw.tracks, b.tracks, b.base)),
+        lambda p, q: join((p in a.accepting, q in b.accepting)),
+    )
+    assert raw.transitions == rows
+    assert raw.accepting == accepting
+
+
+WIDE = (("x", "y"), ("x", "y", "z"))
+
+
+@settings(max_examples=60)
+@given(raw_tables(max_states=6, copies=2, track_sets=(("x",),) + WIDE))
+def test_project_matches_the_subset_by_subset_oracle(a):
+    for track in a.tracks:
+        assert au.to_text(au.project(a, track)) == au.to_text(loop_project(a, track))
+
+
+@settings(max_examples=100)
+@given(raw_tables(max_states=6, copies=2, track_sets=WIDE))
+def test_forward_and_reversal_projections_agree(a):
+    for track in a.tracks:
+        nfa = au._GuessNfa(a, track)
+        forward = au._project_forward(nfa, au.STATE_CAP)
+        assert au.to_text(au._project_reversal(nfa)) == au.to_text(forward)
+
+
+@pytest.mark.parametrize("cells", [1, 40, 300])
+@settings(max_examples=30)
+@given(pair=table_pairs())
+def test_small_chunks_give_the_same_automata(cells, pair):
+    # one item per chunk, and chunks of a few items that end inside a
+    # breadth-first level
+    a, b, op = pair
+    raw, combined = _raw_product(a, b, op)
+    normalized = au.normalize_padding(a)
+    projected = [au.project(a, t) for t in a.tracks]
+    reversal = [au._project_reversal(au._GuessNfa(a, t)) for t in a.tracks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(au, "CHUNK_CELLS", cells)
+        assert _raw_product(a, b, op) == (raw, combined)
+        assert au.normalize_padding(a) == normalized
+        assert [au.project(a, t) for t in a.tracks] == projected
+        assert [au._project_reversal(au._GuessNfa(a, t)) for t in a.tracks] == reversal
+
+
+def test_subset_chunks_number_subsets_like_the_one_by_one_construction(monkeypatch):
+    # the guess NFA of a random 3-track table, forward: the chunked rows
+    # equal the subset-by-subset rows at every chunk size
+    rng = random.Random(11)
+    base, n = 2, 12
+    rows = tuple(tuple(rng.randrange(n) for _ in range(base**3)) for _ in range(n))
+    a = au.MultiTrackDfa(base, ("x", "y", "z"), rows, frozenset({1, 5, 7}), 0)
+    nfa = au._GuessNfa(a, "y")
+    step_one = lambda subset: nfa.forward(subset[None, :])[0]
+    want = loop_det_by_sets(nfa.initial, step_one, nfa.accepting)
+    for cells in (1, nfa.n_red * n, 3 * nfa.n_red * n, au.CHUNK_CELLS):
+        monkeypatch.setattr(au, "CHUNK_CELLS", cells)
+        got = au._det_by_sets(nfa.initial, nfa.forward, nfa.n_red, nfa.accepting, au.STATE_CAP)
+        assert (tuple(got[0]), got[1]) == want

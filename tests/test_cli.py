@@ -112,6 +112,8 @@ def test_morphism_file_with_a_non_growing_letter(tmp_path, capsys):
         (("logic", "compile", "--formula", "i<j", "--base", "-2"), "base must be at least 2, got -2"),
         (("logic", "compile", "--formula", "i<j"), "formula reads no sequence; pass a base"),
         (("scan-powers", "--word", "thue-morse", "--max-root-len", "-1"), "largest root length must be nonnegative, got -1"),
+        (("pipeline", "--seq", "thue-morse", "--state-cap", "0"), "state cap must be at least 1, got 0"),
+        (("pipeline", "--seq", "thue-morse", "--state-cap", "-1"), "state cap must be at least 1, got -1"),
     ],
 )
 def test_bad_numeric_input_exits_one(capsys, argv, message):

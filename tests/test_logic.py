@@ -13,6 +13,7 @@ from liewords.logic import (
     compile_formula,
     parse_with_library,
 )
+from oracles import conjoin_then_project
 
 
 def test_compile_arithmetic_formula():
@@ -213,3 +214,49 @@ def test_library_text_is_pinned(request, word):
     lib = request.getfixturevalue(_LIBRARY_FIXTURES[word])
     digests = {name: hashlib.sha256(au.to_text(a).encode()).hexdigest() for name, a in lib.items()}
     assert digests == LIBRARY_SHA256[word]
+
+
+def _widest_product(build):
+    """The result of build() and the most tracks of any product built on
+    the way."""
+    widths = []
+    real = au.combine
+
+    def record(a, b, op):
+        out = real(a, b, op)
+        widths.append(len(out.tracks))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(au, "combine", record)
+        out = build()
+    return out, max(widths)
+
+
+V, P, M, C = fo.Var, fo.Plus, fo.Minus, fo.Const
+SUBSTITUTIONS = [
+    {"i": V("j"), "j": P(V("i"), V("t")), "n": M(V("n"), V("t"))},
+    {"j": M(P(V("j"), V("n")), V("t")), "n": V("t")},
+    {"n": V("t")},
+    {"i": P(V("i"), C(1)), "j": P(V("j"), V("j"))},
+    {"n": M(V("n"), P(V("i"), V("t")))},
+]
+
+
+@pytest.mark.parametrize("word", ["thue-morse", "cantor"])
+def test_early_projection_matches_conjoining_first(word, tm_library, cantor_library):
+    factoreq = {"thue-morse": tm_library, "cantor": cantor_library}[word]["factoreq"]
+    for args in SUBSTITUTIONS:
+        want = conjoin_then_project(factoreq, args)
+        assert au.to_text(apply_predicate(factoreq, args)) == au.to_text(want)
+
+
+def test_early_projection_keeps_shift_to_five_tracks(tm_library):
+    # factoreq(i, (j+n)-t, t): conjoining first reads i, j, n, t and both
+    # temporaries at once
+    args = SUBSTITUTIONS[1]
+    factoreq = tm_library["factoreq"]
+    out, widest = _widest_product(lambda: apply_predicate(factoreq, args))
+    want, widest_first = _widest_product(lambda: conjoin_then_project(factoreq, args))
+    assert au.to_text(out) == au.to_text(want)
+    assert (widest, widest_first) == (5, 6)
