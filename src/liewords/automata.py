@@ -32,6 +32,14 @@ guessed digit.  Reachability (`_bfs_order`) and coreachability
 Tracks are kept sorted by name; combining automata with different track
 sets implicitly cylindrifies (the automaton simply does not read the
 extra tracks).
+
+A transition table has one form, at rest and inside every operation: a
+C-contiguous, read-only int32 array [n_states, n_symbols].  Rows given
+as nested sequences are converted once, on construction, and the
+operations read and build arrays only.  Automata compare and hash by
+value (base, tracks, initial state, accepting states and the table).
+Digit automata of words (`words.Dfao`) keep tuple rows, so the word
+layer does not depend on numpy.
 """
 
 from __future__ import annotations
@@ -45,13 +53,33 @@ from .errors import BaseMismatch, CompileBlowup, FormatError, UnknownLetter, Unk
 from .words import Dfao, _base_header, _numbered_lines, _parse_int, _read_states, digits_msd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiTrackDfa:
     base: int
     tracks: tuple[str, ...]
-    transitions: tuple[tuple[int, ...], ...]
+    transitions: np.ndarray  # int32 [n_states, n_symbols], read-only
     accepting: frozenset[int]
     initial: int = 0
+
+    def __post_init__(self):
+        table = np.ascontiguousarray(self.transitions, dtype=np.int32)
+        table = table.reshape(-1, self.n_symbols)
+        table.flags.writeable = False
+        object.__setattr__(self, "transitions", table)
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiTrackDfa):
+            return NotImplemented
+        return (
+            (self.base, self.tracks, self.initial, self.accepting)
+            == (other.base, other.tracks, other.initial, other.accepting)
+            and np.array_equal(self.transitions, other.transitions)
+        )
+
+    def __hash__(self):
+        return hash(
+            (self.base, self.tracks, self.initial, self.accepting, self.transitions.tobytes())
+        )
 
     @property
     def n_states(self) -> int:
@@ -67,7 +95,7 @@ STATE_CAP = 10**6
 
 # the most cells one chunk of a breadth-first frontier may expand at
 # once: pairs x symbols in `_product`, subsets x symbols x states in
-# `_det_by_sets`; read at call time
+# `_det_by_sets`, and rows x symbols in `_refine`; read at call time
 CHUNK_CELLS = 1 << 21
 
 
@@ -106,14 +134,6 @@ def _mask(n: int, states: Iterable[int]) -> np.ndarray:
     return out
 
 
-def _rows(table: np.ndarray, ids: list[int]) -> list[tuple[int, ...]]:
-    """The rows of a state table as tuples that refer to one int object
-    per state, ids[q], instead of one per cell: a cell then costs 8
-    bytes, not 40."""
-    get = ids.__getitem__
-    return [tuple(map(get, row)) for row in table.tolist()]
-
-
 def _grown(buf: np.ndarray, size: int) -> np.ndarray:
     """buf with room for at least size rows, doubling when it must grow."""
     if size <= len(buf):
@@ -125,10 +145,6 @@ def _grown(buf: np.ndarray, size: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # minimization and canonical form
-
-
-def _table(a: MultiTrackDfa) -> np.ndarray:
-    return np.asarray(a.transitions, dtype=np.intp).reshape(a.n_states, a.n_symbols)
 
 
 def _bfs_order(table: np.ndarray, start: int) -> np.ndarray:
@@ -164,22 +180,29 @@ def _refine(rows: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Language-equivalence classes by hashed Moore refinement (see the
     module docstring): (block of each state, first state of each block).
     Equal signatures get equal keys, so a collision can only merge
-    blocks, which the exact check catches."""
+    blocks, which the exact check catches.  Keys and the check read the
+    rows `CHUNK_CELLS` cells at a time."""
+    n, width = rows.shape
+    step = max(1, CHUNK_CELLS // width)
+    spans = [slice(i, i + step) for i in range(0, n, step)]
     attempt = 0
     while True:
-        mults = _multipliers(rows.shape[1] + 1, attempt)
+        mults = _multipliers(width + 1, attempt)
         head = acc.astype(np.uint64) * mults[0]
         _, first, block = np.unique(acc, return_index=True, return_inverse=True)
         while True:
-            keys = head + block.astype(np.uint64)[rows] @ mults[1:]
+            codes = block.astype(np.uint64)
+            keys = head + np.concatenate([codes[rows[s]] @ mults[1:] for s in spans])
             _, new_first, block = np.unique(keys, return_index=True, return_inverse=True)
             grown = len(new_first) > len(first)
             first = new_first
             if not grown:
                 break
-        sig = block[rows]
+        # every state's successor blocks equal its block's first state's
         rep = first[block]
-        if np.array_equal(acc[rep], acc) and np.array_equal(sig[rep], sig):
+        if np.array_equal(acc[rep], acc) and all(
+            np.array_equal(block[rows[s]], block[rows[rep[s]]]) for s in spans
+        ):
             return block, first
         attempt += 1
 
@@ -189,23 +212,20 @@ def minimize(a: MultiTrackDfa) -> MultiTrackDfa:
 
     The result is canonical: any two automata with the same language
     over the same tracks minimize to identical objects."""
-    table = _table(a)
-    live = _bfs_order(table, a.initial)
+    live = _bfs_order(a.transitions, a.initial)
     _check_cap(len(live), STATE_CAP)
-    index = np.zeros(a.n_states, dtype=np.intp)
+    index = np.zeros(a.n_states, dtype=np.int32)
     index[live] = np.arange(len(live))
-    rows = index[table[live]]
-    del table  # the peak of a large minimization is in _refine
+    rows = index[a.transitions[live]]
     acc = np.isin(live, list(a.accepting))
     block, first = _refine(rows, acc)
 
     quotient = block[rows[first]]
     order = _bfs_order(quotient, int(block[0]))
-    renum = np.zeros(len(first), dtype=np.intp)
+    renum = np.zeros(len(first), dtype=np.int32)
     renum[order] = np.arange(len(order))
-    final_rows = tuple(_rows(renum[quotient[order]], list(range(len(order)))))
     final_acc = frozenset(np.flatnonzero(acc[first[order]]).tolist())
-    return MultiTrackDfa(a.base, a.tracks, final_rows, final_acc, 0)
+    return MultiTrackDfa(a.base, a.tracks, renum[quotient[order]], final_acc, 0)
 
 
 def _coreachable(a: MultiTrackDfa) -> np.ndarray:
@@ -214,8 +234,10 @@ def _coreachable(a: MultiTrackDfa) -> np.ndarray:
     frontier per step."""
     n = a.n_states
     # reversed edges target*n + source, sorted and distinct, so the
-    # sources of the edges into q are src[starts[q]:starts[q+1]]
-    edges = np.sort((_table(a).astype(np.int64) * n + np.arange(n)[:, None]).ravel())
+    # sources of the edges into q are src[starts[q]:starts[q+1]]; the
+    # codes reach n**2, so they are int64 (int32 * n would stay int32)
+    edges = (a.transitions * np.int64(n) + np.arange(n)[:, None]).ravel()
+    edges.sort()
     edges = edges[np.diff(edges, prepend=-1) != 0]
     src = edges % n
     starts = np.searchsorted(edges, np.arange(n + 1, dtype=np.int64) * n)
@@ -242,15 +264,15 @@ def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
     initial state must be fixed by the zero column).
     """
     a = minimize(a)
-    if a.transitions[a.initial][0] == a.initial:
+    table = a.transitions
+    if table[a.initial, 0] == a.initial:
         return a
     n = a.n_states
     chain = []
     q = a.initial
     while q not in chain:
         chain.append(q)
-        q = a.transitions[q][0]
-    table = _table(a)
+        q = int(table[q, 0])
 
     # subsets get one extra slot, n, for the sentinel "input so far is all
     # zero columns"; it carries the zero-closure states with it so
@@ -268,7 +290,7 @@ def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
     rows, acc_ids = _det_by_sets(
         _mask(n + 1, restart), step, a.n_symbols, _mask(n + 1, a.accepting), STATE_CAP
     )
-    return minimize(MultiTrackDfa(a.base, a.tracks, tuple(rows), acc_ids, 0))
+    return minimize(MultiTrackDfa(a.base, a.tracks, rows, acc_ids, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +323,8 @@ def _two_track(base, x, y, table, accepting):
             dx, dy = digits_of(sym, base, 2) if xi == 0 else digits_of(sym, base, 2)[::-1]
             cmp_ = (dx > dy) - (dx < dy)
             row.append(table[q][cmp_])
-        rows.append(tuple(row))
-    return minimize(MultiTrackDfa(base, tracks, tuple(rows), frozenset(accepting), 0))
+        rows.append(row)
+    return minimize(MultiTrackDfa(base, tracks, rows, frozenset(accepting), 0))
 
 
 def eq_predicate(x: str, y: str, base: int) -> MultiTrackDfa:
@@ -333,9 +355,9 @@ def const_predicate(x: str, value: int, base: int) -> MultiTrackDfa:
         for d in range(base):
             nxt = v * base + d
             row.append(nxt if nxt <= value else dead)
-        rows.append(tuple(row))
-    rows.append((dead,) * base)
-    return minimize(MultiTrackDfa(base, (x,), tuple(rows), frozenset({value}), 0))
+        rows.append(row)
+    rows.append([dead] * base)
+    return minimize(MultiTrackDfa(base, (x,), rows, frozenset({value}), 0))
 
 
 def add_predicate(x: str, y: str, z: str, base: int) -> MultiTrackDfa:
@@ -358,20 +380,20 @@ def add_predicate(x: str, y: str, z: str, base: int) -> MultiTrackDfa:
             digs = digits_of(sym, base, 3)
             nb = base * b + digs[pos[x]] + digs[pos[y]] - digs[pos[z]]
             row.append(balances.get(nb, dead))
-        rows.append(tuple(row))
-    rows.append((dead,) * base**3)
-    return minimize(MultiTrackDfa(base, tracks, tuple(rows), frozenset({0}), 0))
+        rows.append(row)
+    rows.append([dead] * base**3)
+    return minimize(MultiTrackDfa(base, tracks, rows, frozenset({0}), 0))
 
 
-def padded_dfao(d: Dfao) -> tuple[tuple[tuple[int, ...], ...], int, tuple[str, ...]]:
-    """Transitions, initial state and per-state outputs with the initial
-    state fixed by digit 0, adding a padding state when needed."""
-    if d.transitions[d.initial][0] == d.initial:
-        return d.transitions, d.initial, d.outputs
-    rows = [tuple([0] + [d.transitions[d.initial][e] + 1 for e in range(1, d.base)])]
-    for q in range(d.n_states):
-        rows.append(tuple(d.transitions[q][e] + 1 for e in range(d.base)))
-    return tuple(rows), 0, (d.outputs[d.initial],) + tuple(d.outputs)
+def padded_dfao(d: Dfao) -> tuple[np.ndarray, int, tuple[str, ...]]:
+    """Transition table, initial state and per-state outputs with the
+    initial state fixed by digit 0, adding a padding state 0 when needed."""
+    table = np.asarray(d.transitions, dtype=np.int32)
+    if table[d.initial, 0] == d.initial:
+        return table, d.initial, d.outputs
+    pad = table[d.initial] + 1
+    pad[0] = 0
+    return np.vstack([pad, table + 1]), 0, (d.outputs[d.initial],) + tuple(d.outputs)
 
 
 def seq_letter_predicate(d: Dfao, track: str, letter: str) -> MultiTrackDfa:
@@ -392,15 +414,15 @@ def seq_letter_predicate(d: Dfao, track: str, letter: str) -> MultiTrackDfa:
 
 
 def _product(
-    left: tuple[Sequence[Sequence[int]], int, np.ndarray],
-    right: tuple[Sequence[Sequence[int]], int, np.ndarray],
+    left: tuple[np.ndarray, int, np.ndarray],
+    right: tuple[np.ndarray, int, np.ndarray],
     accept: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
+) -> tuple[np.ndarray, frozenset[int]]:
     """Reachable part of the product of two transition tables.
 
-    Each side is (table, start state, symbol map): symbol s of the product
-    moves that side on map[s].  accept(P, Q) maps arrays of left and
-    right states to the acceptance of each pair (P[i], Q[i]).
+    Each side is (int32 table, start state, symbol map): symbol s of the
+    product moves that side on map[s].  accept(P, Q) maps arrays of left
+    and right states to the acceptance of each pair (P[i], Q[i]).
 
     Pairs are numbered breadth first from the pair of starts, by parent
     and then by symbol.  The frontier is expanded a chunk of pairs at a
@@ -409,15 +431,14 @@ def _product(
     the known codes, kept sorted, and new codes are numbered by first
     occurrence, which is the order a pair-by-pair search would give."""
     (ta, ia, map_a), (tb, ib, map_b) = left, right
-    ta = np.asarray(ta, dtype=np.int64)
-    tb = np.asarray(tb, dtype=np.int64)
-    nb = len(tb)
+    # codes reach len(ta) * nb, past int32; as an int64 scalar, nb makes
+    # int32 cells * nb int64
+    nb = np.int64(len(tb))
     codes = np.array([ia * nb + ib], dtype=np.int64)  # by pair id
     count = 1
     known = codes.copy()  # sorted, with the id of each code
-    known_ids = np.zeros(1, dtype=np.int64)
-    ids = [0]
-    rows: list[tuple[int, ...]] = []
+    known_ids = np.zeros(1, dtype=np.int32)
+    chunks: list[np.ndarray] = []
     chunk = max(1, CHUNK_CELLS // len(map_a))
     done = 0
     while done < count:
@@ -427,7 +448,7 @@ def _product(
         at = np.searchsorted(known, uniq)
         hit = at < len(known)
         hit[hit] = known[at[hit]] == uniq[hit]
-        uid = np.empty(len(uniq), dtype=np.int64)
+        uid = np.empty(len(uniq), dtype=np.int32)
         uid[hit] = known_ids[at[hit]]
         new = np.flatnonzero(~hit)
         by_first = new[np.argsort(first[new])]
@@ -438,12 +459,11 @@ def _product(
         _check_cap(count, STATE_CAP)
         known = np.insert(known, at[new], uniq[new])
         known_ids = np.insert(known_ids, at[new], uid[new])
-        ids.extend(range(len(ids), count))
-        rows += _rows(uid[inverse].reshape(len(p), len(map_a)), ids)
+        chunks.append(uid[inverse].reshape(len(p), len(map_a)))
         done += len(p)
     p, q = np.divmod(codes[:count], nb)
     accepting = frozenset(np.flatnonzero(accept(p, q)).tolist())
-    return tuple(rows), accepting
+    return np.concatenate(chunks), accepting
 
 
 def combine(a: MultiTrackDfa, b: MultiTrackDfa, op: str) -> MultiTrackDfa:
@@ -459,8 +479,8 @@ def combine(a: MultiTrackDfa, b: MultiTrackDfa, op: str) -> MultiTrackDfa:
     acc_a = _mask(a.n_states, a.accepting)
     acc_b = _mask(b.n_states, b.accepting)
     rows, accepting = _product(
-        (_table(a), a.initial, _submap(tracks, a.tracks, base)),
-        (_table(b), b.initial, _submap(tracks, b.tracks, base)),
+        (a.transitions, a.initial, _submap(tracks, a.tracks, base)),
+        (b.transitions, b.initial, _submap(tracks, b.tracks, base)),
         lambda p, q: join(acc_a[p], acc_b[q]),
     )
     return minimize(MultiTrackDfa(base, tracks, rows, accepting, 0))
@@ -503,7 +523,7 @@ class _GuessNfa:
         self.guess_cols = (
             (hi[:, None] * base + np.arange(base)[None, :]) * pow_low + lo[:, None]
         )
-        self.trans = _table(a)
+        self.trans = a.transitions
         self.useful = _coreachable(a)
         zero_closure = _bfs_order(self.trans[:, self.guess_cols[0]], a.initial)
         self.initial = _mask(self.n, zero_closure) & self.useful
@@ -541,7 +561,7 @@ def _det_by_sets(
     n_symbols: int,
     accepting: np.ndarray,
     cap: int,
-) -> tuple[list[tuple[int, ...]], frozenset[int]]:
+) -> tuple[np.ndarray, frozenset[int]]:
     """Subset construction over boolean state vectors, raising
     CompileBlowup past `cap` subsets.
 
@@ -556,8 +576,7 @@ def _det_by_sets(
     row_key = np.dtype((np.void, width))
     subsets = np.packbits(initial[None, :], axis=1, bitorder="little")  # by id
     index = {subsets[0].tobytes(): 0}
-    ids = [0]
-    rows: list[tuple[int, ...]] = []
+    chunks: list[np.ndarray] = []
     acc_ids: list[int] = []
     chunk = max(1, CHUNK_CELLS // (n_symbols * n))
     done = 0
@@ -573,7 +592,7 @@ def _det_by_sets(
         distinct = succ[first[by_first]]
         blob = distinct.tobytes()
         old = len(index)
-        uid = np.empty(len(first), dtype=np.intp)
+        uid = np.empty(len(first), dtype=np.int32)
         uid[by_first] = [
             index.setdefault(blob[k : k + width], len(index))
             for k in range(0, len(blob), width)
@@ -582,17 +601,16 @@ def _det_by_sets(
         fresh = uid[by_first] >= old
         subsets = _grown(subsets, len(index))
         subsets[old : len(index)] = distinct[fresh]
-        ids.extend(range(old, len(index)))
-        rows += _rows(uid[inverse].reshape(len(block), n_symbols), ids)
+        chunks.append(uid[inverse].reshape(len(block), n_symbols))
         done += len(block)
-    return rows, frozenset(acc_ids)
+    return np.concatenate(chunks), frozenset(acc_ids)
 
 
 def _project_forward(nfa: _GuessNfa, cap: int) -> MultiTrackDfa:
     """Projection by the forward subset construction of the guess NFA,
     raising CompileBlowup past `cap` subsets."""
     rows, accepting = _det_by_sets(nfa.initial, nfa.forward, nfa.n_red, nfa.accepting, cap)
-    return normalize_padding(MultiTrackDfa(nfa.base, nfa.kept, tuple(rows), accepting, 0))
+    return normalize_padding(MultiTrackDfa(nfa.base, nfa.kept, rows, accepting, 0))
 
 
 def _project_reversal(nfa: _GuessNfa) -> MultiTrackDfa:
@@ -601,8 +619,8 @@ def _project_reversal(nfa: _GuessNfa) -> MultiTrackDfa:
     even when forward subsets blow up."""
     base, kept = nfa.base, nfa.kept
     rows, accepting = _det_by_sets(nfa.accepting, nfa.backward, nfa.n_red, nfa.initial, STATE_CAP)
-    mid = minimize(MultiTrackDfa(base, kept, tuple(rows), accepting, 0))
-    mid_back = np.ascontiguousarray(_table(mid).T)
+    mid = minimize(MultiTrackDfa(base, kept, rows, accepting, 0))
+    mid_back = np.ascontiguousarray(mid.transitions.T)
     rows, accepting = _det_by_sets(
         _mask(mid.n_states, mid.accepting),
         lambda members: np.take(members, mid_back, axis=1),
@@ -610,7 +628,7 @@ def _project_reversal(nfa: _GuessNfa) -> MultiTrackDfa:
         _mask(mid.n_states, [mid.initial]),
         STATE_CAP,
     )
-    return normalize_padding(MultiTrackDfa(base, kept, tuple(rows), accepting, 0))
+    return normalize_padding(MultiTrackDfa(base, kept, rows, accepting, 0))
 
 
 def _project_one(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
@@ -654,7 +672,7 @@ def rename_tracks(a: MultiTrackDfa, mapping: Mapping[str, str]) -> MultiTrackDfa
     image = [mapping.get(t, t) for t in a.tracks]
     new_tracks = tuple(sorted(set(image)))
     old_sym = _submap(new_tracks, image, a.base)
-    rows = tuple(_rows(_table(a)[:, old_sym], list(range(a.n_states))))
+    rows = a.transitions[:, old_sym]
     return minimize(MultiTrackDfa(a.base, new_tracks, rows, a.accepting, a.initial))
 
 
@@ -667,7 +685,7 @@ def accepts_string(a: MultiTrackDfa, columns: Sequence[Sequence[int]]) -> bool:
     for col in columns:
         if len(col) != len(a.tracks):
             raise UnknownTrack("column arity %d != %d" % (len(col), len(a.tracks)))
-        q = a.transitions[q][sym_of(col, a.base)]
+        q = int(a.transitions[q, sym_of(col, a.base)])
     return q in a.accepting
 
 
@@ -712,9 +730,7 @@ def is_universal(a: MultiTrackDfa) -> bool:
 
 
 def equivalent(a: MultiTrackDfa, b: MultiTrackDfa) -> bool:
-    if a.base != b.base or a.tracks != b.tracks:
-        return False
-    return to_text(minimize(a)) == to_text(minimize(b))
+    return minimize(a) == minimize(b)
 
 
 # ---------------------------------------------------------------------------
@@ -726,13 +742,12 @@ def to_text(a: MultiTrackDfa) -> str:
     identically (after minimize)."""
     base = a.base
     m = len(a.tracks)
+    heads = [",".join(map(str, digits_of(sym, base, m))) + " -> " for sym in range(a.n_symbols)]
     out = ["base: %d" % base, "tracks: %s" % " ".join(a.tracks)]
-    for q in range(a.n_states):
+    for q, row in enumerate(a.transitions.tolist()):
         tag = " accepting" if q in a.accepting else ""
         out.append("state %d%s" % (q, tag))
-        for sym in range(a.n_symbols):
-            digs = ",".join(str(d) for d in digits_of(sym, base, m))
-            out.append("%s -> %d" % (digs, a.transitions[q][sym]))
+        out.extend(head + str(t) for head, t in zip(heads, row))
     return "\n".join(out) + "\n"
 
 
@@ -762,4 +777,4 @@ def from_text(text: str) -> MultiTrackDfa:
     accepts_tail = lambda tail: tail in ([], ["accepting"])
     tails, rows = _read_states(lines[2:], header, accepts_tail, symbol, nsym, "%d transitions" % nsym)
     accepting = frozenset(q for q, tail in tails.items() if tail)
-    return MultiTrackDfa(base, tracks, tuple(rows), accepting, 0)
+    return MultiTrackDfa(base, tracks, rows, accepting, 0)

@@ -79,17 +79,16 @@ def _count_matrices(a: MultiTrackDfa, free: str, fixed: str):
     shift_free = base ** (len(a.tracks) - 1 - pf)
     px = a.tracks.index(fixed)
     shift_fixed = base ** (len(a.tracks) - 1 - px)
+    rows = a.transitions.tolist()
     mats = []
     for c in range(base):
         m = [[0] * n for _ in range(n)]
-        for p in range(n):
-            row = a.transitions[p]
+        for p, row in enumerate(rows):
             for e in range(base):
                 m[p][row[e * shift_free + c * shift_fixed]] += 1
         mats.append(tuple(tuple(r) for r in m))
     lead = [[0] * n for _ in range(n)]
-    for p in range(n):
-        row = a.transitions[p]
+    for p, row in enumerate(rows):
         for e in range(1, base):
             lead[p][row[e * shift_free]] += 1
     return tuple(mats), tuple(tuple(r) for r in lead)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from liewords import automata as au
 from liewords.bundled import get_word
 from liewords.errors import UnknownTrack
-from liewords.words import digits_msd
+from liewords.words import Dfao, dfao_eval, digits_msd
 from oracles import (
     loop_det_by_sets,
     loop_normalize_padding,
@@ -48,6 +48,19 @@ def test_seq_letter_predicate_matches_word():
     prefix = tm.prefix(200).letters
     for i in range(200):
         assert au.accepts(a, {"i": i}) == (prefix[i] == "1")
+
+
+def test_seq_letter_predicate_reads_leading_zeros_as_padding():
+    # the initial state moves on digit 0, so padded_dfao adds a padding
+    # state, and leading zero columns must not change acceptance
+    d = Dfao(2, ((1, 2), (2, 0), (1, 1)), ("a", "b", "c"), ("a", "b", "c"))
+    for letter in d.letters:
+        a = au.seq_letter_predicate(d, "i", letter)
+        for i in range(64):
+            columns = [(digit,) for digit in digits_msd(i, 2)]
+            for zeros in range(3):
+                got = au.accepts_string(a, [(0,)] * zeros + columns)
+                assert got == (dfao_eval(d, i) == letter)
 
 
 def test_combine_aligns_track_sets():
@@ -245,15 +258,16 @@ def test_normalize_padding_closes_raw_tables_under_zero_columns(a):
     assert au.to_text(norm) == au.to_text(loop_normalize_padding(a))
     # a tuple is accepted iff some zero padding of its shortest columns is;
     # within n_states zero columns the padded start state repeats
+    rows = a.transitions.tolist()
     starts, q = set(), a.initial
     for _ in range(a.n_states + 1):
         starts.add(q)
-        q = a.transitions[q][0]
+        q = rows[q][0]
     for values in itertools.product(range(64), repeat=len(a.tracks)):
         states = starts
         for col in _columns(a, values):
             sym = au.sym_of(col, a.base)
-            states = {a.transitions[q][sym] for q in states}
+            states = {rows[q][sym] for q in states}
         assert au.accepts(norm, dict(zip(a.tracks, values))) == bool(states & a.accepting)
 
 
@@ -267,7 +281,8 @@ def test_minimize_matches_moore_oracle(a):
 def test_minimize_restarts_after_a_hash_collision(monkeypatch):
     # with all multipliers 1 the key is acceptance plus the sum of the
     # successor blocks, so states 0 and 1 (successors in blocks 0,1 and
-    # 1,0) collide although they differ on the word "1"
+    # 1,0) collide although they differ on the word "1"; with one cell
+    # per chunk the exact check meets them in different chunks
     a = au.MultiTrackDfa(2, ("x",), ((0, 2), (2, 0), (1, 2)), frozenset({2}), 0)
     attempts = []
     real = au._multipliers
@@ -279,10 +294,41 @@ def test_minimize_restarts_after_a_hash_collision(monkeypatch):
         return real(width, attempt)
 
     monkeypatch.setattr(au, "_multipliers", degenerate_first)
-    m = au.minimize(a)
-    assert attempts == [0, 1]
-    assert m.n_states == 3
-    assert au.to_text(m) == au.to_text(moore_minimal(a))
+    for cells in (au.CHUNK_CELLS, 1):
+        monkeypatch.setattr(au, "CHUNK_CELLS", cells)
+        attempts.clear()
+        m = au.minimize(a)
+        assert attempts == [0, 1]
+        assert m.n_states == 3
+        assert au.to_text(m) == au.to_text(moore_minimal(a))
+
+
+def test_tables_are_read_only_int32_compared_by_value():
+    rows = ((0, 2), (2, 0), (1, 2))
+    a = au.MultiTrackDfa(2, ("x",), rows, frozenset({2}), 0)
+    b = au.MultiTrackDfa(2, ("x",), np.array(rows, dtype=np.int32), frozenset({2}), 0)
+    assert a.transitions.dtype == np.int32 and a.transitions.shape == (3, 2)
+    assert a.transitions.flags.c_contiguous
+    assert a == b and hash(a) == hash(b)
+    assert a != au.MultiTrackDfa(2, ("x",), ((0, 2), (2, 0), (1, 1)), frozenset({2}), 0)
+    assert a != au.MultiTrackDfa(2, ("x",), rows, frozenset({1}), 0)
+    assert a != au.MultiTrackDfa(2, ("y",), rows, frozenset({2}), 0)
+    with pytest.raises(ValueError):
+        a.transitions[0, 0] = 1
+    assert au.from_text(au.to_text(a)) == a
+
+
+def test_pair_and_edge_codes_do_not_overflow_int32():
+    # 50,000 states: the product's pair codes p*n + q and the reversed
+    # edge codes target*n + source reach 2.5e9, past int32
+    n = 50_000
+    q = np.arange(n)
+    rows = np.stack([2 * q % n, (2 * q + 1) % n], axis=1)
+    a = au.MultiTrackDfa(2, ("x",), rows, frozenset(range(0, n, 2)), 0)
+    assert au.combine(a, a, "and") == au.minimize(a)
+    # every state reaches n-1 within 16 digits
+    last = au.MultiTrackDfa(2, ("x",), rows, frozenset({n - 1}), 0)
+    assert au._coreachable(last).all()
 
 
 def _raw_product(a, b, op):
@@ -318,7 +364,7 @@ def test_combine_matches_the_pair_by_pair_product(pair):
         (b.transitions, b.initial, loop_submap(raw.tracks, b.tracks, b.base)),
         lambda p, q: join((p in a.accepting, q in b.accepting)),
     )
-    assert raw.transitions == rows
+    assert raw.transitions.tolist() == [list(row) for row in rows]
     assert raw.accepting == accepting
 
 
@@ -373,4 +419,4 @@ def test_subset_chunks_number_subsets_like_the_one_by_one_construction(monkeypat
     for cells in (1, nfa.n_red * n, 3 * nfa.n_red * n, au.CHUNK_CELLS):
         monkeypatch.setattr(au, "CHUNK_CELLS", cells)
         got = au._det_by_sets(nfa.initial, nfa.forward, nfa.n_red, nfa.accepting, au.STATE_CAP)
-        assert (tuple(got[0]), got[1]) == want
+        assert (got[0].tolist(), got[1]) == ([list(row) for row in want[0]], want[1])

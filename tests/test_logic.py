@@ -204,9 +204,24 @@ LIBRARY_SHA256 = {
         "lie": "7dab85b9f39a4fcfa66f6808a0230cc41cae78d79c6e472d8a26d93019fe87bc",
         "shift": "2d82de859e4caa99983c9ee68a14d4068b3bf85d8c982e17d158955faf6b2acd",
     },
+    "twelve": {
+        "allconj": "6b73c50a135089978f20f17c45aeb948cb3b2ed71baf57d441fd35891bc52121",
+        "conj": "dc7c2c4dcb050f598f4092cfa8940280af64dd8a43a82702db9f804f2e66a2bf",
+        "factoreq": "72cc312aa364628fa70110ea835b43b4bf577ee3dfe8d86a782fffcd64b202ea",
+        "lessthan": "b8a4b3894f3ed821cc3fa18cb9cb5b3b61724b4f3415b78822536b840f7148e9",
+        "lessthaneq": "55af5e5d4aa0093e9c71dad48fce3e5c2e520ee3823eca887250650dcf88fd9e",
+        "lexleast": "44c4e82993fc9bc8fd93b27541278fe769001b5a2e8874ef23de1bb5f7540a4f",
+        "lie": "fe94f2cd70c48b0703039ac8ca1852efde5c43af01eefc5ed704fcad622fdd40",
+        "shift": "0eaa92ffa75692feee68ede1b0244180962dd48b4db17cf8c0f1ecccb422084b",
+    },
 }
 
-_LIBRARY_FIXTURES = {"thue-morse": "tm_library", "vtm": "vtm_library", "cantor": "cantor_library"}
+_LIBRARY_FIXTURES = {
+    "thue-morse": "tm_library",
+    "vtm": "vtm_library",
+    "cantor": "cantor_library",
+    "twelve": "twelve_library",
+}
 
 
 @pytest.mark.parametrize("word", sorted(LIBRARY_SHA256))
