@@ -19,15 +19,16 @@ the next multipliers.  Every subset construction (projection, padding
 normalization) runs `_det_by_sets` over boolean state vectors, and every
 product (`combine`, and the sequence atoms in `logic`) runs `_product`.
 
-Both searches are breadth first and work a chunk of the frontier at a
-time, as numpy arrays: the successors of up to `CHUNK_CELLS` cells are
-computed in one step, deduplicated in one np.unique pass, and only the
-distinct new ones are numbered, by parent and then by symbol, which is
-the numbering an item-by-item search gives.  Projection tries the
-forward subset construction under a soft cap and falls back to
-Brzozowski's double reversal, whose predecessor step ORs one gather per
-guessed digit.  Reachability (`_bfs_order`) and coreachability
-(`_coreachable`) also step a whole frontier at a time.
+Both run one breadth-first search, `_search`, over keys (int64 pair
+codes p*nb + q, or packed subset bits), a chunk of the frontier at a
+time: the successors of up to `CHUNK_CELLS` cells are computed in one
+numpy step and deduplicated in one np.unique pass, and the distinct keys
+are numbered through one dict, by parent and then by symbol, as an
+item-by-item search would.  Acceptance is read from the keys at the end.
+Projection tries the forward subset construction under a soft cap and
+falls back to Brzozowski's double reversal, whose predecessor step ORs
+one gather per guessed digit.  Reachability (`_bfs_order`) and
+coreachability (`_coreachable`) also step a whole frontier at a time.
 
 Tracks are kept sorted by name; combining automata with different track
 sets implicitly cylindrifies (the automaton simply does not read the
@@ -143,6 +144,49 @@ def _grown(buf: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _search(
+    start: np.ndarray,
+    successors: Callable[[np.ndarray], np.ndarray],
+    n_symbols: int,
+    chunk: int,
+    cap: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first numbering of the keys reachable from a one-key array,
+    raising CompileBlowup past `cap` keys.
+
+    ``successors`` maps a 1-D array of B keys to their B*n_symbols
+    successor keys, parent by parent and symbol by symbol.  Keys are
+    numbered by parent and then by symbol, `chunk` parents at a time
+    (`_intern`).  Returns the int32 table [n, n_symbols] and the keys by
+    id."""
+    keys = start
+    index = {start.tolist()[0]: 0}
+    chunks: list[np.ndarray] = []
+    done = 0
+    while done < len(index):
+        block = keys[done : min(len(index), done + chunk)]
+        ids, new = _intern(successors(block), index)
+        _check_cap(len(index), cap)
+        keys = _grown(keys, len(index))
+        keys[len(index) - len(new) : len(index)] = new
+        chunks.append(ids.reshape(len(block), n_symbols))
+        done += len(block)
+    return np.concatenate(chunks), keys[: len(index)]
+
+
+def _intern(keys: np.ndarray, index: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the keys in index, numbering unseen keys in order of first
+    occurrence; also the unseen keys, in that order.  A function of its
+    own, so a chunk's temporaries are freed before the next one."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    distinct = keys[first[by_first]]
+    old = len(index)
+    uid = np.empty(len(first), dtype=np.int32)
+    uid[by_first] = [index.setdefault(k, len(index)) for k in distinct.tolist()]
+    return uid[inverse], distinct[uid[by_first] >= old]
+
+
 # ---------------------------------------------------------------------------
 # minimization and canonical form
 
@@ -239,8 +283,8 @@ def _coreachable(a: MultiTrackDfa) -> np.ndarray:
     edges = (a.transitions * np.int64(n) + np.arange(n)[:, None]).ravel()
     edges.sort()
     edges = edges[np.diff(edges, prepend=-1) != 0]
-    src = edges % n
-    starts = np.searchsorted(edges, np.arange(n + 1, dtype=np.int64) * n)
+    targets, src = np.divmod(edges, n)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(targets, minlength=n))))
     seen = _mask(n, a.accepting)
     frontier = np.flatnonzero(seen)
     while len(frontier):
@@ -287,10 +331,10 @@ def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
         out[np.flatnonzero(subsets[:, n])[:, None], 0, restart] = True
         return out
 
-    rows, acc_ids = _det_by_sets(
+    rows, accepting = _det_by_sets(
         _mask(n + 1, restart), step, a.n_symbols, _mask(n + 1, a.accepting), STATE_CAP
     )
-    return minimize(MultiTrackDfa(a.base, a.tracks, rows, acc_ids, 0))
+    return minimize(MultiTrackDfa(a.base, a.tracks, rows, accepting, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -425,45 +469,21 @@ def _product(
     and right states to the acceptance of each pair (P[i], Q[i]).
 
     Pairs are numbered breadth first from the pair of starts, by parent
-    and then by symbol.  The frontier is expanded a chunk of pairs at a
-    time: each pair (p, q) is keyed by the code p*nb + q, a chunk's
-    successor codes are deduplicated with np.unique and looked up among
-    the known codes, kept sorted, and new codes are numbered by first
-    occurrence, which is the order a pair-by-pair search would give."""
+    and then by symbol, by `_search` over the pair codes p*nb + q."""
     (ta, ia, map_a), (tb, ib, map_b) = left, right
     # codes reach len(ta) * nb, past int32; as an int64 scalar, nb makes
     # int32 cells * nb int64
     nb = np.int64(len(tb))
-    codes = np.array([ia * nb + ib], dtype=np.int64)  # by pair id
-    count = 1
-    known = codes.copy()  # sorted, with the id of each code
-    known_ids = np.zeros(1, dtype=np.int32)
-    chunks: list[np.ndarray] = []
+
+    def successors(codes: np.ndarray) -> np.ndarray:
+        p, q = np.divmod(codes, nb)
+        return (ta[p[:, None], map_a] * nb + tb[q[:, None], map_b]).ravel()
+
+    start = np.array([ia * nb + ib], dtype=np.int64)
     chunk = max(1, CHUNK_CELLS // len(map_a))
-    done = 0
-    while done < count:
-        p, q = np.divmod(codes[done : min(count, done + chunk)], nb)
-        succ = (ta[p[:, None], map_a] * nb + tb[q[:, None], map_b]).ravel()
-        uniq, first, inverse = np.unique(succ, return_index=True, return_inverse=True)
-        at = np.searchsorted(known, uniq)
-        hit = at < len(known)
-        hit[hit] = known[at[hit]] == uniq[hit]
-        uid = np.empty(len(uniq), dtype=np.int32)
-        uid[hit] = known_ids[at[hit]]
-        new = np.flatnonzero(~hit)
-        by_first = new[np.argsort(first[new])]
-        uid[by_first] = np.arange(count, count + len(new))
-        codes = _grown(codes, count + len(new))
-        codes[count : count + len(new)] = uniq[by_first]
-        count += len(new)
-        _check_cap(count, STATE_CAP)
-        known = np.insert(known, at[new], uniq[new])
-        known_ids = np.insert(known_ids, at[new], uid[new])
-        chunks.append(uid[inverse].reshape(len(p), len(map_a)))
-        done += len(p)
-    p, q = np.divmod(codes[:count], nb)
-    accepting = frozenset(np.flatnonzero(accept(p, q)).tolist())
-    return np.concatenate(chunks), accepting
+    rows, codes = _search(start, successors, len(map_a), chunk, STATE_CAP)
+    p, q = np.divmod(codes, nb)
+    return rows, frozenset(np.flatnonzero(accept(p, q)).tolist())
 
 
 def combine(a: MultiTrackDfa, b: MultiTrackDfa, op: str) -> MultiTrackDfa:
@@ -567,43 +587,27 @@ def _det_by_sets(
 
     ``step`` maps a [B, n] stack of subsets to their [B, n_symbols, n]
     successors.  Subsets are numbered breadth first, by parent and then
-    by symbol, and the frontier is expanded a chunk of subsets at a
-    time: a chunk's successors are packed to bits and deduplicated in one
-    np.unique pass over the packed rows, and only the distinct ones are
-    interned by their bytes."""
+    by symbol, by `_search` over their bits packed into one void key per
+    subset; the padding bits of a key are 0, so equal subsets have equal
+    keys.  Acceptance is read from the packed keys once, at the end."""
     n = len(initial)
     width = (n + 7) // 8
     row_key = np.dtype((np.void, width))
-    subsets = np.packbits(initial[None, :], axis=1, bitorder="little")  # by id
-    index = {subsets[0].tobytes(): 0}
-    chunks: list[np.ndarray] = []
-    acc_ids: list[int] = []
+
+    def pack(sets: np.ndarray) -> np.ndarray:
+        return np.packbits(sets, axis=1, bitorder="little").view(row_key).ravel()
+
+    def bits(keys: np.ndarray) -> np.ndarray:
+        return keys.view(np.uint8).reshape(len(keys), width)
+
+    def successors(keys: np.ndarray) -> np.ndarray:
+        sets = np.unpackbits(bits(keys), axis=1, count=n, bitorder="little").view(bool)
+        return pack(step(sets).reshape(-1, n))
+
     chunk = max(1, CHUNK_CELLS // (n_symbols * n))
-    done = 0
-    while done < len(index):
-        block = subsets[done : min(len(index), done + chunk)]
-        sets = np.unpackbits(block, axis=1, count=n, bitorder="little").view(bool)
-        acc_ids += (done + np.flatnonzero((sets & accepting).any(axis=1))).tolist()
-        succ = np.packbits(step(sets).reshape(-1, n), axis=1, bitorder="little")
-        _, first, inverse = np.unique(
-            succ.view(row_key).ravel(), return_index=True, return_inverse=True
-        )
-        by_first = np.argsort(first)
-        distinct = succ[first[by_first]]
-        blob = distinct.tobytes()
-        old = len(index)
-        uid = np.empty(len(first), dtype=np.int32)
-        uid[by_first] = [
-            index.setdefault(blob[k : k + width], len(index))
-            for k in range(0, len(blob), width)
-        ]
-        _check_cap(len(index), cap)
-        fresh = uid[by_first] >= old
-        subsets = _grown(subsets, len(index))
-        subsets[old : len(index)] = distinct[fresh]
-        chunks.append(uid[inverse].reshape(len(block), n_symbols))
-        done += len(block)
-    return np.concatenate(chunks), frozenset(acc_ids)
+    rows, keys = _search(pack(initial[None, :]), successors, n_symbols, chunk, cap)
+    acc = (bits(keys) & np.packbits(accepting, bitorder="little")).any(axis=1)
+    return rows, frozenset(np.flatnonzero(acc).tolist())
 
 
 def _project_forward(nfa: _GuessNfa, cap: int) -> MultiTrackDfa:
@@ -631,18 +635,6 @@ def _project_reversal(nfa: _GuessNfa) -> MultiTrackDfa:
     return normalize_padding(MultiTrackDfa(base, kept, rows, accepting, 0))
 
 
-def _project_one(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
-    nfa = _GuessNfa(a, track)
-    # forward subset construction first; most projections stay small.
-    # The fallback runs outside the handler, so the traceback does not
-    # keep the abandoned subsets alive.
-    try:
-        return _project_forward(nfa, min(20000 + 4 * nfa.n, STATE_CAP))
-    except CompileBlowup:
-        pass
-    return _project_reversal(nfa)
-
-
 def project(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
     """Existential quantification over one track.
 
@@ -653,7 +645,15 @@ def project(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
     """
     if track not in a.tracks:
         return a
-    return _project_one(a, track)
+    nfa = _GuessNfa(a, track)
+    # forward subset construction first; most projections stay small.
+    # The fallback runs outside the handler, so the traceback does not
+    # keep the abandoned subsets alive.
+    try:
+        return _project_forward(nfa, min(20000 + 4 * nfa.n, STATE_CAP))
+    except CompileBlowup:
+        pass
+    return _project_reversal(nfa)
 
 
 def forall(a: MultiTrackDfa, track: str) -> MultiTrackDfa:

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import complexity
 from .bundled import fibonacci_morphism
-from .complexity import factor_set
+from .complexity import factor_set, primitive_root
 from .errors import (
     InvalidParameter,
     ParameterOverflow,
@@ -219,12 +218,6 @@ def build(params: ConstructionParams) -> ConstructionTrace:
     )
 
 
-def primitive_root(word: str) -> tuple[str, int]:
-    """Shortest word whose repetition gives the input, with its exponent."""
-    root = complexity.primitive_root(word)
-    return root, len(word) // len(root)
-
-
 def verify_powers(trace: ConstructionTrace, i: int, e: int) -> bool:
     """Whether u_i repeated e times occurs in the built prefix."""
     block = trace.u_word(i) * e
@@ -343,7 +336,7 @@ def verify_structure(trace: ConstructionTrace) -> list[tuple[str, bool]]:
         _factors_occur_twice(trace.s[i], trace.s[i + 1]) for i in range(depth - 1)
     )
     checks.append(("factors-occur-twice", twice_ok))
-    roots_ok = all(primitive_root(w)[1] in (1, 2, 3) for w in u)
+    roots_ok = all(len(w) // len(primitive_root(w)) in (1, 2, 3) for w in u)
     checks.append(("root-exponents", roots_ok))
     return checks
 

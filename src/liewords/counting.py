@@ -18,15 +18,12 @@ from .automata import MultiTrackDfa, _coreachable, normalize_padding
 from .errors import (
     FormatError,
     InfiniteCount,
-    NoConvergence,
     NonIntegerOutput,
     StateCapExceeded,
     UnknownTrack,
 )
 from .linalg import RowBasis
 from .words import Dfao, _numbered_lines, _parse_int, digits_msd
-
-PADDING_SUM_CAP = 10**4
 
 Rational = Fraction
 Row = tuple[Rational, ...]
@@ -183,8 +180,9 @@ def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
     """Linear representation of n -> count_direct(a, n).
 
     The initial vector folds in every number of leading zero columns on
-    the n track; the fold is finite exactly when no padding cycle can
-    still reach acceptance, checked with an iteration cap.
+    the n track.  A padding walk still on a coreachable state after
+    n_states zero columns has repeated a state, so its cycle admits
+    infinitely many i: the fold stops there and raises InfiniteCount.
     """
     _require_in_tracks(a, "i", "n")
     a = normalize_padding(a)
@@ -197,9 +195,9 @@ def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
     x = _vec_mat(v, lead)
     steps = 0
     while any(x[q] for q in core):
-        if steps >= PADDING_SUM_CAP:
-            raise NoConvergence(
-                "leading-padding sum still live after %d terms" % PADDING_SUM_CAP
+        if steps >= nn:
+            raise InfiniteCount(
+                "padding cycle admits arbitrarily wide i (live after %d zero columns)" % nn
             )
         for q in range(nn):
             v[q] += x[q]

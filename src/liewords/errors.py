@@ -99,10 +99,6 @@ class InfiniteCount(ToolError):
     """Infinitely many accepted first-coordinate values for a fixed n."""
 
 
-class NoConvergence(ToolError):
-    """Leading-padding sum did not stabilize within the iteration cap."""
-
-
 class StateCapExceeded(ToolError):
     pass
 

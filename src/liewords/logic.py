@@ -128,10 +128,10 @@ class _Compiler:
                 out = au.project(out, name)
             return out
         if isinstance(f, fo.Forall):
-            out = au.complement(self.compile(f.body))
+            out = self.compile(f.body)
             for name in f.names:
-                out = au.project(out, name)
-            return au.complement(out)
+                out = au.forall(out, name)
+            return out
         raise TypeError("not a formula: %r" % (f,))
 
     def dfao(self, name: str) -> Dfao:

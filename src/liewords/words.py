@@ -401,7 +401,14 @@ class WordGenerator:
         return self._morphic
 
     def prefix(self, length: int) -> Prefix:
-        """The first `length` letters, memoized in memory."""
+        """The first `length` letters, memoized in memory.  Raises
+        WindowExceeded, before building anything, when `length` is past
+        LETTER_BUDGET letters."""
+        if length > LETTER_BUDGET:
+            raise WindowExceeded(
+                "a prefix of %d letters is past the letter budget of %d letters"
+                % (length, LETTER_BUDGET)
+            )
         if length > len(self._cached):
             m, seed, coding = self._fixed_point
             s = fixed_point_prefix(m, seed, length).letters

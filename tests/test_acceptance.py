@@ -38,7 +38,7 @@ from liewords.counting import (
     sup_value,
     to_dfao,
 )
-from liewords.errors import InfiniteCount, NoConvergence, ParameterOverflow
+from liewords.errors import InfiniteCount, ParameterOverflow
 from liewords.golden import GOLDEN_PLAN, golden_report
 from liewords.logic import build_predicate_library
 from liewords.words import dfao_eval, saturation_window
@@ -165,9 +165,9 @@ def test_accept_7_counting_dual_path(
     # paths must say so rather than return a number
     with pytest.raises(InfiniteCount):
         count_direct(tm_library["allconj"], 2)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(InfiniteCount):
         counting_representation(tm_library["allconj"])
-    with pytest.raises(NoConvergence):
+    with pytest.raises(InfiniteCount):
         counting_representation(tm_library["lexleast"])
     _accept(7)
 

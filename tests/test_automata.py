@@ -420,3 +420,21 @@ def test_subset_chunks_number_subsets_like_the_one_by_one_construction(monkeypat
         monkeypatch.setattr(au, "CHUNK_CELLS", cells)
         got = au._det_by_sets(nfa.initial, nfa.forward, nfa.n_red, nfa.accepting, au.STATE_CAP)
         assert (got[0].tolist(), got[1]) == ([list(row) for row in want[0]], want[1])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+def test_packed_acceptance_matches_the_one_by_one_construction(n):
+    # n below, at and past a multiple of 8: acceptance is read from packed
+    # keys whose last byte has 8 - n % 8 padding bits
+    rng = random.Random(n)
+    for _ in range(5):
+        rows = tuple(tuple(rng.randrange(n) for _ in range(4)) for _ in range(n))
+        accepting = frozenset(q for q in range(n) if rng.random() < 0.3) | {n - 1}
+        nfa = au._GuessNfa(au.MultiTrackDfa(2, ("x", "y"), rows, accepting, rng.randrange(n)), "y")
+        for start, step, final in (
+            (nfa.initial, nfa.forward, nfa.accepting),
+            (nfa.accepting, nfa.backward, nfa.initial),
+        ):
+            want = loop_det_by_sets(start, lambda subset: step(subset[None, :])[0], final)
+            got = au._det_by_sets(start, step, nfa.n_red, final, au.STATE_CAP)
+            assert (got[0].tolist(), got[1]) == ([list(row) for row in want[0]], want[1])

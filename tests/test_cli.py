@@ -228,6 +228,15 @@ def test_scan_powers(capsys):
     assert out.splitlines() == ["0", "# 1 class(es)"]
 
 
+
+def test_scan_powers_past_the_letter_budget_exits_one(capsys):
+    code, out, err = run(
+        capsys, "scan-powers", "--word", "thue-morse", "--window", "4000000000"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("WindowExceeded: a prefix of 4000000000 letters is past")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
 def test_golden_summary(capsys):
     code, out, _ = run(capsys, "golden")
     assert code == 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from liewords.complexity import primitive_root
 from liewords.construction import (
     _factors_occur_twice,
     BoundRow,
@@ -11,7 +12,6 @@ from liewords.construction import (
     build,
     double_log_threshold,
     monotone_envelope,
-    primitive_root,
     trace_to_json,
     verify_complexity_bound,
     verify_powers,
@@ -119,9 +119,9 @@ def test_toy_params_validated():
 
 
 def test_primitive_root():
-    assert primitive_root("010101") == ("01", 3)
-    assert primitive_root("0110") == ("0110", 1)
-    assert primitive_root("0") == ("0", 1)
+    assert primitive_root("010101") == "01"
+    assert primitive_root("0110") == "0110"
+    assert primitive_root("0") == "0"
 
 
 def test_monotone_envelope():

@@ -320,6 +320,16 @@ def test_saturation_window_refuses_past_the_letter_budget(monkeypatch):
         saturation_window(tm, 3)
 
 
+
+def test_prefix_refuses_past_the_letter_budget(monkeypatch):
+    tm = WordGenerator("tm", morphism=morphism("01", {"0": "01", "1": "10"}), seed="0")
+    with pytest.raises(WindowExceeded, match="prefix of 4000000000 letters is past the letter budget"):
+        tm.prefix(4_000_000_000)
+    monkeypatch.setattr(words, "LETTER_BUDGET", 8)
+    assert tm.prefix(8).letters == "01101001"
+    with pytest.raises(WindowExceeded, match="prefix of 9 letters is past the letter budget of 8"):
+        tm.prefix(9)
+
 @st.composite
 def _non_growing_morphisms(draw):
     """Rules on 2-3 letters, prolongable on a, with images of length 1-3,
