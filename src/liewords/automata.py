@@ -15,7 +15,11 @@ fixed odd multipliers and numbers the keys with np.unique.  When the
 block count stops growing, an exact check confirms that every state's
 signature equals that of its block's first state; a hash collision fails
 the check, and refinement restarts from the acceptance partition with
-the next multipliers.  Every subset construction (projection, padding
+the next multipliers.  `minimize` makes at most one breadth-first pass,
+the trim: a table already trimmed and numbered breadth first (every
+search output and every `minimize` output) is refined as it is, and the
+quotient is numbered by its blocks' first states, which on such rows is
+its breadth-first order.  Every subset construction (projection, padding
 normalization) runs `_det_by_sets` over boolean state vectors, and every
 product (`combine`, and the sequence atoms in `logic`) runs `_product`.
 
@@ -46,6 +50,7 @@ layer does not depend on numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,7 +101,8 @@ STATE_CAP = 10**6
 
 # the most cells one chunk of a breadth-first frontier may expand at
 # once: pairs x symbols in `_product`, subsets x symbols x states in
-# `_det_by_sets`, and rows x symbols in `_refine`; read at call time
+# `_det_by_sets`, rows x symbols in `_refine`, and table cells in
+# `_numbered`; read at call time
 CHUNK_CELLS = 1 << 21
 
 
@@ -119,13 +125,16 @@ def digits_of(sym: int, base: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _submap(all_tracks: Sequence[str], sub_tracks: Sequence[str], base: int) -> np.ndarray:
-    """For each symbol over all_tracks, the induced symbol over sub_tracks."""
+@lru_cache(maxsize=256)
+def _submap(all_tracks: tuple[str, ...], sub_tracks: tuple[str, ...], base: int) -> np.ndarray:
+    """For each symbol over all_tracks, the induced symbol over sub_tracks
+    (read-only; cached, since a formula meets a handful of track tuples)."""
     m = len(all_tracks)
     syms = np.arange(base**m)
     out = np.zeros(base**m, dtype=np.intp)
     for t in sub_tracks:
         out = out * base + syms // base ** (m - 1 - all_tracks.index(t)) % base
+    out.flags.writeable = False
     return out
 
 
@@ -208,16 +217,19 @@ def _bfs_order(table: np.ndarray, start: int) -> np.ndarray:
         levels.append(level)
 
 
+@lru_cache(maxsize=256)
 def _multipliers(width: int, attempt: int) -> np.ndarray:
     """Odd 64-bit multipliers for the row hash, fixed per attempt: the
     splitmix64 outputs for counters attempt*width .. (attempt+1)*width-1
     (numpy.random is not used: importing it costs milliseconds and
-    megabytes on every command)."""
+    megabytes on every command).  Read-only; cached per argument pair."""
     x = np.arange(attempt * width, (attempt + 1) * width, dtype=np.uint64) + np.uint64(1)
     x *= np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31)) | np.uint64(1)
+    x = x ^ (x >> np.uint64(31)) | np.uint64(1)
+    x.flags.writeable = False
+    return x
 
 
 def _refine(rows: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,16 +244,17 @@ def _refine(rows: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     attempt = 0
     while True:
         mults = _multipliers(width + 1, attempt)
-        head = acc.astype(np.uint64) * mults[0]
-        _, first, block = np.unique(acc, return_index=True, return_inverse=True)
+        # the acceptance partition: the bits themselves are its block codes
+        codes = acc.astype(np.uint64)
+        count = int(acc.any()) + int(not acc.all())
+        head = codes * mults[0]
         while True:
-            codes = block.astype(np.uint64)
             keys = head + np.concatenate([codes[rows[s]] @ mults[1:] for s in spans])
-            _, new_first, block = np.unique(keys, return_index=True, return_inverse=True)
-            grown = len(new_first) > len(first)
-            first = new_first
-            if not grown:
+            _, first, block = np.unique(keys, return_index=True, return_inverse=True)
+            if len(first) <= count:
                 break
+            count = len(first)
+            codes = block.astype(np.uint64)
         # every state's successor blocks equal its block's first state's
         rep = first[block]
         if np.array_equal(acc[rep], acc) and all(
@@ -251,21 +264,67 @@ def _refine(rows: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         attempt += 1
 
 
+def _numbered(table: np.ndarray) -> bool:
+    """Whether every state is reachable from state 0 and numbered in
+    breadth-first order of discovery (by parent, then by symbol), so that
+    `_bfs_order(table, 0)` is the identity.
+
+    Read row by row, that holds when each cell is at most one above every
+    cell before it (state 0 counts as seen), the largest cell is n-1, and
+    each state s first occurs in a row below s.  The running maximum is
+    taken `CHUNK_CELLS` cells at a time."""
+    n, width = table.shape
+    cells = table.reshape(-1)
+    top = 0
+    for lo in range(0, len(cells), CHUNK_CELLS):
+        span = cells[lo : lo + CHUNK_CELLS]
+        # before[i] = the largest state seen before span[i]
+        before = np.empty_like(span)
+        before[0] = top
+        np.maximum.accumulate(span[:-1], out=before[1:])
+        np.maximum(before, top, out=before)
+        rise = span - before
+        if rise.max() > 1:
+            return False
+        new = np.flatnonzero(rise == 1)
+        if ((lo + new) // width >= span[new]).any():
+            return False
+        top = max(int(before[-1]), int(span[-1]))
+    return top == n - 1
+
+
 def minimize(a: MultiTrackDfa) -> MultiTrackDfa:
     """Trim, merge language-equivalent states, renumber breadth first.
 
     The result is canonical: any two automata with the same language
-    over the same tracks minimize to identical objects."""
-    live = _bfs_order(a.transitions, a.initial)
-    _check_cap(len(live), STATE_CAP)
-    index = np.zeros(a.n_states, dtype=np.int32)
-    index[live] = np.arange(len(live))
-    rows = index[a.transitions[live]]
-    acc = np.isin(live, list(a.accepting))
+    over the same tracks minimize to identical objects.
+
+    A table that is already trimmed and numbered breadth first from its
+    initial state (`_numbered`: every search output and every minimize
+    output) is refined as it is.  On such rows the quotient's
+    breadth-first order is its blocks sorted by least state.  Let m be
+    the least state of block B and (p, c) the first cell holding m.  If
+    p had an equivalent state p' < p, then T[p', c] would be a member of
+    B at an earlier cell, so, the rows being numbered, it would be smaller
+    than m.  So p is the
+    least state of its block, no quotient edge into B comes before
+    (p, c), and the blocks are discovered in the order of their least
+    states."""
+    if a.initial == 0 and _numbered(a.transitions):
+        _check_cap(a.n_states, STATE_CAP)
+        rows = a.transitions
+        acc = _mask(a.n_states, a.accepting)
+    else:
+        live = _bfs_order(a.transitions, a.initial)
+        _check_cap(len(live), STATE_CAP)
+        index = np.zeros(a.n_states, dtype=np.int32)
+        index[live] = np.arange(len(live))
+        rows = index[a.transitions[live]]
+        acc = _mask(a.n_states, a.accepting)[live]
     block, first = _refine(rows, acc)
 
     quotient = block[rows[first]]
-    order = _bfs_order(quotient, int(block[0]))
+    order = np.argsort(first)
     renum = np.zeros(len(first), dtype=np.int32)
     renum[order] = np.arange(len(order))
     final_acc = frozenset(np.flatnonzero(acc[first[order]]).tolist())
@@ -548,10 +607,13 @@ class _GuessNfa:
         zero_closure = _bfs_order(self.trans[:, self.guess_cols[0]], a.initial)
         self.initial = _mask(self.n, zero_closure) & self.useful
         self.accepting = _mask(self.n, a.accepting) & self.useful
-        # back[d][red, p] = the successor of p on reduced symbol red with
-        # guessed digit d
-        self.back = [
-            np.ascontiguousarray(self.trans[:, self.guess_cols[:, d]].T) for d in range(base)
+
+    @cached_property
+    def back(self) -> list[np.ndarray]:
+        """back[d][red, p] = the successor of p on reduced symbol red with
+        guessed digit d; built on first use, by the reversal path only."""
+        return [
+            np.ascontiguousarray(self.trans[:, self.guess_cols[:, d]].T) for d in range(self.base)
         ]
 
     def forward(self, subsets: np.ndarray) -> np.ndarray:
@@ -669,7 +731,7 @@ def rename_tracks(a: MultiTrackDfa, mapping: Mapping[str, str]) -> MultiTrackDfa
     for t in mapping:
         if t not in a.tracks:
             raise UnknownTrack("no track %r" % t)
-    image = [mapping.get(t, t) for t in a.tracks]
+    image = tuple(mapping.get(t, t) for t in a.tracks)
     new_tracks = tuple(sorted(set(image)))
     old_sym = _submap(new_tracks, image, a.base)
     rows = a.transitions[:, old_sym]

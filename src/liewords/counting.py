@@ -239,35 +239,44 @@ def _transpose(r: LinearRepresentation) -> LinearRepresentation:
 
 
 def _forward_reduce(r: LinearRepresentation) -> LinearRepresentation:
-    d = r.dimension
-    basis = RowBasis(d, track_coords=True)
+    """r restricted to the span of the row vectors v * zeta(x).
+
+    A breadth-first search from v multiplies each kept vector by every
+    digit matrix and keeps the products that are independent of the
+    vectors kept so far, in order; the kept vectors are the new basis.
+    `RowBasis.insert` returns a dependent product's coordinates over the
+    vectors kept before it, and a kept product is its own unit vector, so
+    padded to the final dimension they are the rows of the new matrices,
+    and the new v is the first unit vector.  A zero v spans nothing: the
+    result is the dimension-1 zero representation."""
+    basis = RowBasis(r.dimension, track_coords=True)
     kept: list[Row] = []
+
+    def coords(y: Row) -> list[Fraction]:
+        c = basis.insert(y)
+        if c is None:
+            kept.append(y)
+            return [Fraction(0)] * (len(kept) - 1) + [Fraction(1)]
+        return c
+
     if basis.insert(r.v) is None:
         kept.append(r.v)
-    queue = list(kept)
-    while queue:
-        u = queue.pop(0)
-        for m in r.matrices:
-            y = tuple(_vec_mat(list(u), m))
-            if basis.insert(y) is None:
-                kept.append(y)
-                queue.append(y)
+    # images[i][d] = the coordinates of kept[i] * M_d
+    images = []
+    for u in kept:  # kept grows as the search runs
+        images.append([coords(tuple(_vec_mat(u, m))) for m in r.matrices])
     dim = len(kept)
     if dim == 0:
         zero = (Fraction(0),)
         one_mat = ((Fraction(0),),)
         return LinearRepresentation(r.base, zero, tuple(one_mat for _ in r.matrices), zero)
-    new_mats = []
-    for m in r.matrices:
-        rows = []
-        for u in kept:
-            rows.append(tuple(basis.coords(_vec_mat(list(u), m))))
-        new_mats.append(tuple(rows))
-    new_v = tuple(basis.coords(r.v))
+    pad = lambda c: tuple(c) + (Fraction(0),) * (dim - len(c))
+    new_mats = tuple(tuple(pad(row[d]) for row in images) for d in range(r.base))
+    new_v = pad([Fraction(1)])
     new_w = tuple(
         sum((a * b for a, b in zip(u, r.w)), Fraction(0)) for u in kept
     )
-    return LinearRepresentation(r.base, new_v, tuple(new_mats), new_w)
+    return LinearRepresentation(r.base, new_v, new_mats, new_w)
 
 
 def minimize_representation(r: LinearRepresentation) -> LinearRepresentation:

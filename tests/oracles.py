@@ -8,7 +8,9 @@ scan, abelian counts from `Counter`, repeated factors from one lookup per
 factor, ranks come from Gaussian
 elimination over Z/p, growing letters from image lengths, factor
 sets of morphic words from a prefix long enough to hold every factor,
-and minimal automata from Moore refinement on exact signature tuples.
+minimal automata from Moore refinement on exact signature tuples, and
+reduced representations from a second pass that reads every coordinate
+off the finished basis.
 Products and subset constructions run one pair or one subset at a
 time, where the package expands a frontier a chunk at a time, and
 predicates take their arguments with every constraint conjoined
@@ -19,13 +21,16 @@ a restatement.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
 from liewords import automata as au
+from liewords import counting
 from liewords import formulas as fo
 from liewords import logic
 from liewords.automata import MultiTrackDfa, digits_of, sym_of
+from liewords.linalg import RowBasis
 
 
 def image_lengths(rules: dict, k: int) -> dict:
@@ -344,10 +349,11 @@ def moore_blocks(rows: list, acc: list) -> list:
         n_blocks = len(sig_ids)
 
 
-def moore_minimal(a):
-    """The canonical minimal automaton of a, by a dictionary breadth-first
-    trim, `moore_blocks`, and breadth-first renumbering of the blocks."""
-    trans = a.transitions
+def bfs_trim(a):
+    """The states of a reachable from its initial state, renumbered in
+    breadth-first order of discovery (by parent, then by symbol) by a
+    dictionary search, with the initial state 0."""
+    trans = a.transitions.tolist()
     seen = {a.initial: 0}
     order = [a.initial]
     for q in order:
@@ -355,8 +361,17 @@ def moore_minimal(a):
             if t not in seen:
                 seen[t] = len(order)
                 order.append(t)
-    rows = [tuple(seen[t] for t in trans[q]) for q in order]
-    acc = [q in a.accepting for q in order]
+    rows = tuple(tuple(seen[t] for t in trans[q]) for q in order)
+    accepting = frozenset(seen[q] for q in a.accepting if q in seen)
+    return MultiTrackDfa(a.base, a.tracks, rows, accepting, 0)
+
+
+def moore_minimal(a):
+    """The canonical minimal automaton of a, by `bfs_trim`,
+    `moore_blocks`, and breadth-first renumbering of the blocks."""
+    trimmed = bfs_trim(a)
+    rows = trimmed.transitions.tolist()
+    acc = [q in trimmed.accepting for q in range(len(rows))]
     block = moore_blocks(rows, acc)
     rep = {}
     for q, b in enumerate(block):
@@ -519,3 +534,37 @@ def conjoin_then_project(auto, args):
     for name in reversed(temps.names):
         out = au.project(out, name)
     return out
+
+
+def two_pass_forward_reduce(r):
+    """r restricted to the span of the row vectors v * zeta(x): one
+    breadth-first pass finds a basis among the products, and a second
+    pass recomputes every product and reads its coordinates off the
+    finished basis with `RowBasis.coords`."""
+    basis = RowBasis(r.dimension, track_coords=True)
+    kept = []
+    if basis.insert(r.v) is None:
+        kept.append(r.v)
+    queue = list(kept)
+    while queue:
+        u = queue.pop(0)
+        for m in r.matrices:
+            y = tuple(counting._vec_mat(list(u), m))
+            if basis.insert(y) is None:
+                kept.append(y)
+                queue.append(y)
+    if not kept:
+        zero = (Fraction(0),)
+        return counting.LinearRepresentation(r.base, zero, (((Fraction(0),),),) * r.base, zero)
+    new_mats = tuple(
+        tuple(tuple(basis.coords(counting._vec_mat(list(u), m))) for u in kept)
+        for m in r.matrices
+    )
+    new_w = tuple(sum((a * b for a, b in zip(u, r.w)), Fraction(0)) for u in kept)
+    return counting.LinearRepresentation(r.base, tuple(basis.coords(r.v)), new_mats, new_w)
+
+
+def two_pass_minimize_representation(r):
+    """Forward then backward `two_pass_forward_reduce`."""
+    t = counting._transpose
+    return t(two_pass_forward_reduce(t(two_pass_forward_reduce(r))))

@@ -11,6 +11,7 @@ from liewords.bundled import get_word
 from liewords.errors import UnknownTrack
 from liewords.words import Dfao, dfao_eval, digits_msd
 from oracles import (
+    bfs_trim,
     loop_det_by_sets,
     loop_normalize_padding,
     loop_product,
@@ -276,6 +277,50 @@ def test_minimize_matches_moore_oracle(a):
     m = au.minimize(a)
     assert au.to_text(m) == au.to_text(moore_minimal(a))
     assert au.to_text(au.minimize(m)) == au.to_text(m)
+
+
+def _no_trim(table, start):
+    raise AssertionError("minimize trimmed a table numbered breadth first")
+
+
+CHUNK_SIZES = [au.CHUNK_CELLS, 1, 2, 5]
+
+
+@pytest.mark.parametrize("cells", CHUNK_SIZES)
+@settings(max_examples=40)
+@given(a=raw_tables(max_states=8, copies=3))
+def test_minimize_takes_numbered_tables_as_they_are(cells, a):
+    # every trimmed, breadth-first numbered table skips the trim, at
+    # check spans of one cell, a few cells and the whole table
+    numbered = bfs_trim(a)
+    want = au.to_text(moore_minimal(a))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(au, "CHUNK_CELLS", cells)
+        mp.setattr(au, "_bfs_order", _no_trim)
+        assert au.to_text(au.minimize(numbered)) == want
+
+
+ONE_CLAUSE_OFF = {
+    # state 2 is found before state 1
+    "gap": ((2, 1), (0, 1), (1, 0)),
+    # state 1 is first seen in its own row, so it is unreachable
+    "own row": ((0, 0), (1, 2), (2, 1)),
+    # state 2 is first seen in a row after its own
+    "later row": ((0, 1), (0, 0), (1, 2)),
+    # the last state never occurs
+    "unreachable last": ((0, 1), (1, 0), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("cells", CHUNK_SIZES)
+@pytest.mark.parametrize("clause", sorted(ONE_CLAUSE_OFF))
+def test_tables_off_the_numbering_by_one_clause_are_trimmed(cells, clause, monkeypatch):
+    monkeypatch.setattr(au, "CHUNK_CELLS", cells)
+    rows = ONE_CLAUSE_OFF[clause]
+    assert not au._numbered(np.array(rows, dtype=np.int32))
+    for accepting in ({0}, {1}, {2}, {1, 2}):
+        a = au.MultiTrackDfa(2, ("x",), rows, frozenset(accepting), 0)
+        assert au.to_text(au.minimize(a)) == au.to_text(moore_minimal(a))
 
 
 def test_minimize_restarts_after_a_hash_collision(monkeypatch):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liewords import automata as au
 from liewords.bundled import PIPELINE_WORDS, get_word
@@ -24,6 +26,7 @@ from liewords.errors import (
 )
 from liewords.golden import closed_form
 from liewords.words import dfao_eval
+from oracles import two_pass_minimize_representation
 
 
 def test_count_direct_equals_position_scan(tm_library):
@@ -128,3 +131,30 @@ def test_sup_value_matches_observed_outputs(cantor_library):
     d = to_dfao(minimize_representation(counting_representation(cantor_library["lie"])))
     outputs = {int(dfao_eval(d, n)) for n in range(200)}
     assert sup_value(d) == max(outputs) == 3
+
+
+@pytest.mark.parametrize("library", ["tm_library", "vtm_library", "cantor_library"])
+def test_minimized_lie_representation_matches_the_two_pass_reduction(library, request):
+    rep = counting_representation(request.getfixturevalue(library)["lie"])
+    want = representation_to_text(two_pass_minimize_representation(rep))
+    assert representation_to_text(minimize_representation(rep)) == want
+
+
+@st.composite
+def representations(draw):
+    """Dimension 1-6, base 2-3, entries 0-2; v is all zero in about half
+    the draws, so the dimension-0 reduction runs."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    base = draw(st.integers(min_value=2, max_value=3))
+    row = st.lists(st.integers(0, 2), min_size=d, max_size=d).map(
+        lambda xs: tuple(Fraction(x) for x in xs)
+    )
+    v = (Fraction(0),) * d if draw(st.booleans()) else draw(row)
+    matrices = tuple(tuple(draw(row) for _ in range(d)) for _ in range(base))
+    return LinearRepresentation(base, v, matrices, draw(row))
+
+
+@given(representations())
+def test_minimize_representation_matches_the_two_pass_reduction(rep):
+    want = representation_to_text(two_pass_minimize_representation(rep))
+    assert representation_to_text(minimize_representation(rep)) == want
