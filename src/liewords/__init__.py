@@ -20,7 +20,6 @@ from .complexity import (
     factor_set,
     first_difference_margin,
     lie_complexity,
-    per_w_estimate,
     saturated_factor_set,
     unbounded_exponent_scan,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "minimize_representation",
     "morphism",
     "parse_with_library",
-    "per_w_estimate",
     "saturated_factor_set",
     "saturation_window",
     "sup_value",

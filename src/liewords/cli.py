@@ -231,9 +231,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_scan_powers(args) -> int:
-    roots = unbounded_exponent_scan(
-        _generator(args), args.max_root_len, args.exponent, args.window
-    )
+    roots = unbounded_exponent_scan(_generator(args), args.max_root_len, args.exponent)
     for y in roots:
         sys.stdout.write(y + "\n")
     sys.stdout.write("# %d class(es)\n" % len(roots))
@@ -320,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_word_source(p)
     p.add_argument("--max-root-len", type=int, default=6)
     p.add_argument("--exponent", type=int, default=4)
-    p.add_argument("--window", type=int, default=1 << 16)
     p.set_defaults(fn=cmd_scan_powers)
 
     p = sub.add_parser("golden", help="closed-form tables against computed values")

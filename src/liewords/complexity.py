@@ -39,6 +39,11 @@ C-level string search and slice comparison.  `lie_complexity`,
 `cyclic_complexity` and `abelian_complexity` count a FactorSet the same
 way, each member a span of one block.
 
+`unbounded_exponent_scan` probes the paper's power result on exact sets
+too: a root y of length l is a primitive member of the length-l factor
+set, and y^e is looked up in the spans of length e*l, whose texts hold
+nothing but blocks of that length.  No prefix is read.
+
 L is the quantity the rest of the package cross-checks by algebraic rank
 and by automata counting.  All functions are pure; rows can be computed
 in parallel safely.
@@ -51,14 +56,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyWord,
     InvalidParameter,
     LengthExceedsPrefix,
     UncertifiedData,
-    WindowTooSmall,
 )
 # perfbench/tracing.py looks saturation_window up in this module
 from .words import (  # noqa: F401
@@ -89,14 +93,15 @@ class ComplexityRow:
     certified: bool
 
 
-def factor_set(p, n: int, *, certified: bool = False) -> FactorSet:
-    """All length-n blocks of the prefix."""
+def factor_set(p, n: int) -> FactorSet:
+    """All length-n blocks of the prefix, labeled uncertified: a prefix
+    need not hold every factor of the word."""
     s = p.letters if isinstance(p, Prefix) else p
     _check_length(n)
     if n > len(s):
         raise LengthExceedsPrefix("length %d exceeds prefix of %d" % (n, len(s)))
     members = frozenset(s[i : i + n] for i in range(len(s) - n + 1))
-    return FactorSet(n, members, certified)
+    return FactorSet(n, members, False)
 
 
 def saturated_factor_set(generator, n: int) -> FactorSet:
@@ -107,15 +112,6 @@ def saturated_factor_set(generator, n: int) -> FactorSet:
 
 def _certified(generator) -> bool:
     return bool(getattr(generator, "certifiable", False))
-
-
-def _rank_seq(v: str, order: Optional[Mapping[str, int]]):
-    if order is None:
-        return v
-    try:
-        return tuple(order[c] for c in v)
-    except KeyError as exc:
-        raise KeyError("letter %s has no declared rank" % exc) from None
 
 
 def _least_start(s: str) -> int:
@@ -165,23 +161,16 @@ def _least_start(s: str) -> int:
     return best
 
 
-def least_rotation(v: str, order: Optional[Mapping[str, int]] = None) -> str:
-    """Lexicographically least cyclic rotation.
+def least_rotation(v: str) -> str:
+    """Lexicographically least cyclic rotation, in codepoint order.
 
     Only the rotations that start with the longest run of the least letter
     are compared (the candidate idea of Shiloach 1981), with `str.find` and
-    slice comparison.  `order` maps letters to ranks; omitted, codepoint
-    order is used.  With `order`, the word is first recoded letter by
-    letter into characters that sort like the ranks.
+    slice comparison.
     """
     if not v:
         raise EmptyWord("the empty word has no rotations")
-    if order is None:
-        k = _least_start(v)
-    else:
-        seq = _rank_seq(v, order)
-        code = {rank: chr(i) for i, rank in enumerate(sorted(set(seq)))}
-        k = _least_start("".join([code[rank] for rank in seq]))
+    k = _least_start(v)
     return v[k:] + v[:k] if k else v
 
 
@@ -332,46 +321,32 @@ def first_difference_margin(
     return row.p - prev_p + 1 - row.L
 
 
-def unbounded_exponent_scan(
-    generator,
-    max_root_len: int,
-    exponent: int,
-    window: int,
-    order: Optional[Mapping[str, int]] = None,
-) -> list[str]:
-    """Primitive roots y with |y| <= max_root_len whose exponent-th power
-    occurs in the window; one canonical rotation per class, sorted."""
+def unbounded_exponent_scan(generator, max_root_len: int, exponent: int) -> list[str]:
+    """Primitive factors y with |y| <= max_root_len whose exponent-th power
+    is a factor of the word; the least rotation of each class, sorted by
+    length, then by codepoint.
+
+    For each length l, the roots are the primitive members of
+    `exact_factors(generator, l)`, and y^e is looked up in the spans of
+    `factor_spans(generator, e*l)`.  Every length-e*l substring of a span's
+    first starts+e*l-1 letters is one of its blocks, so y^e occurs there
+    exactly when it is a factor.  Raises WindowExceeded when those spans
+    would pass the letter budget (see `factor_spans`).
+    """
     if exponent < 2:
         raise InvalidParameter("exponent must be at least 2, got %d" % exponent)
     if max_root_len < 0:
         raise InvalidParameter("largest root length must be nonnegative, got %d" % max_root_len)
-    if window < exponent * max_root_len:
-        raise WindowTooSmall(
-            "window %d cannot hold a root of length %d at exponent %d"
-            % (window, max_root_len, exponent)
-        )
-    s = generator.prefix(window).letters
-    found = {}
+    found = set()
     for ell in range(1, max_root_len + 1):
-        for y in sorted({s[i : i + ell] for i in range(len(s) - ell + 1)}):
-            if not is_primitive(y):
-                continue
-            if y * exponent in s:
-                canon = least_rotation(y, order)
-                found.setdefault((ell, _rank_seq(canon, order)), canon)
-    return [found[key] for key in sorted(found)]
-
-
-def per_w_estimate(
-    generator,
-    max_root_len: int,
-    exponent_schedule: Sequence[int],
-    window: int,
-    order: Optional[Mapping[str, int]] = None,
-) -> int:
-    """Count of root classes that survive the top of the exponent schedule."""
-    top = max(exponent_schedule)
-    return len(unbounded_exponent_scan(generator, max_root_len, top, window, order))
+        n = exponent * ell
+        spans = factor_spans(generator, n)
+        for y in exact_factors(generator, ell):
+            if is_primitive(y):
+                power = y * exponent
+                if any(text.find(power, 0, starts + n - 1) != -1 for text, starts in spans):
+                    found.add((ell, least_rotation(y)))
+    return [canon for _, canon in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class EmptyWord(ToolError):
     """Operation undefined on the empty word."""
 
 
-class WindowTooSmall(ToolError):
-    """Window shorter than what the requested scan needs."""
-
-
 class UncertifiedData(ToolError):
     """Strict mode refuses to draw conclusions from factor sets that are
     not labeled certified."""

@@ -46,8 +46,9 @@ LETTER_BUDGET = 1 << 25
 class Morphism:
     """Letter substitution over single-character letters.
 
-    `alphabet` fixes the declared letter order, used wherever a
-    lexicographic comparison is needed.
+    `alphabet` fixes the declared letter order.  Only the logic route's
+    letter comparisons (`W[i]<W[j]`, through a DFAO's `letters`) read it;
+    the factor statistics compare letters by codepoint.
     """
 
     alphabet: tuple[str, ...]

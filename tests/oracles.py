@@ -119,11 +119,10 @@ def naive_cyclic_count(window: str, n: int) -> int:
     return len({frozenset((v + v)[t : t + n] for t in range(n)) for v in facs})
 
 
-def booth_least_rotation(v: str, order=None) -> str:
+def booth_least_rotation(v: str) -> str:
     """Lexicographically least cyclic rotation by Booth's algorithm (Booth
-    1980); `order` maps letters to ranks, omitted it is codepoint order."""
-    seq = v if order is None else tuple(order[c] for c in v)
-    s = seq + seq
+    1980)."""
+    s = v + v
     f = [-1] * len(s)
     k = 0
     for j in range(1, len(s)):

@@ -222,19 +222,50 @@ def test_scan_powers(capsys):
     code, out, _ = run(
         capsys,
         "scan-powers", "--word", "cantor",
-        "--max-root-len", "4", "--exponent", "4", "--window", "8192",
+        "--max-root-len", "4", "--exponent", "4",
     )
     assert code == 0
     assert out.splitlines() == ["0", "# 1 class(es)"]
 
 
+def test_scan_powers_finds_cantors_run_of_30000_zeros(capsys):
+    code, out, _ = run(
+        capsys,
+        "scan-powers", "--word", "cantor", "--max-root-len", "1", "--exponent", "30000",
+    )
+    assert code == 0
+    assert out.splitlines() == ["0", "# 1 class(es)"]
+
+
+# stdout at the defaults (--max-root-len 6 --exponent 4) and at --exponent 2
+_SCAN_STDOUT = {
+    "thue-morse": (
+        "# 0 class(es)\n",
+        "0\n1\n01\n001\n011\n0011\n001011\n001101\n# 8 class(es)\n",
+    ),
+    "vtm": ("# 0 class(es)\n", "# 0 class(es)\n"),
+    "cantor": ("0\n# 1 class(es)\n", "0\n01\n000101\n# 3 class(es)\n"),
+    "fibonacci": ("# 0 class(es)\n", "0\n01\n001\n00101\n# 4 class(es)\n"),
+    "tribonacci": ("# 0 class(es)\n", "0\n01\n001\n0102\n010102\n# 5 class(es)\n"),
+    "twelve": ("# 0 class(es)\n", "# 0 class(es)\n"),
+}
+
+
+@pytest.mark.parametrize("word", sorted(_SCAN_STDOUT))
+def test_scan_powers_stdout_is_pinned(capsys, word):
+    default, squares = _SCAN_STDOUT[word]
+    assert run(capsys, "scan-powers", "--word", word) == (0, default, "")
+    assert run(capsys, "scan-powers", "--word", word, "--exponent", "2") == (0, squares, "")
+
 
 def test_scan_powers_past_the_letter_budget_exits_one(capsys):
     code, out, err = run(
-        capsys, "scan-powers", "--word", "thue-morse", "--window", "4000000000"
+        capsys, "scan-powers", "--word", "thue-morse", "--exponent", "4000000000"
     )
     assert (code, out) == (1, "")
-    assert err.startswith("WindowExceeded: a prefix of 4000000000 letters is past")
+    assert err.startswith(
+        "WindowExceeded: exact factor set of length 4000000000 needs images of more than"
+    )
     assert err.count("\n") == 1 and err.endswith("\n")
 
 def test_golden_summary(capsys):

@@ -18,7 +18,6 @@ from liewords.complexity import (
     first_difference_margin,
     least_rotation,
     lie_complexity,
-    per_w_estimate,
     rows_to_json,
     rows_to_tsv,
     saturated_factor_set,
@@ -59,17 +58,6 @@ def test_least_rotation_is_minimum_of_orbit(v):
     assert least_rotation(v) == min(rotations)
 
 
-def test_least_rotation_custom_order():
-    # rank map reverses the usual order of the two letters
-    order = {"0": 1, "1": 0}
-    assert least_rotation("01", order) == "10"
-
-
-def test_least_rotation_reports_unranked_letter():
-    with pytest.raises(KeyError, match="letter 'b' has no declared rank"):
-        least_rotation("ab", {"a": 0})
-
-
 @st.composite
 def _rotation_words(draw):
     """Words up to length 300 over abc: random, powers u^k, near-powers
@@ -101,21 +89,6 @@ def test_least_rotation_matches_booth_oracle(v):
     got = least_rotation(v)
     assert got == booth_least_rotation(v)
     assert got == min(_orbit(v))
-
-
-# distinct ranks, negative and with gaps allowed
-_ranks = st.lists(
-    st.integers(min_value=-(10**6), max_value=10**6), min_size=3, max_size=3, unique=True
-)
-
-
-@given(_rotation_words(), _ranks)
-def test_least_rotation_custom_order_matches_booth_oracle(v, ranks):
-    order = dict(zip("abc", ranks))
-    key = lambda w: [order[c] for c in w]
-    got = least_rotation(v, order)
-    assert got == booth_least_rotation(v, order)
-    assert key(got) == min(map(key, _orbit(v)))
 
 
 def test_least_rotation_on_long_runs_and_powers():
@@ -349,22 +322,53 @@ def test_margin_refuses_uncertified_data():
 
 
 def test_power_scan_separates_words():
-    assert unbounded_exponent_scan(get_word("cantor"), 4, 4, 8192) == ["0"]
-    assert unbounded_exponent_scan(get_word("fibonacci"), 4, 4, 8192) == []
-    assert unbounded_exponent_scan(get_word("thue-morse"), 4, 4, 8192) == []
+    assert unbounded_exponent_scan(get_word("cantor"), 4, 4) == ["0"]
+    assert unbounded_exponent_scan(get_word("fibonacci"), 4, 4) == []
+    assert unbounded_exponent_scan(get_word("thue-morse"), 4, 4) == []
 
 
 def test_power_scan_finds_squares_in_thue_morse():
-    roots = unbounded_exponent_scan(get_word("thue-morse"), 2, 2, 4096)
+    roots = unbounded_exponent_scan(get_word("thue-morse"), 2, 2)
     assert "0" in roots and "01" in roots
 
 
 def test_per_w_estimate_shrinks_with_schedule():
     cantor = get_word("cantor")
-    loose = per_w_estimate(cantor, 4, (2,), 8192)
-    tight = per_w_estimate(cantor, 4, (2, 3, 4), 8192)
+    loose = len(unbounded_exponent_scan(cantor, 4, 2))
+    tight = len(unbounded_exponent_scan(cantor, 4, 4))
     assert tight <= loose
     assert tight == 1
+
+
+def test_power_scan_finds_cantors_run_of_30000_zeros():
+    # the first run of 30,000 zeros starts at position 59,049: no prefix
+    # shorter than 89,049 letters holds 0^30000
+    assert unbounded_exponent_scan(get_word("cantor"), 1, 30000) == ["0"]
+
+
+def _brute_force_scan(prefix, max_root_len, exponent):
+    """The least rotations, by Booth's algorithm, of the primitive blocks y
+    of the prefix with |y| <= max_root_len and y^exponent a block too."""
+    found = {
+        booth_least_rotation(y)
+        for ell in range(1, max_root_len + 1)
+        for y in blocks(prefix, ell)
+        if (y + y).find(y, 1) == ell and y * exponent in prefix
+    }
+    return sorted(found, key=lambda y: (len(y), y))
+
+
+@pytest.mark.parametrize(
+    "name", ["thue-morse", "vtm", "cantor", "fibonacci", "tribonacci", "twelve"]
+)
+def test_power_scan_matches_brute_force_on_a_provable_prefix(name):
+    gen = get_word(name)
+    rules = gen.morphism.rule_map
+    for exponent in (2, 3, 4):
+        # every factor of length <= 4 * exponent is a block of this prefix
+        prefix = gen.prefix(provable_prefix_length(rules, gen.seed, 4 * exponent)).letters
+        expected = _brute_force_scan(prefix, 4, exponent)
+        assert unbounded_exponent_scan(gen, 4, exponent) == expected, exponent
 
 
 def test_tsv_shape_and_determinism():
@@ -397,7 +401,8 @@ def test_bundled_exact_sets_equal_blocks_of_a_provable_prefix(name):
 @pytest.mark.parametrize("module", ["complexity", "words"])
 def test_direct_route_imports_nothing_from_the_rank_route(module):
     path = liewords.__path__[0] + "/%s.py" % module
-    tree = ast.parse(open(path).read())
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
