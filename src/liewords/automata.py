@@ -448,19 +448,16 @@ def leq_predicate(x: str, y: str, base: int) -> MultiTrackDfa:
 
 
 def const_predicate(x: str, value: int, base: int) -> MultiTrackDfa:
-    """Track x equals the given constant."""
-    if value < 0:
-        raise ValueError("constants are naturals")
-    dead = value + 1
-    rows = []
-    for v in range(value + 1):
-        row = []
-        for d in range(base):
-            nxt = v * base + d
-            row.append(nxt if nxt <= value else dead)
-        rows.append(row)
-    rows.append([dead] * base)
-    return minimize(MultiTrackDfa(base, (x,), rows, frozenset({value}), 0))
+    """Track x equals the given constant: leading zeros, then the digits
+    of the value.  State k has read its first k digits, state 0 also
+    takes the leading zeros, and the last state is dead."""
+    digits = digits_msd(value, base)
+    dead = len(digits) + 1
+    rows = [[dead] * base for _ in range(dead + 1)]
+    rows[0][0] = 0
+    for k, d in enumerate(digits):
+        rows[k][d] = k + 1
+    return minimize(MultiTrackDfa(base, (x,), rows, frozenset({len(digits)}), 0))
 
 
 def add_predicate(x: str, y: str, z: str, base: int) -> MultiTrackDfa:

@@ -5,8 +5,9 @@ provers: quantifiers are written `Ax,y ...` and `Et ...` and scope to
 the end of the enclosing formula, `=>` binds loosest and associates to
 the right, then `|`, `&`, `~`.  Terms are built from variables, natural
 constants, `+` and `-`.  `W[t]` reads the letter of sequence W at
-position t, `@c` is the letter constant c, and `name(args)` inlines a
-named predicate at parse time.
+position t, `@c` is the letter constant c, and `name(args)` calls a
+named predicate.  A call stays a `Call` node: the compiler compiles the
+predicate's body once and substitutes the arguments into that automaton.
 """
 
 from __future__ import annotations
@@ -126,16 +127,24 @@ class Forall:
     body: "Formula"
 
 
-Formula = Union[
-    Eq, Lt, Leq, SeqIs, SeqEq, SeqLetterLt, Not, And, Or, Implies, Exists, Forall
-]
-
-
 @dataclass(frozen=True)
 class PredicateDef:
     name: str
     params: tuple[str, ...]
-    body: Formula
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class Call:
+    """A named predicate applied to argument terms, one per parameter."""
+
+    defn: PredicateDef
+    args: tuple[Term, ...]
+
+
+Formula = Union[
+    Eq, Lt, Leq, SeqIs, SeqEq, SeqLetterLt, Not, And, Or, Implies, Exists, Forall, Call
+]
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +172,8 @@ def free_vars(f: Formula) -> frozenset[str]:
         return free_vars(f.left) | free_vars(f.right)
     if isinstance(f, (Exists, Forall)):
         return free_vars(f.body) - frozenset(f.names)
-    raise TypeError("not a formula: %r" % (f,))
-
-
-def all_names(f: Formula) -> frozenset[str]:
-    """Every variable name occurring, bound or free."""
-    if isinstance(f, (Eq, Lt, Leq)):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, SeqIs):
-        return term_vars(f.pos)
-    if isinstance(f, (SeqEq, SeqLetterLt)):
-        return term_vars(f.left_pos) | term_vars(f.right_pos)
-    if isinstance(f, Not):
-        return all_names(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return all_names(f.left) | all_names(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return all_names(f.body) | frozenset(f.names)
+    if isinstance(f, Call):
+        return frozenset().union(*map(term_vars, f.args))
     raise TypeError("not a formula: %r" % (f,))
 
 
@@ -196,107 +190,9 @@ def sequence_names(f: Formula) -> frozenset[str]:
         return sequence_names(f.left) | sequence_names(f.right)
     if isinstance(f, (Exists, Forall)):
         return sequence_names(f.body)
+    if isinstance(f, Call):
+        return sequence_names(f.defn.body)
     raise TypeError("not a formula: %r" % (f,))
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
-def _fresh(base: str, used: set[str]) -> str:
-    if base not in used:
-        return base
-    k = 1
-    while "%s%d" % (base, k) in used:
-        k += 1
-    return "%s%d" % (base, k)
-
-
-def subst_term(t: Term, env: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if isinstance(t, Const):
-        return t
-    cls = type(t)
-    return cls(subst_term(t.left, env), subst_term(t.right, env))
-
-
-def substitute(f: Formula, env: Mapping[str, Term]) -> Formula:
-    """Replace free variables by terms, renaming bound variables that
-    would capture variables of the substituted terms."""
-    env = {k: v for k, v in env.items() if v != Var(k)}
-    if not env:
-        return f
-    if isinstance(f, (Eq, Lt, Leq)):
-        return type(f)(subst_term(f.left, env), subst_term(f.right, env))
-    if isinstance(f, SeqIs):
-        return SeqIs(f.seq, subst_term(f.pos, env), f.letter)
-    if isinstance(f, (SeqEq, SeqLetterLt)):
-        return type(f)(
-            f.left_seq,
-            subst_term(f.left_pos, env),
-            f.right_seq,
-            subst_term(f.right_pos, env),
-        )
-    if isinstance(f, Not):
-        return Not(substitute(f.body, env))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(substitute(f.left, env), substitute(f.right, env))
-    if isinstance(f, (Exists, Forall)):
-        inner = {k: v for k, v in env.items() if k not in f.names}
-        incoming = set()
-        for v in inner.values():
-            incoming |= term_vars(v)
-        rename: dict[str, Term] = {}
-        used = set(incoming) | all_names(f.body) | set(f.names)
-        new_names = []
-        for name in f.names:
-            if name in incoming:
-                nn = _fresh(name, used)
-                used.add(nn)
-                rename[name] = Var(nn)
-                new_names.append(nn)
-            else:
-                new_names.append(name)
-        body = substitute(f.body, rename) if rename else f.body
-        return type(f)(tuple(new_names), substitute(body, inner) if inner else body)
-    raise TypeError("not a formula: %r" % (f,))
-
-
-def _has_minus(t: Term) -> bool:
-    if isinstance(t, (Var, Const)):
-        return False
-    return isinstance(t, Minus) or _has_minus(t.left) or _has_minus(t.right)
-
-
-def inline_call(d: PredicateDef, args: tuple[Term, ...]) -> Formula:
-    """Substitute arguments into the definition body.
-
-    Arguments with truncated subtraction are bound at the call site:
-    the call is false when the subtraction has no value in the
-    naturals, even if the argument would otherwise land under a
-    quantifier of the body that renders its atom vacuous."""
-    if len(args) != len(d.params):
-        raise FormulaSyntaxError(
-            "%s expects %d arguments, got %d" % (d.name, len(d.params), len(args)), 0, 0
-        )
-    used = set(all_names(d.body)) | set(d.params)
-    for a in args:
-        used |= term_vars(a)
-    env: dict[str, Term] = {}
-    hoisted: list[tuple[str, Term]] = []
-    for p, a in zip(d.params, args):
-        if _has_minus(a):
-            m = _fresh(p, used)
-            used.add(m)
-            hoisted.append((m, a))
-            env[p] = Var(m)
-        else:
-            env[p] = a
-    body = substitute(d.body, env)
-    for m, a in reversed(hoisted):
-        body = Exists((m,), And(Eq(Var(m), a), body))
-    return body
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +210,8 @@ def term_to_text(t: Term, level: int = 0) -> str:
 
 
 def to_text(f: Formula, level: int = 0) -> str:
-    """Render with minimal parentheses; parse(to_text(f)) returns f."""
+    """Render with minimal parentheses; parse(to_text(f), defs) returns f
+    when defs holds the predicates that f calls."""
 
     def wrap(s: str, own: int) -> str:
         return "(" + s + ")" if own < level else s
@@ -352,6 +249,8 @@ def to_text(f: Formula, level: int = 0) -> str:
     if isinstance(f, (Exists, Forall)):
         q = "E" if isinstance(f, Exists) else "A"
         return wrap("%s%s %s" % (q, ",".join(f.names), to_text(f.body, 1)), 1)
+    if isinstance(f, Call):
+        return "%s(%s)" % (f.defn.name, ",".join(map(term_to_text, f.args)))
     raise TypeError("not a formula: %r" % (f,))
 
 
@@ -566,7 +465,7 @@ class _Parser:
                 name_tok.line,
                 name_tok.col,
             )
-        return inline_call(d, tuple(args))
+        return Call(d, tuple(args))
 
     def seq_ref(self) -> tuple[str, Term]:
         name = self.expect("ident").text

@@ -27,7 +27,10 @@ class RowBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def insert(self, vec):
+    def _reduce(self, vec):
+        """vec less its eliminations by the echelon rows, and the
+        coordinates of what they took over the kept originals (None
+        without coordinate tracking)."""
         res = [Fraction(x) for x in vec]
         if len(res) != self.width:
             raise ValueError("vector width %d != %d" % (len(res), self.width))
@@ -44,6 +47,10 @@ class RowBasis:
                     for i in range(len(rc)):
                         if rc[i]:
                             combo[i] += c * rc[i]
+        return res, combo
+
+    def insert(self, vec):
+        res, combo = self._reduce(vec)
         pivot = next((i for i, x in enumerate(res) if x), None)
         if pivot is None:
             if self.track:
@@ -66,19 +73,7 @@ class RowBasis:
         the span.  Does not modify the basis."""
         if not self.track:
             raise ValueError("basis built without coordinate tracking")
-        res = [Fraction(x) for x in vec]
-        combo = [Fraction(0)] * self.n_kept
-        for r, p in enumerate(self.pivots):
-            c = res[p]
-            if c:
-                row = self.rows[r]
-                for i in range(self.width):
-                    if row[i]:
-                        res[i] -= c * row[i]
-                rc = self.combos[r]
-                for i in range(len(rc)):
-                    if rc[i]:
-                        combo[i] += c * rc[i]
+        res, combo = self._reduce(vec)
         if any(res):
             return None
         return combo

@@ -10,11 +10,11 @@ mention it are conjoined (`_discharge`), so an intermediate reads only
 the tracks of the parts that mention one temporary.  Natural subtraction
 is strict, so an atom mentioning a-b is false whenever b exceeds a.
 
-`build_predicate_library` assembles the conjugacy and counting
-predicates for one sequence.  Only the factor-equality predicate is
-compiled from its formula; the rest reuse it through
-`apply_predicate`, which substitutes terms into an already compiled
-automaton by renaming tracks and adding constraints.
+A predicate call is compiled by `apply_predicate`: the callee's body is
+compiled once per compiler, and each call substitutes its argument
+terms into that automaton by renaming tracks and adding constraints.
+`build_predicate_library` compiles the conjugacy and counting predicates
+of `PREDICATE_TEXTS` this way for one sequence.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from .words import Dfao
 
 
 class _Temps:
-    """Fresh track names for flattened subterms; user variables never
-    start with an underscore once lexed, so no collisions."""
+    """Fresh track names for flattened subterms.  Each starts with `#`,
+    which the lexer reads as a comment, so no formula variable can take
+    one."""
 
     def __init__(self):
         self.count = 0
@@ -47,7 +48,7 @@ class _Temps:
 
     def fresh(self) -> str:
         self.count += 1
-        name = "_t%d" % self.count
+        name = "#%d" % self.count
         self.names.append(name)
         return name
 
@@ -101,6 +102,7 @@ class _Compiler:
     def __init__(self, sequences: Mapping[str, Dfao], base: int):
         self.seqs = sequences
         self.base = base
+        self.predicates: dict[str, au.MultiTrackDfa] = {}
 
     def compile(self, f: fo.Formula) -> au.MultiTrackDfa:
         if isinstance(f, (fo.Eq, fo.Lt, fo.Leq)):
@@ -132,7 +134,15 @@ class _Compiler:
             for name in f.names:
                 out = au.forall(out, name)
             return out
+        if isinstance(f, fo.Call):
+            return apply_predicate(self.predicate(f.defn), dict(zip(f.defn.params, f.args)))
         raise TypeError("not a formula: %r" % (f,))
+
+    def predicate(self, d: fo.PredicateDef) -> au.MultiTrackDfa:
+        """The body of d, compiled on the first call of d by name."""
+        if d.name not in self.predicates:
+            self.predicates[d.name] = self.compile(d.body)
+        return self.predicates[d.name]
 
     def dfao(self, name: str) -> Dfao:
         try:
@@ -280,7 +290,11 @@ def apply_predicate(auto: au.MultiTrackDfa, args: Mapping[str, fo.Term]) -> au.M
 
 
 PREDICATE_TEXTS: tuple[tuple[str, tuple[str, ...], str], ...] = (
-    ("factoreq", ("i", "j", "n"), "Au,v (i+v=j+u & u>=i & u<i+n) => W[u]=W[v]"),
+    # the same language as the published factoreq text,
+    # `Au,v (i+v=j+u & u>=i & u<i+n) => W[u]=W[v]`, but with one bound
+    # variable instead of two coupled ones: the offset form keeps the
+    # projection deterministic and scales to larger bases
+    ("factoreq", ("i", "j", "n"), "Au (u<n) => W[i+u]=W[j+u]"),
     ("shift", ("i", "j", "n", "t"), "factoreq(j, i+t, n-t) & factoreq(i, (j+n)-t, t)"),
     ("conj", ("i", "j", "n"), "Et (t<=n) & shift(i,j,n,t)"),
     ("lessthan", ("i", "j", "n"), "Et (t<n) & factoreq(i,j,t) & W[i+t]<W[j+t]"),
@@ -292,7 +306,8 @@ PREDICATE_TEXTS: tuple[tuple[str, tuple[str, ...], str], ...] = (
 
 
 def predicate_defs() -> dict[str, fo.PredicateDef]:
-    """The bundled predicates as fully inlined parse-time definitions."""
+    """The bundled predicates, parsed in order; a body calls only the
+    predicates before it."""
     defs: dict[str, fo.PredicateDef] = {}
     for name, params, text in PREDICATE_TEXTS:
         d = fo.parse_predicate_def(name, params, text, defs)
@@ -310,61 +325,14 @@ def parse_with_library(text: str) -> fo.Formula:
 
 
 def build_predicate_library(d: Dfao) -> dict[str, au.MultiTrackDfa]:
-    """Compile the eight bundled predicates against one sequence.
-
-    factoreq comes from its formula; everything else is assembled with
-    automaton operations, mirroring the formula texts in
-    PREDICATE_TEXTS operation by operation."""
+    """Compile the eight bundled predicates of PREDICATE_TEXTS against one
+    sequence, bound as W.  Each is compiled once, and a call to it
+    applies its automaton (`apply_predicate`)."""
     return dict(_library_cached(d))
 
 
 @lru_cache(maxsize=8)
 def _library_cached(d: Dfao) -> tuple[tuple[str, au.MultiTrackDfa], ...]:
-    base = d.base
-    V, P, M = fo.Var, fo.Plus, fo.Minus
-    lib: dict[str, au.MultiTrackDfa] = {}
-    # same language as the published factoreq text, but with one bound
-    # variable instead of two coupled ones: the offset form keeps the
-    # projection deterministic and scales to larger bases
-    offset_form = fo.parse("Au (u<n) => W[i+u]=W[j+u]")
-    lib["factoreq"] = compile_formula(offset_form, {"W": d})
-
-    lib["shift"] = au.conjoin(
-        [
-            apply_predicate(
-                lib["factoreq"],
-                {"i": V("j"), "j": P(V("i"), V("t")), "n": M(V("n"), V("t"))},
-            ),
-            apply_predicate(lib["factoreq"], {"j": M(P(V("j"), V("n")), V("t")), "n": V("t")}),
-        ]
-    )
-    lib["conj"] = au.project(au.combine(au.leq_predicate("t", "n", base), lib["shift"], "and"), "t")
-    letter_lt = compile_formula(fo.parse("W[i+t]<W[j+t]"), {"W": d})
-    lib["lessthan"] = au.project(
-        au.conjoin(
-            [
-                au.lt_predicate("t", "n", base),
-                apply_predicate(lib["factoreq"], {"n": V("t")}),
-                letter_lt,
-            ]
-        ),
-        "t",
-    )
-    lib["lessthaneq"] = au.combine(lib["lessthan"], lib["factoreq"], "or")
-    lib["allconj"] = au.forall(
-        au.combine(
-            au.complement(au.leq_predicate("t", "n", base)),
-            au.project(lib["shift"], "j"),
-            "or",
-        ),
-        "t",
-    )
-    lib["lexleast"] = au.forall(
-        au.combine(au.complement(lib["conj"]), lib["lessthaneq"], "or"), "j"
-    )
-    tail = au.forall(
-        au.combine(au.complement(lib["factoreq"]), au.leq_predicate("i", "j", base), "or"),
-        "j",
-    )
-    lib["lie"] = au.conjoin([lib["allconj"], lib["lexleast"], tail])
+    compiler = _Compiler({"W": d}, d.base)
+    lib = {name: compiler.predicate(defn) for name, defn in predicate_defs().items()}
     return tuple(sorted(lib.items()))

@@ -38,7 +38,8 @@ from .errors import (
 )
 
 # letters a factor set may hold: in the images of the growing path, in the
-# members of the closure, and in the prefixes of `saturation_window`
+# members of the closure, in the blocks of `exact_factors`, and in the
+# prefixes of `saturation_window`
 LETTER_BUDGET = 1 << 25
 
 
@@ -488,19 +489,28 @@ def factor_spans(generator, n: int) -> list[tuple[str, int]]:
 
 def exact_factors(generator, n: int) -> frozenset[str]:
     """Length-n factors of the word, computed exactly: the blocks of
-    `factor_spans`."""
-    return _span_blocks(factor_spans(generator, n), n)
+    `factor_spans`.  Raises WindowExceeded, before building the set, when
+    the blocks could hold more than LETTER_BUDGET letters."""
+    spans = factor_spans(generator, n)
+    blocks = sum(starts for _, starts in spans)
+    if n * blocks > LETTER_BUDGET:
+        raise WindowExceeded(
+            "exact factor set of length %d reads %d blocks, past the letter "
+            "budget of %d letters" % (n, blocks, LETTER_BUDGET)
+        )
+    return _span_blocks(spans, n)
 
 
 def saturation_window(generator, n: int) -> tuple[int, bool]:
     """The least power of two w >= max(n, 1) whose prefix has exactly
     `exact_factors(generator, n)` as its length-n blocks, plus the
     certification flag.  Sizes a prefix for brute-force checks; no route
-    reads it.
+    reads it.  The blocks are not held to `exact_factors`' budget: the
+    brute-force checks go past it (thue-morse at n = 4,096).
 
     Raises WindowExceeded when w would pass LETTER_BUDGET letters.
     """
-    members = exact_factors(generator, n)
+    members = _span_blocks(factor_spans(generator, n), n)
     w = 1
     while w < n:
         w *= 2

@@ -12,10 +12,12 @@ minimal automata from Moore refinement on exact signature tuples, and
 reduced representations from a second pass that reads every coordinate
 off the finished basis.
 Products and subset constructions run one pair or one subset at a
-time, where the package expands a frontier a chunk at a time, and
+time, where the package expands a frontier a chunk at a time;
 predicates take their arguments with every constraint conjoined
-before any temporary is projected.  Agreement between these and the package is an algorithm-level check, not
-a restatement.
+before any temporary is projected; and predicate calls are inlined into
+the formula, where the package applies each compiled predicate.
+Agreement between these and the package is an algorithm-level check,
+not a restatement.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from liewords import counting
 from liewords import formulas as fo
 from liewords import logic
 from liewords.automata import MultiTrackDfa, digits_of, sym_of
+from liewords.errors import FormulaSyntaxError
 from liewords.linalg import RowBasis
 
 
@@ -567,3 +570,138 @@ def two_pass_minimize_representation(r):
     """Forward then backward `two_pass_forward_reduce`."""
     t = counting._transpose
     return t(two_pass_forward_reduce(t(two_pass_forward_reduce(r))))
+
+
+# ---------------------------------------------------------------------------
+# predicate calls inlined into the formula
+
+
+def all_names(f):
+    """Every variable name occurring, bound or free."""
+    if isinstance(f, (fo.Eq, fo.Lt, fo.Leq)):
+        return fo.term_vars(f.left) | fo.term_vars(f.right)
+    if isinstance(f, fo.SeqIs):
+        return fo.term_vars(f.pos)
+    if isinstance(f, (fo.SeqEq, fo.SeqLetterLt)):
+        return fo.term_vars(f.left_pos) | fo.term_vars(f.right_pos)
+    if isinstance(f, fo.Not):
+        return all_names(f.body)
+    if isinstance(f, (fo.And, fo.Or, fo.Implies)):
+        return all_names(f.left) | all_names(f.right)
+    if isinstance(f, (fo.Exists, fo.Forall)):
+        return all_names(f.body) | frozenset(f.names)
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def _fresh(base, used):
+    if base not in used:
+        return base
+    k = 1
+    while "%s%d" % (base, k) in used:
+        k += 1
+    return "%s%d" % (base, k)
+
+
+def subst_term(t, env):
+    if isinstance(t, fo.Var):
+        return env.get(t.name, t)
+    if isinstance(t, fo.Const):
+        return t
+    cls = type(t)
+    return cls(subst_term(t.left, env), subst_term(t.right, env))
+
+
+def substitute(f, env):
+    """Replace free variables by terms, renaming bound variables that
+    would capture variables of the substituted terms."""
+    env = {k: v for k, v in env.items() if v != fo.Var(k)}
+    if not env:
+        return f
+    if isinstance(f, (fo.Eq, fo.Lt, fo.Leq)):
+        return type(f)(subst_term(f.left, env), subst_term(f.right, env))
+    if isinstance(f, fo.SeqIs):
+        return fo.SeqIs(f.seq, subst_term(f.pos, env), f.letter)
+    if isinstance(f, (fo.SeqEq, fo.SeqLetterLt)):
+        return type(f)(
+            f.left_seq,
+            subst_term(f.left_pos, env),
+            f.right_seq,
+            subst_term(f.right_pos, env),
+        )
+    if isinstance(f, fo.Not):
+        return fo.Not(substitute(f.body, env))
+    if isinstance(f, (fo.And, fo.Or, fo.Implies)):
+        return type(f)(substitute(f.left, env), substitute(f.right, env))
+    if isinstance(f, (fo.Exists, fo.Forall)):
+        inner = {k: v for k, v in env.items() if k not in f.names}
+        incoming = set()
+        for v in inner.values():
+            incoming |= fo.term_vars(v)
+        rename = {}
+        used = set(incoming) | all_names(f.body) | set(f.names)
+        new_names = []
+        for name in f.names:
+            if name in incoming:
+                nn = _fresh(name, used)
+                used.add(nn)
+                rename[name] = fo.Var(nn)
+                new_names.append(nn)
+            else:
+                new_names.append(name)
+        body = substitute(f.body, rename) if rename else f.body
+        return type(f)(tuple(new_names), substitute(body, inner) if inner else body)
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def _has_minus(t):
+    if isinstance(t, (fo.Var, fo.Const)):
+        return False
+    return isinstance(t, fo.Minus) or _has_minus(t.left) or _has_minus(t.right)
+
+
+def inline_call(d, args):
+    """Substitute arguments into the definition body, which holds no
+    calls.
+
+    Arguments with truncated subtraction are bound at the call site:
+    the call is false when the subtraction has no value in the
+    naturals, even if the argument would otherwise land under a
+    quantifier of the body that renders its atom vacuous."""
+    if len(args) != len(d.params):
+        raise FormulaSyntaxError(
+            "%s expects %d arguments, got %d" % (d.name, len(d.params), len(args)), 0, 0
+        )
+    used = set(all_names(d.body)) | set(d.params)
+    for a in args:
+        used |= fo.term_vars(a)
+    env = {}
+    hoisted = []
+    for p, a in zip(d.params, args):
+        if _has_minus(a):
+            m = _fresh(p, used)
+            used.add(m)
+            hoisted.append((m, a))
+            env[p] = fo.Var(m)
+        else:
+            env[p] = a
+    body = substitute(d.body, env)
+    for m, a in reversed(hoisted):
+        body = fo.Exists((m,), fo.And(fo.Eq(fo.Var(m), a), body))
+    return body
+
+
+def inline_calls(f):
+    """f with every `formulas.Call` replaced by the callee's body, its
+    calls inlined first, with the arguments substituted by `inline_call`:
+    one formula to compile, where the package compiles each predicate
+    once and applies its automaton to the arguments."""
+    if isinstance(f, fo.Call):
+        d = f.defn
+        return inline_call(fo.PredicateDef(d.name, d.params, inline_calls(d.body)), f.args)
+    if isinstance(f, fo.Not):
+        return fo.Not(inline_calls(f.body))
+    if isinstance(f, (fo.And, fo.Or, fo.Implies)):
+        return type(f)(inline_calls(f.left), inline_calls(f.right))
+    if isinstance(f, (fo.Exists, fo.Forall)):
+        return type(f)(f.names, inline_calls(f.body))
+    return f

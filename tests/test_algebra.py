@@ -45,6 +45,17 @@ def test_row_basis_does_not_lose_precision():
     assert b.rank == 2
 
 
+def test_row_basis_checks_the_width():
+    b = RowBasis(3, track_coords=True)
+    b.insert((1, 0, 0))
+    for vec in ((1, 1), (1, 1, 0, 0)):
+        with pytest.raises(ValueError, match="vector width"):
+            b.insert(vec)
+        with pytest.raises(ValueError, match="vector width"):
+            b.coords(vec)
+    assert b.coords((2, 0, 0)) == [2]
+
+
 def test_commutator_span_on_fibonacci():
     fs_by_len = factor_sets_up_to(get_word("fibonacci"), 2)
     span = commutator_span(fs_by_len, 2)

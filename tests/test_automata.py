@@ -43,6 +43,14 @@ def test_const_predicate(v, base):
     assert au.accepts(a, {"x": v}) == (v == 17)
 
 
+def test_const_predicate_reads_the_digits():
+    # 10**30 has 100 binary digits: a leading-zero state, one state per
+    # digit read and a dead state
+    a = au.const_predicate("x", 10**30, 2)
+    assert a.n_states == 102
+    assert [au.accepts(a, {"x": 10**30 + d}) for d in (-1, 0, 1)] == [False, True, False]
+
+
 def test_seq_letter_predicate_matches_word():
     tm = get_word("thue-morse")
     a = au.seq_letter_predicate(tm.dfao, "i", "1")

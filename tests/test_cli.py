@@ -3,6 +3,7 @@ import json
 import pytest
 
 from liewords import automata as au
+from liewords import words
 from liewords.cli import main
 from liewords.words import parse_dfao
 
@@ -182,6 +183,21 @@ def test_logic_compile_with_sequence(capsys):
     assert "tracks: i" in out
 
 
+def test_logic_compile_of_a_call_emits_the_library_predicate(tmp_path, capsys, tm_library):
+    target = tmp_path / "lie.mtdfa"
+    code, _, _ = run(
+        capsys, "logic", "compile", "--seq", "thue-morse", "--formula", "lie(i,n)",
+        "--emit", str(target),
+    )
+    assert code == 0
+    assert target.read_text() == au.to_text(tm_library["lie"])
+
+
+def test_logic_compile_of_a_large_constant(capsys):
+    code, out, _ = run(capsys, "logic", "compile", "--formula", "x=1000000", "--base", "2")
+    assert (code, out) == (0, "tracks: x\nstates: 22\n")
+
+
 def test_pipeline_emits_dfao(tmp_path, capsys):
     target = tmp_path / "lie.dfao"
     code, out, _ = run(
@@ -267,6 +283,21 @@ def test_scan_powers_past_the_letter_budget_exits_one(capsys):
         "WindowExceeded: exact factor set of length 4000000000 needs images of more than"
     )
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_scan_powers_past_the_letter_budget_of_a_factor_set_exits_one(monkeypatch, capsys):
+    # the images of length 12 hold 62 letters, the 26 blocks of length 6
+    # hold 156
+    monkeypatch.setattr(words, "LETTER_BUDGET", 100)
+    code, out, err = run(
+        capsys, "scan-powers", "--word", "thue-morse", "--max-root-len", "6", "--exponent", "2"
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "WindowExceeded: exact factor set of length 6 reads 26 blocks, "
+        "past the letter budget of 100 letters\n"
+    )
+
 
 def test_golden_summary(capsys):
     code, out, _ = run(capsys, "golden")

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from liewords import formulas as fo
 from liewords.errors import FormulaSyntaxError
+from oracles import inline_call, inline_calls, substitute
 
 
 def test_parse_basic_shapes():
@@ -96,7 +97,7 @@ def test_text_round_trip(f):
 
 def test_substitute_avoids_capture():
     f = fo.Exists(("x",), fo.Lt(fo.Var("x"), fo.Var("y")))
-    g = fo.substitute(f, {"y": fo.Var("x")})
+    g = substitute(f, {"y": fo.Var("x")})
     assert isinstance(g, fo.Exists)
     bound = g.names[0]
     assert bound != "x"
@@ -105,13 +106,13 @@ def test_substitute_avoids_capture():
 
 def test_substitute_leaves_unrelated_binders():
     f = fo.Exists(("i",), fo.Eq(fo.Var("i"), fo.Var("n")))
-    g = fo.substitute(f, {"n": fo.Plus(fo.Var("m"), fo.Const(1))})
+    g = substitute(f, {"n": fo.Plus(fo.Var("m"), fo.Const(1))})
     assert g == fo.Exists(("i",), fo.Eq(fo.Var("i"), fo.Plus(fo.Var("m"), fo.Const(1))))
 
 
 def test_inline_call_substitutes_plain_arguments():
     d = fo.PredicateDef("p", ("a",), fo.Eq(fo.Var("a"), fo.Const(3)))
-    got = fo.inline_call(d, (fo.Plus(fo.Var("x"), fo.Const(1)),))
+    got = inline_call(d, (fo.Plus(fo.Var("x"), fo.Const(1)),))
     assert got == fo.Eq(fo.Plus(fo.Var("x"), fo.Const(1)), fo.Const(3))
 
 
@@ -124,7 +125,7 @@ def test_inline_call_binds_truncated_subtraction_at_the_call():
             fo.Lt(fo.Var("u"), fo.Var("a")), fo.Eq(fo.Var("u"), fo.Var("u"))
         ))
     )
-    got = fo.inline_call(d, (fo.Minus(fo.Var("n"), fo.Var("t")),))
+    got = inline_call(d, (fo.Minus(fo.Var("n"), fo.Var("t")),))
     assert isinstance(got, fo.Exists)
     bound = got.names[0]
     assert isinstance(got.body, fo.And)
@@ -134,13 +135,25 @@ def test_inline_call_binds_truncated_subtraction_at_the_call():
 def test_inline_call_checks_arity():
     d = fo.PredicateDef("p", ("a", "b"), fo.Eq(fo.Var("a"), fo.Var("b")))
     with pytest.raises(FormulaSyntaxError):
-        fo.inline_call(d, (fo.Var("x"),))
+        inline_call(d, (fo.Var("x"),))
 
 
 def test_parse_with_defs_hoists_minus_arguments():
     d = fo.parse_predicate_def(
         "p", ("a",), "Eu u+u=a", {}
     )
-    f = fo.parse("p(n-t)", {"p": d})
+    call = fo.parse("p(n-t)", {"p": d})
+    assert call == fo.Call(d, (fo.Minus(fo.Var("n"), fo.Var("t")),))
+    f = inline_calls(call)
     assert isinstance(f, fo.Exists)
     assert isinstance(f.body, fo.And)
+
+
+def test_call_reads_sequences_from_the_callee_and_checks_arity():
+    d = fo.parse_predicate_def("p", ("a", "b"), "W[a]=V[b+1]")
+    call = fo.parse("p(x, y-1) & U[x]=@1", {"p": d})
+    assert fo.sequence_names(call) == {"U", "V", "W"}
+    assert fo.free_vars(call) == {"x", "y"}
+    assert fo.parse(fo.to_text(call), {"p": d}) == call
+    with pytest.raises(FormulaSyntaxError, match="p expects 2 arguments, got 1"):
+        fo.parse("p(x)", {"p": d})

@@ -13,7 +13,7 @@ from liewords.logic import (
     compile_formula,
     parse_with_library,
 )
-from oracles import conjoin_then_project
+from oracles import conjoin_then_project, inline_calls
 
 
 def test_compile_arithmetic_formula():
@@ -64,9 +64,40 @@ def test_sequence_atoms_follow_the_word():
             assert au.accepts(a, {"i": i, "j": j}) == (prefix[i] == prefix[j])
 
 
+def test_temporaries_do_not_capture_formula_variables():
+    for text in ("Ey y=x+1 & x=3", "E_t1 _t1=x+1 & x=3"):
+        a = compile_formula(fo.parse(text), base=2)
+        assert au.accepted_values(a, {}, "x", 20) == [3], text
+    a = compile_formula(fo.parse("_t1=x+1"), base=2)
+    assert au.accepted_values(a, {"x": 3}, "_t1", 20) == [4]
+
+
+def test_calls_apply_the_compiled_predicate():
+    """A call with repeated, swapped and constant arguments gives the
+    automaton of its inlined body."""
+    tm = get_word("thue-morse").dfao
+    calls = ("factoreq(i, i, n)", "factoreq(j, i, n+1)", "lessthan(i, 3, 2) & shift(i, j, i, 1)")
+    for text in calls:
+        f = parse_with_library(text)
+        got = compile_formula(f, {"W": tm})
+        assert au.to_text(got) == au.to_text(compile_formula(inline_calls(f), {"W": tm})), text
+
+
+# the factor-equality predicate as published; PREDICATE_TEXTS holds its
+# offset form
+PUBLISHED_FACTOREQ = "Au,v (i+v=j+u & u>=i & u<i+n) => W[u]=W[v]"
+
+
+@pytest.mark.parametrize("word", ["thue-morse", "vtm", "cantor"])
+def test_published_factoreq_is_the_library_factoreq(request, word):
+    lib = request.getfixturevalue(_LIBRARY_FIXTURES[word])
+    published = compile_formula(fo.parse(PUBLISHED_FACTOREQ), {"W": get_word(word).dfao})
+    assert au.equivalent(published, lib["factoreq"])
+
+
 def _route_pair(name, library, dfao):
     text = dict((n, t) for n, params, t in PREDICATE_TEXTS)[name]
-    f = parse_with_library(text)
+    f = inline_calls(parse_with_library(text))
     return compile_formula(f, {"W": dfao}), library[name]
 
 
