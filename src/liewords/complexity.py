@@ -11,12 +11,16 @@ factor set F of length n, the quantities of interest are:
 * abelian count a(n): distinct letter-count vectors over F
 * full-class count L(n): rotation classes entirely inside F
 
-One pass over each span keys every block by its Parikh code.  Letter k
-weighs (n+1)**k, P holds the prefix sums of the weights along the span,
-and the block at i has code P[i+n] - P[i].  No letter count exceeds n, so
-the code is the letter-count vector read as a base-(n+1) numeral, and
-equal codes mean equal vectors.  p(n) is the number of blocks and a(n)
-the number of codes.
+`complexity_table` reads spans once per run of consecutive lengths
+lo..hi, at its top hi, and keys every block by its Parikh code: letter k
+weighs (hi+1)**k, and the block at i has code P[i+hi] - P[i] on the prefix
+sums P of the weights along the span.  It then walks down: every factor
+of a right-infinite word extends to the right, so the length-(n-1)
+factors are the v[:-1] of the length-n ones, and the code of v[:-1] is
+that of v less the weight of v[-1].  No letter count exceeds hi, so each
+code is the letter-count vector read as a base-(hi+1) numeral, and equal
+codes mean equal vectors.  p(n) is the number of factors and a(n) the
+number of codes.
 
 Rotation keeps the letter counts, so a rotation class never spans two
 codes.  A factor alone in its code bucket is alone in its class: it adds
@@ -32,10 +36,13 @@ paths; the factors left lie on cycles, and a class of period d (the
 first return of a member in its own square) is a cycle of d of them, so
 L(n) is the letter powers plus the sum of (cycle members of period d)
 // d.  c(n) adds to the lone factors and the cycles one class per arc
-head alone among the heads of its bucket, and the distinct least
-rotations of the other heads.  The least rotation compares only the
-rotations that start with the longest run of the least letter, using
-C-level string search and slice comparison.  `lie_complexity`,
+head alone among the heads of its bucket or under its rotation invariant,
+and the distinct least rotations of the other heads.  The invariant reads
+a word as a numeral K with one base-R digit per letter; rotating by one
+letter maps K to K*R - d*(R**n - 1), d the first digit, so K**n modulo
+R**n - 1 is the same for every rotation.  The least rotation compares
+only the rotations that start with the longest run of the least letter,
+using C-level string search and slice comparison.  `lie_complexity`,
 `cyclic_complexity` and `abelian_complexity` count a FactorSet the same
 way, each member a span of one block.
 
@@ -54,7 +61,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
@@ -67,6 +74,7 @@ from .errors import (
 # perfbench/tracing.py looks saturation_window up in this module
 from .words import (  # noqa: F401
     Prefix,
+    _check_block_budget,
     _check_length,
     exact_factors,
     factor_spans,
@@ -188,6 +196,10 @@ def primitive_root(v: str) -> str:
     return v[:period]
 
 
+def _parikh_weights(n: int, letters: Sequence[str]) -> dict[str, int]:
+    return {c: (n + 1) ** k for k, c in enumerate(letters)}
+
+
 def _parikh_codes(
     spans: Iterable[tuple[str, int]], n: int, letters: Sequence[str]
 ) -> dict[str, int]:
@@ -196,7 +208,7 @@ def _parikh_codes(
     index in `letters`.  A block's code is P[i+n] - P[i] on the prefix sums
     P of its span, and no letter count exceeds n, so the code is the
     Parikh vector read as a base-(n+1) numeral."""
-    weight = {c: (n + 1) ** k for k, c in enumerate(letters)}
+    weight = _parikh_weights(n, letters)
     codes: dict[str, int] = {}
     for text, starts in spans:
         if starts == 1:
@@ -210,34 +222,38 @@ def _parikh_codes(
     return codes
 
 
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _rotation_invariant(letters: Sequence[str], n: int):
+    """K**n modulo R**n - 1 for a length-n word read as a numeral K in base
+    R = b**k: each letter is its index in k base-b digits, b = min(36,
+    max(2, |letters|)) and k >= 1 the least with b**k >= |letters|.  Equal
+    on all rotations (module docstring); equal values decide nothing."""
+    b = min(36, max(2, len(letters)))
+    k = 1
+    while b**k < len(letters):
+        k += 1
+    table = {
+        ord(c): "".join(_DIGITS[i // b**j % b] for j in range(k - 1, -1, -1))
+        for i, c in enumerate(letters)
+    }
+    modulus = b ** (k * n) - 1
+    return lambda v: pow(int(v.translate(table), b), n, modulus)
+
+
 def _keyed_counts(
     codes: Mapping[str, int], n: int, letters: Sequence[str]
 ) -> tuple[int, int, int, int]:
-    """(p, c, a, L) of a length-n factor set from its Parikh codes.
-
-    p counts the factors and a their distinct codes.  Rotation keeps the
-    Parikh vector, so a rotation class lies inside one code bucket, and a
-    factor alone in its bucket is alone in its class: one class for c, and
-    a whole class for L only when it is a letter power c^n, whose code no
-    other word has.
-
-    In the shared buckets, rotate-by-one rho(v) = v[1:] + v[0] is a
-    permutation of words that keeps the code, so the edges v -> rho(v)
-    with both ends factors have in- and out-degree at most 1 and split the
-    shared factors into cycles and paths.  A cycle is a whole class inside
-    the set; a path is one arc of a class that is not, and a class may be
-    cut into several arcs.  Walking rho from every head (a factor whose
-    rho-predecessor v[-1] + v[:-1] is not a factor) marks the paths; the
-    factors left are the cycles, and a cycle of a class of period d (the
-    least shift that maps a member to itself) has d members.  A head alone
-    among the heads of its bucket is a class of its own; only the other
-    heads are canonicalized by least rotation, so that the arcs of one
-    class are counted once.
+    """(p, c, a, L) of a length-n factor set from its Parikh codes, as the
+    module docstring sets out: lone factors, then the cycles and arcs of
+    rotate-by-one in the shared buckets; least rotations are taken only of
+    the arc heads that share a key (Parikh code, rotation invariant).
     """
     if n == 0:
         return len(codes), 1, 1, 1
     sizes = Counter(codes.values())
-    lone = sum(1 for m in sizes.values() if m == 1)
+    lone = list(sizes.values()).count(1)
     powers = sum(1 for c in letters if c * n in codes)
     shared = {v for v, code in codes.items() if sizes[code] > 1}
     heads = [v for v in shared if v[-1] + v[:-1] not in shared]
@@ -249,9 +265,14 @@ def _keyed_counts(
     periods = Counter((v + v).find(v, 1) for v in shared - on_arcs)
     whole = sum(m // d for d, m in periods.items())
     head_sizes = Counter(codes[v] for v in heads)
-    lone_heads = sum(1 for m in head_sizes.values() if m == 1)
-    arcs = len({least_rotation(v) for v in heads if head_sizes[codes[v]] > 1})
-    return len(codes), lone + whole + lone_heads + arcs, len(sizes), powers + whole
+    lone_heads = list(head_sizes.values()).count(1)
+    invariant = _rotation_invariant(letters, n)
+    keys = {v: (codes[v], invariant(v)) for v in heads if head_sizes[codes[v]] > 1}
+    key_sizes = Counter(keys.values())
+    lone_keys = list(key_sizes.values()).count(1)
+    arcs = len({least_rotation(v) for v, key in keys.items() if key_sizes[key] > 1})
+    classes = lone + whole + lone_heads + lone_keys + arcs
+    return len(codes), classes, len(sizes), powers + whole
 
 
 def _span_codes(
@@ -290,15 +311,40 @@ def abelian_complexity(fs: FactorSet) -> int:
     return len(set(codes.values()))
 
 
+def _run_rows(generator, lo: int, hi: int) -> dict[int, ComplexityRow]:
+    """Rows lo..hi from the spans at hi alone, walked down (module
+    docstring).  Raises WindowExceeded, before any block is sliced, when
+    the blocks at hi pass the letter budget."""
+    spans = factor_spans(generator, hi)
+    _check_block_budget(spans, hi)
+    codes, letters = _span_codes(spans, hi)
+    weight = _parikh_weights(hi, letters)
+    certified = _certified(generator)
+    rows = {}
+    for n in range(hi, lo - 1, -1):
+        rows[n] = ComplexityRow(n, *_keyed_counts(codes, n, letters), certified)
+        if n > lo:
+            codes = {v[:-1]: code - weight[v[-1]] for v, code in codes.items()}
+    return rows
+
+
 def complexity_row(generator, n: int) -> ComplexityRow:
-    """The row of length n, counted on the spans of words.factor_spans."""
-    spans = factor_spans(generator, n)
-    return ComplexityRow(n, *_span_counts(spans, n), _certified(generator))
+    """The row of length n: the run n..n of `complexity_table`."""
+    return _run_rows(generator, n, n)[n]
 
 
 def complexity_table(generator, ns: Iterable[int]) -> list[ComplexityRow]:
-    """Rows for each n in increasing order, as `complexity_row`."""
-    return [complexity_row(generator, n) for n in sorted(ns)]
+    """Rows for each n in increasing order, duplicates kept, counted run by
+    run of consecutive lengths; a negative length is refused first."""
+    ns = sorted(ns)
+    if ns:
+        _check_length(ns[0])
+    rows = {}
+    # n - index is constant exactly along a run of consecutive values
+    for _, run in groupby(enumerate(sorted(set(ns))), lambda t: t[1] - t[0]):
+        run = [n for _, n in run]
+        rows.update(_run_rows(generator, run[0], run[-1]))
+    return [rows[n] for n in ns]
 
 
 def first_difference_margin(

@@ -487,17 +487,22 @@ def factor_spans(generator, n: int) -> list[tuple[str, int]]:
     return [(v, 1) for v in members]
 
 
-def exact_factors(generator, n: int) -> frozenset[str]:
-    """Length-n factors of the word, computed exactly: the blocks of
-    `factor_spans`.  Raises WindowExceeded, before building the set, when
-    the blocks could hold more than LETTER_BUDGET letters."""
-    spans = factor_spans(generator, n)
+def _check_block_budget(spans: list[tuple[str, int]], n: int) -> None:
+    """Raises WindowExceeded when the length-n blocks of the spans could
+    hold more than LETTER_BUDGET letters; called before any is sliced."""
     blocks = sum(starts for _, starts in spans)
     if n * blocks > LETTER_BUDGET:
         raise WindowExceeded(
             "exact factor set of length %d reads %d blocks, past the letter "
             "budget of %d letters" % (n, blocks, LETTER_BUDGET)
         )
+
+
+def exact_factors(generator, n: int) -> frozenset[str]:
+    """Length-n factors of the word, computed exactly: the blocks of
+    `factor_spans`, within `_check_block_budget`."""
+    spans = factor_spans(generator, n)
+    _check_block_budget(spans, n)
     return _span_blocks(spans, n)
 
 

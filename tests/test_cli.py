@@ -299,6 +299,19 @@ def test_scan_powers_past_the_letter_budget_of_a_factor_set_exits_one(monkeypatc
     )
 
 
+@pytest.mark.parametrize("command", ["complexity", "verify-inequalities"])
+def test_direct_route_past_the_letter_budget_of_its_blocks_exits_one(command, monkeypatch, capsys):
+    # cantor's images for length 200 hold 728 letters, its 685 blocks
+    # 137,000
+    monkeypatch.setattr(words, "LETTER_BUDGET", 100_000)
+    code, out, err = run(capsys, command, "--word", "cantor", "--n", "190..200")
+    assert (code, out) == (1, "")
+    assert err == (
+        "WindowExceeded: exact factor set of length 200 reads 685 blocks, "
+        "past the letter budget of 100000 letters\n"
+    )
+
+
 def test_golden_summary(capsys):
     code, out, _ = run(capsys, "golden")
     assert code == 0

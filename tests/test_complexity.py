@@ -1,16 +1,19 @@
 import ast
 import json
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liewords
+from liewords import complexity
 from liewords.bundled import get_word
 from liewords.complexity import (
     FactorSet,
     _parikh_codes,
+    _rotation_invariant,
     abelian_complexity,
     complexity_table,
     cyclic_complexity,
@@ -23,7 +26,7 @@ from liewords.complexity import (
     saturated_factor_set,
     unbounded_exponent_scan,
 )
-from liewords.errors import EmptyWord, UncertifiedData
+from liewords.errors import EmptyWord, InvalidParameter, UncertifiedData
 from liewords.words import WordGenerator, exact_factors, morphism, saturation_window
 
 from oracles import (
@@ -243,6 +246,68 @@ def test_arcs_and_cycles_at_length_four(members, c, L):
     assert lie_complexity(fs) == L
 
 
+# 40 letters, among them the digits that the invariant's numerals use
+_FORTY = "0123456789abcdefghijklmnopqrstuvwxyzABCD"
+
+
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_rotation_invariant_is_equal_on_all_rotations(size, data):
+    # 1 to 36 letters take one base-b digit each, 37 to 40 take two
+    letters = _FORTY[:size]
+    v = data.draw(st.text(alphabet=letters, min_size=1, max_size=30))
+    invariant = _rotation_invariant(letters, len(v))
+    assert len({invariant(u) for u in _orbit(v)}) == 1
+
+
+def _counted_rotations(monkeypatch):
+    """The words least_rotation is called on, from here on."""
+    calls = []
+
+    def recording(v):
+        calls.append(v)
+        return least_rotation(v)
+
+    monkeypatch.setattr(complexity, "least_rotation", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "members, c, L, rotations",
+    [
+        # arcs of the class of 001011 and of its complement's, 110100: one
+        # Parikh code and, at even n, one invariant, so both heads are rotated
+        ({"001011", "010110", "110100", "101001"}, 2, 0, 2),
+        # two arcs of the class of 000111, cut by the missing 011100, 100011
+        ({"000111", "001110", "111000", "110001"}, 1, 0, 2),
+        # arc heads 0011 and 0101 share a code, not the invariant (6 and 10)
+        ({"0011", "0110", "0101"}, 2, 0, 0),
+    ],
+)
+def test_heads_are_rotated_only_when_they_share_a_key(monkeypatch, members, c, L, rotations):
+    calls = _counted_rotations(monkeypatch)
+    n = len(next(iter(members)))
+    fs = FactorSet(n, frozenset(members), True)
+    assert cyclic_complexity(fs) == c
+    assert len(calls) == rotations
+    assert lie_complexity(fs) == L
+    assert (c, L) == booth_counts(members, n)[1::2]
+
+
+def test_counts_over_forty_letters_match_booth_counts(monkeypatch):
+    # the letter powers bring all 40 letters in, so each letter takes two
+    # base-36 digits; three permutations of one word share a Parikh code:
+    # two arcs of one class, one arc of another and a whole third class
+    calls = _counted_rotations(monkeypatch)
+    members = {c * 6 for c in _FORTY}
+    members.update(_orbit("AB0zC1")[0:2] + _orbit("AB0zC1")[3:5])
+    members.update(_orbit("0zAB1C")[0:3] + _orbit("zA0B1C"))
+    fs = FactorSet(6, frozenset(members), True)
+    _, c, a, L = booth_counts(members, 6)
+    assert cyclic_complexity(fs) == c == 43
+    assert sorted(calls) == ["AB0zC1", "zC1AB0"]
+    assert (abelian_complexity(fs), lie_complexity(fs)) == (a, L) == (41, 41)
+
+
 @st.composite
 def _spans(draw):
     """Texts over up to 12 letters, a factor length n that each text can
@@ -282,6 +347,43 @@ def test_table_matches_booth_counts_on_exact_sets(name):
     for row in complexity_table(gen, _TWELVE_NS if name == "twelve" else range(101)):
         expected = booth_counts(exact_factors(gen, row.n), row.n)
         assert (row.p, row.c, row.a, row.L) == expected, row.n
+
+
+@lru_cache(maxsize=None)
+def _booth_row(name, n):
+    gen = get_word(name)
+    return booth_counts(exact_factors(gen, n), n)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(["thue-morse", "vtm", "cantor", "fibonacci", "tribonacci"]),
+    st.lists(st.integers(min_value=0, max_value=60), max_size=12),
+)
+def test_table_of_any_lengths_matches_booth_counts(name, ns):
+    # gaps split the lengths into runs, each read at its top and walked down
+    rows = complexity_table(get_word(name), ns)
+    assert [row.n for row in rows] == sorted(ns)
+    for row in rows:
+        assert (row.p, row.c, row.a, row.L) == _booth_row(name, row.n), row.n
+
+
+def test_rows_match_booth_counts_at_larger_n():
+    fib = get_word("fibonacci")
+    for row in complexity_table(fib, range(201)):
+        assert (row.p, row.c, row.a, row.L) == booth_counts(exact_factors(fib, row.n), row.n)
+    tm = get_word("thue-morse")
+    for row in complexity_table(tm, [128, 150, 200, 256]):
+        assert (row.p, row.c, row.a, row.L) == booth_counts(exact_factors(tm, row.n), row.n)
+
+
+def test_complexity_table_refuses_a_negative_length_first(monkeypatch):
+    def unread(generator, n):
+        raise AssertionError("spans read for length %d" % n)
+
+    monkeypatch.setattr(complexity, "factor_spans", unread)
+    with pytest.raises(InvalidParameter):
+        complexity_table(get_word("thue-morse"), [3, 2, -1, 0])
 
 
 @pytest.mark.parametrize("image, max_n", [("aab", 12), ("aaab", 9)])
