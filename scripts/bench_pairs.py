@@ -20,6 +20,13 @@ the change's median is within the metric's bound of the parent's, and
 whether the change clears the gain rule: it wins at least nine tenths of
 the pairs and its median is better than the parent's by more than the
 distance between the parent's quartiles.
+
+Under "ops" it holds, for each operation, each side's median time and
+the number of pairs the change won.  A run's time for an operation is
+the median of the `<op id> <secs>s ok` lines `perfbench/run.py` writes
+to stderr for it; an operation that failed or did not finish in a run
+has no time there.  Printed as a table, these show whether the
+operations that moved are the ones the change touched.
 """
 
 from __future__ import annotations
@@ -28,13 +35,29 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 
 
+# a finished, passing operation: its id, its seconds and "ok"
+OP_LINE = re.compile(r"^(\S+)\s+(\d+(?:\.\d*)?)s\s+ok$")
+
+
+def op_times(stderr: str) -> dict:
+    """Median seconds of each operation over the per-op lines of one run."""
+    times: dict = {}
+    for line in stderr.splitlines():
+        m = OP_LINE.match(line.strip())
+        if m:
+            times.setdefault(m.group(1), []).append(float(m.group(2)))
+    return {op: statistics.median(secs) for op, secs in times.items()}
+
+
 def run_benchmark(tree: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One `perfbench/run.py` run in `tree`; returns its final JSON line."""
+    """One `perfbench/run.py` run in `tree`; returns its final JSON line,
+    with the run's per-operation times under "op_s"."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     argv = [
         sys.executable,
@@ -50,7 +73,9 @@ def run_benchmark(tree: str, workload: str, seed: int, seconds: float, trace: bo
         raise SystemExit(
             "bench_pairs: run in %s exited %d: %s" % (tree, proc.returncode, proc.stderr[-2000:])
         )
-    return json.loads(lines[-1])
+    out = json.loads(lines[-1])
+    out["op_s"] = op_times(proc.stderr)
+    return out
 
 
 def quartiles(values: list) -> list:
@@ -85,6 +110,24 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
         "within_bound": worse <= metric["bound"],
         "gain_rule_met": wins * 10 >= 9 * len(parent) and gain > p_q[1] - p_q[0],
     }
+
+
+def summarize_ops(runs: list) -> dict:
+    """Each operation's median time on each side, over the runs that
+    timed it, and the pairs where the change was faster."""
+    ops = sorted({op for r in runs for side in ("parent", "change") for op in r[side]["op_s"]})
+    out = {}
+    for op in ops:
+        pairs = [(r["parent"]["op_s"].get(op), r["change"]["op_s"].get(op)) for r in runs]
+        parent = [p for p, _ in pairs if p is not None]
+        change = [c for _, c in pairs if c is not None]
+        out[op] = {
+            "parent_median": statistics.median(parent) if parent else None,
+            "change_median": statistics.median(change) if change else None,
+            "change_wins": sum(1 for p, c in pairs if None not in (p, c) and c < p),
+            "pairs": sum(1 for p, c in pairs if None not in (p, c)),
+        }
+    return out
 
 
 def main(argv=None) -> int:
@@ -148,6 +191,7 @@ def main(argv=None) -> int:
             side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")
         },
         "end_to_end": metrics,
+        "ops": summarize_ops(runs),
         "runs": runs,
     }
     if args.traced:
@@ -171,6 +215,17 @@ def main(argv=None) -> int:
                 m["change_wins"],
                 m["pairs"],
                 "gain" if m["gain_rule_met"] else ("ok" if m["within_bound"] else "WORSE"),
+            )
+        )
+    for op, m in out["ops"].items():
+        print(
+            "%-32s parent %s  change %s  wins %d/%d"
+            % (
+                op,
+                "%.4f" % m["parent_median"] if m["parent_median"] is not None else "-",
+                "%.4f" % m["change_median"] if m["change_median"] is not None else "-",
+                m["change_wins"],
+                m["pairs"],
             )
         )
     print("wrote %s" % path)

@@ -11,9 +11,13 @@ products is a factor.  Such signed incidence rows have an exact rank over
 any field: read as a graph on the factors, each component spans its
 sum-zero vectors, plus everything once a single-entry row touches it.  The
 rank of W_n is that union-find count over the streamed commutators (see
-linalg.signed_incidence_rank).  The route still enumerates the literal
-pairs (a, b) with |a| + |b| = n.  Empty-side pairs contribute nothing
-(a*empty = empty*a), so generation skips them.
+linalg.signed_incidence_rank).  Only nonzero rows are built.  A pair
+whose products both fall outside F(n) gives the zero row, so indexing
+F(n) by the length-i prefix and suffix of each factor finds, for each a
+of length i, every b worth a row.  The row of (b, a) is minus the row of
+(a, b), since [b, a] = -[a, b], so the splits past n/2 add nothing to the
+span: they are counted, one for one with split n - i, but not built.
+Empty-side pairs contribute nothing (a*empty = empty*a) and are skipped.
 """
 
 from __future__ import annotations
@@ -21,21 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
+from . import words
 from .complexity import FactorSet, saturated_factor_set
-from .errors import InvalidParameter, UncertifiedData
+from .errors import InvalidParameter, UncertifiedData, WindowExceeded
 from .linalg import signed_incidence_rank
+
+# a commutator row (p, q) is e_p - e_q, None for a product that is no factor
+Row = tuple[Optional[int], Optional[int]]
 
 
 @dataclass(frozen=True)
 class FactorBasis:
-    """Sorted length-n factors with their coordinate indices."""
+    """Sorted length-n factors; a factor's coordinate is its position."""
 
     n: int
     factors: tuple[str, ...]
-
-    @property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.factors)}
 
     @property
     def dim(self) -> int:
@@ -53,43 +57,52 @@ def factor_basis(fs: FactorSet) -> FactorBasis:
     return FactorBasis(fs.n, tuple(sorted(fs.members)))
 
 
+def split_rows(basis: FactorBasis, left: FactorSet, right: FactorSet) -> list[Row]:
+    """Nonzero rows [a, b] = (index of ab, index of ba), a in `left` and b
+    in `right`, read off the prefix and suffix indexes of the basis."""
+    n, i = basis.n, left.n
+    by_prefix: dict[str, dict[str, int]] = {}
+    by_suffix: dict[str, dict[str, int]] = {}
+    for k, x in enumerate(basis.factors):
+        by_prefix.setdefault(x[:i], {})[x[i:]] = k
+        by_suffix.setdefault(x[n - i :], {})[x[: n - i]] = k
+    bs = right.members
+    rows = []
+    for a in left.members:
+        ab = by_prefix.get(a, {})
+        ba = by_suffix.get(a, {})
+        for b, p in ab.items():
+            q = ba.get(b)
+            if p != q and b in bs:
+                rows.append((p, q))
+        rows.extend((None, q) for b, q in ba.items() if b not in ab and b in bs)
+    return rows
+
+
 def commutator_vectors(
     fs_by_len: Mapping[int, FactorSet], n: int, basis: Optional[FactorBasis] = None
-) -> Iterator[dict[int, int]]:
-    """Sparse vectors of ab - ba over all factor pairs with |a| + |b| = n.
-
-    A product that is not itself a factor is the zero of the algebra, so it
-    simply drops out of the vector.
-    """
+) -> Iterator[Row]:
+    """Rows [a, b] of the splits |a| = 1..n/2, |b| = n - |a|; the other
+    splits give these negated.  A product that is not itself a factor is
+    the zero of the algebra, so it is None in the row."""
     if basis is None:
         basis = factor_basis(fs_by_len[n])
-    index = basis.index
-    for i in range(1, n):
-        left = sorted(fs_by_len[i].members)
-        right = sorted(fs_by_len[n - i].members)
-        for a in left:
-            for b in right:
-                ab = index.get(a + b)
-                ba = index.get(b + a)
-                if ab == ba:
-                    continue
-                vec: dict[int, int] = {}
-                if ab is not None:
-                    vec[ab] = 1
-                if ba is not None:
-                    vec[ba] = -1
-                yield vec
+    for i in range(1, n // 2 + 1):
+        yield from split_rows(basis, fs_by_len[i], fs_by_len[n - i])
 
 
 def commutator_span(fs_by_len: Mapping[int, FactorSet], n: int) -> CommutatorSpan:
+    """Rank of the commutators of length n, and their number over all
+    splits |a| = 1..n-1, each split n - i counted as the mirror of i."""
     basis = factor_basis(fs_by_len[n])
     count = 0
 
     def counted():
         nonlocal count
-        for vec in commutator_vectors(fs_by_len, n, basis):
-            count += 1
-            yield vec
+        for i in range(1, n // 2 + 1):
+            rows = split_rows(basis, fs_by_len[i], fs_by_len[n - i])
+            count += len(rows) if 2 * i == n else 2 * len(rows)
+            yield from rows
 
     rank = signed_incidence_rank(counted(), basis.dim)
     return CommutatorSpan(n, rank, count)
@@ -106,15 +119,24 @@ def lie_via_algebra(fs_by_len: Mapping[int, FactorSet], n: int) -> int:
 
 def factor_sets_up_to(generator, max_n: int, *, strict: bool = True):
     """Factor sets (see complexity.saturated_factor_set) for every length
-    0..max_n, keyed by length; strict mode refuses uncertified ones."""
+    0..max_n, keyed by length; strict mode refuses uncertified ones.
+    Raises WindowExceeded once the sets built hold more than the letter
+    budget (words.LETTER_BUDGET) between them."""
     if max_n < 0:
         raise InvalidParameter("largest factor length must be nonnegative, got %d" % max_n)
     out: dict[int, FactorSet] = {}
+    held = 0
     for n in range(max_n + 1):
         fs = saturated_factor_set(generator, n)
         if strict and not fs.certified:
             raise UncertifiedData(
                 "factor set of %s at n=%d is not certified" % (generator.name, n)
+            )
+        held += n * len(fs.members)
+        if held > words.LETTER_BUDGET:
+            raise WindowExceeded(
+                "factor sets of lengths 0..%d hold %d letters, past the letter "
+                "budget of %d letters" % (n, held, words.LETTER_BUDGET)
             )
         out[n] = fs
     return out

@@ -44,7 +44,8 @@ R**n - 1 is the same for every rotation.  The least rotation compares
 only the rotations that start with the longest run of the least letter,
 using C-level string search and slice comparison.  `lie_complexity`,
 `cyclic_complexity` and `abelian_complexity` count a FactorSet the same
-way, each member a span of one block.
+way, each member a span of one block; `lie_complexity` stops at the
+cycles, so it takes no rotation invariant and no least rotation.
 
 `unbounded_exponent_scan` probes the paper's power result on exact sets
 too: a root y of length l is a primitive member of the length-l factor
@@ -242,6 +243,22 @@ def _rotation_invariant(letters: Sequence[str], n: int):
     return lambda v: pow(int(v.translate(table), b), n, modulus)
 
 
+def _full_classes(codes: Mapping[str, int], sizes: Counter, n: int, letters: Sequence[str]):
+    """(L, whole cycles, arc heads) of a length-n factor set, n >= 1, from
+    its Parikh codes and their bucket sizes (module docstring)."""
+    powers = sum(1 for c in letters if c * n in codes)
+    shared = {v for v, code in codes.items() if sizes[code] > 1}
+    heads = [v for v in shared if v[-1] + v[:-1] not in shared]
+    on_arcs = set()
+    for v in heads:
+        while v in shared:
+            on_arcs.add(v)
+            v = v[1:] + v[0]
+    periods = Counter((v + v).find(v, 1) for v in shared - on_arcs)
+    whole = sum(m // d for d, m in periods.items())
+    return powers + whole, whole, heads
+
+
 def _keyed_counts(
     codes: Mapping[str, int], n: int, letters: Sequence[str]
 ) -> tuple[int, int, int, int]:
@@ -254,16 +271,7 @@ def _keyed_counts(
         return len(codes), 1, 1, 1
     sizes = Counter(codes.values())
     lone = list(sizes.values()).count(1)
-    powers = sum(1 for c in letters if c * n in codes)
-    shared = {v for v, code in codes.items() if sizes[code] > 1}
-    heads = [v for v in shared if v[-1] + v[:-1] not in shared]
-    on_arcs = set()
-    for v in heads:
-        while v in shared:
-            on_arcs.add(v)
-            v = v[1:] + v[0]
-    periods = Counter((v + v).find(v, 1) for v in shared - on_arcs)
-    whole = sum(m // d for d, m in periods.items())
+    full, whole, heads = _full_classes(codes, sizes, n, letters)
     head_sizes = Counter(codes[v] for v in heads)
     lone_heads = list(head_sizes.values()).count(1)
     invariant = _rotation_invariant(letters, n)
@@ -272,7 +280,7 @@ def _keyed_counts(
     lone_keys = list(key_sizes.values()).count(1)
     arcs = len({least_rotation(v) for v, key in keys.items() if key_sizes[key] > 1})
     classes = lone + whole + lone_heads + lone_keys + arcs
-    return len(codes), classes, len(sizes), powers + whole
+    return len(codes), classes, len(sizes), full
 
 
 def _span_codes(
@@ -295,8 +303,12 @@ def _member_spans(fs: FactorSet) -> list[tuple[str, int]]:
 
 
 def lie_complexity(fs: FactorSet) -> int:
-    """Number of rotation classes entirely contained in the factor set."""
-    return _span_counts(_member_spans(fs), fs.n)[3]
+    """Number of rotation classes entirely contained in the factor set;
+    no rotation invariant or least rotation is taken."""
+    if fs.n == 0:
+        return 1
+    codes, letters = _span_codes(_member_spans(fs), fs.n)
+    return _full_classes(codes, Counter(codes.values()), fs.n, letters)[0]
 
 
 def cyclic_complexity(fs: FactorSet) -> int:

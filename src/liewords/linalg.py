@@ -80,34 +80,32 @@ class RowBasis:
 
 
 def signed_incidence_rank(rows, width: int) -> int:
-    """Rank of sparse rows each of shape {i: x, j: -x}, {i: x} or {}, x != 0.
+    """Rank of rows (p, q), each e_p - e_q with None for an absent side,
+    over the coordinates 0..width-1; p == q is refused.
 
-    Rows e_i - e_j are the edges of a graph on the coordinates 0..width-1,
-    and a one-entry row e_i grounds the component of i.  The rows span the
-    sum-zero vectors of every component and all vectors of a grounded
-    one, so the rank is width minus the number of ungrounded components.
-    That count holds over every field; no elimination is needed.
+    Rows e_p - e_q are the edges of a graph on the coordinates, and a
+    one-sided row +-e_p is an edge from p to one extra ground vertex.  The
+    edge vectors of a graph have rank vertices minus components, the
+    edges of a spanning forest, and dropping the ground coordinate loses
+    no rank (a sum-zero vector is zero once its other coordinates are).
+    So the rank is the number of rows that join two components, over
+    every field; no elimination is needed.
     """
-    parent = list(range(width))
-    grounded = [False] * width
+    parent = list(range(width + 1))
 
     def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
-    for row in rows:
-        items = list(row.items())
-        if len(items) == 1 and items[0][1]:
-            grounded[find(items[0][0])] = True
-        elif len(items) == 2 and items[0][1] and items[0][1] + items[1][1] == 0:
-            a, b = find(items[0][0]), find(items[1][0])
-            if a != b:
-                parent[a] = b
-                grounded[b] = grounded[b] or grounded[a]
-        elif items:
-            raise ValueError("row %r is not a signed incidence row" % (row,))
-    return width - sum(1 for i in range(width) if parent[i] == i and not grounded[i])
+    rank = 0
+    for p, q in rows:
+        if p is None:
+            p = width
+        elif p == q:
+            raise ValueError("row %r is not a signed incidence row" % ((p, q),))
+        a, b = find(p), find(width if q is None else q)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank

@@ -5,8 +5,8 @@ rotation-class counts come from a suffix automaton plus a vectorized
 rotate-by-one walk, the small-scale counts check every rotation of every
 factor explicitly, least rotations come from Booth's failure-function
 scan, abelian counts from `Counter`, repeated factors from one lookup per
-factor, ranks come from Gaussian
-elimination over Z/p, growing letters from image lengths, factor
+factor, commutator rows from every pair of factors whose lengths add
+up, ranks come from Gaussian elimination over Z/p, growing letters from image lengths, factor
 sets of morphic words from a prefix long enough to hold every factor,
 minimal automata from Moore refinement on exact signature tuples, and
 reduced representations from a second pass that reads every coordinate
@@ -198,6 +198,30 @@ def rank_mod(rows, width: int, p: int) -> int:
         echelon.append((pivot, [x * inv % p for x in res]))
     return len(echelon)
 
+
+
+def literal_commutator_span(fs_by_len, n: int, p: int) -> tuple[int, int]:
+    """(rank over Z/p, number of nonzero rows) of the commutators ab - ba,
+    trying every pair a in F(i), b in F(n-i) for i = 1..n-1, with the
+    distinct rows dense over the sorted length-n factors."""
+    index = {v: k for k, v in enumerate(sorted(fs_by_len[n].members))}
+    width = len(index)
+    rows = set()
+    count = 0
+    for i in range(1, n):
+        for a in fs_by_len[i].members:
+            for b in fs_by_len[n - i].members:
+                ab, ba = index.get(a + b), index.get(b + a)
+                if ab == ba:
+                    continue
+                count += 1
+                row = [0] * width
+                if ab is not None:
+                    row[ab] += 1
+                if ba is not None:
+                    row[ba] -= 1
+                rows.add(tuple(row))
+    return rank_mod(sorted(rows), width, p), count
 
 class _Sam:
     """Suffix automaton of a string, with one witness end per state."""

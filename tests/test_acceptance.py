@@ -112,8 +112,15 @@ def test_accept_4_class_count_bounded_by_cyclic_and_abelian(tables):
 
 def test_accept_5_rank_route_equals_direct_route():
     started = time.monotonic()
-    for name in ("thue-morse", "fibonacci"):
-        rows = algebra_report(get_word(name), 48)
+    for name, max_n in (
+        ("thue-morse", 64),
+        ("fibonacci", 64),
+        ("vtm", 64),
+        ("tribonacci", 64),
+        ("twelve", 32),
+    ):
+        rows = algebra_report(get_word(name), max_n)
+        assert len(rows) == max_n + 1
         for r in rows:
             assert r.lie_algebra == r.lie_direct, (name, r.n)
     elapsed = time.monotonic() - started

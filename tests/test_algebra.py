@@ -1,9 +1,11 @@
+import ast
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import liewords
 from liewords.algebra import (
     algebra_report,
     algebra_rows_to_tsv,
@@ -14,18 +16,24 @@ from liewords.algebra import (
     lie_via_algebra,
 )
 from liewords.bundled import get_word
-from liewords.complexity import lie_complexity
+from liewords.complexity import FactorSet, lie_complexity
 from liewords.linalg import RowBasis, signed_incidence_rank
 
-from oracles import rank_mod
+from oracles import blocks, literal_commutator_span, rank_mod
 
 PRIME = 2**31 - 1
 
+# the words and largest lengths of the benchmark's algebra-check operations
+ALGEBRA_CHECK = (("thue-morse", 24), ("vtm", 20), ("fibonacci", 30), ("tribonacci", 24), ("twelve", 8))
 
-def _dense(sparse, width):
+
+def _dense(pair, width):
     row = [0] * width
-    for j, x in sparse.items():
-        row[j] = x
+    p, q = pair
+    if p is not None:
+        row[p] += 1
+    if q is not None:
+        row[q] -= 1
     return row
 
 
@@ -108,13 +116,59 @@ def test_incidence_rank_matches_exact_echelon():
             assert rank == rank_mod(rows, basis.dim, PRIME), (name, n)
 
 
+def _assert_span_is_literal(fs_by_len, n):
+    span = commutator_span(fs_by_len, n)
+    assert (span.rank, span.generator_count) == literal_commutator_span(fs_by_len, n, PRIME)
+
+
+@pytest.mark.parametrize("name, max_n", ALGEBRA_CHECK)
+def test_commutator_span_equals_the_literal_pairs_on_bundled_words(name, max_n):
+    fs_by_len = factor_sets_up_to(get_word(name), max_n)
+    for n in range(max_n + 1):
+        _assert_span_is_literal(fs_by_len, n)
+
+
+# a finite word over 1 to 4 letters
+finite_words = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.text(alphabet="abcd"[:k], min_size=1, max_size=14)
+)
+
+
+@given(finite_words)
+def test_commutator_span_equals_the_literal_pairs_on_finite_words(w):
+    fs_by_len = {m: FactorSet(m, frozenset(blocks(w, m)), True) for m in range(len(w) + 1)}
+    for n in range(len(w) + 1):
+        _assert_span_is_literal(fs_by_len, n)
+
+
+@st.composite
+def unclosed_families(draw):
+    """Random subsets of Sigma^m for m = 0..top, not closed under factors."""
+    letters = "abc"[: draw(st.integers(min_value=1, max_value=3))]
+    top = draw(st.integers(min_value=0, max_value=6))
+    return {
+        m: FactorSet(
+            m,
+            frozenset(draw(st.sets(st.text(alphabet=letters, min_size=m, max_size=m), max_size=16))),
+            True,
+        )
+        for m in range(top + 1)
+    }
+
+
+@given(unclosed_families())
+def test_commutator_span_equals_the_literal_pairs_on_unclosed_families(fs_by_len):
+    for n in fs_by_len:
+        _assert_span_is_literal(fs_by_len, n)
+
+
 @st.composite
 def incidence_rows(draw):
     width = draw(st.integers(min_value=2, max_value=10))
     index = st.integers(min_value=0, max_value=width - 1)
-    edge = st.tuples(index, index).filter(lambda e: e[0] != e[1]).map(lambda e: {e[0]: 1, e[1]: -1})
-    single = st.tuples(index, st.sampled_from((1, -1))).map(lambda e: {e[0]: e[1]})
-    rows = draw(st.lists(st.one_of(edge, single, st.just({})), max_size=20))
+    edge = st.tuples(index, index).filter(lambda e: e[0] != e[1])
+    single = st.one_of(st.tuples(index, st.none()), st.tuples(st.none(), index))
+    rows = draw(st.lists(st.one_of(edge, single, st.just((None, None))), max_size=20))
     return width, rows
 
 
@@ -128,7 +182,18 @@ def test_signed_incidence_rank_matches_rational_rank(case):
 
 
 def test_signed_incidence_rank_refuses_other_rows():
-    with pytest.raises(ValueError):
-        signed_incidence_rank([{0: 1, 1: 1}], 2)
-    with pytest.raises(ValueError):
-        signed_incidence_rank([{0: 1, 1: -1, 2: 1}], 3)
+    with pytest.raises(ValueError, match="not a signed incidence row"):
+        signed_incidence_rank([(0, 1), (1, 1)], 2)
+
+
+def test_rank_route_takes_only_factor_sets_and_the_direct_count_from_complexity():
+    # no rotation, Parikh code or least rotation: the routes stay independent
+    with open(liewords.__path__[0] + "/algebra.py") as fh:
+        tree = ast.parse(fh.read())
+    taken = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "complexity"
+        for alias in node.names
+    }
+    assert taken == {"FactorSet", "saturated_factor_set", "lie_complexity"}

@@ -312,6 +312,18 @@ def test_direct_route_past_the_letter_budget_of_its_blocks_exits_one(command, mo
     )
 
 
+def test_algebra_check_past_the_letter_budget_of_its_factor_sets_exits_one(monkeypatch, capsys):
+    # thue-morse's factor sets of lengths 0..10 hold 1,036 letters between
+    # them; the largest, of length 10, holds 200
+    monkeypatch.setattr(words, "LETTER_BUDGET", 1000)
+    code, out, err = run(capsys, "algebra-check", "--word", "thue-morse", "--max-n", "30")
+    assert (code, out) == (1, "")
+    assert err == (
+        "WindowExceeded: factor sets of lengths 0..10 hold 1036 letters, "
+        "past the letter budget of 1000 letters\n"
+    )
+
+
 def test_golden_summary(capsys):
     code, out, _ = run(capsys, "golden")
     assert code == 0

@@ -500,6 +500,24 @@ def test_bundled_exact_sets_equal_blocks_of_a_provable_prefix(name):
         assert exact_factors(gen, n) == factor_set(prefix, n).members, n
 
 
+@pytest.mark.parametrize(
+    "name, max_n",
+    [("thue-morse", 24), ("vtm", 20), ("fibonacci", 30), ("tribonacci", 24), ("twelve", 8)],
+)
+def test_lie_complexity_takes_no_least_rotation(monkeypatch, name, max_n):
+    # the factor sets algebra-check reads, each counted by Booth rotations
+    calls = _counted_rotations(monkeypatch)
+
+    def no_invariant(letters, n):
+        raise AssertionError("rotation invariant taken at n=%d" % n)
+
+    monkeypatch.setattr(complexity, "_rotation_invariant", no_invariant)
+    for n in range(max_n + 1):
+        fs = saturated_factor_set(get_word(name), n)
+        assert lie_complexity(fs) == booth_counts(fs.members, n)[3], (name, n)
+    assert calls == []
+
+
 @pytest.mark.parametrize("module", ["complexity", "words"])
 def test_direct_route_imports_nothing_from_the_rank_route(module):
     path = liewords.__path__[0] + "/%s.py" % module
