@@ -16,10 +16,14 @@ the per-layer metrics.
 The JSON holds every run's metrics and, for each end-to-end metric of
 CHANGE_DIR's BENCHMARK.json, each side's median and quartiles, the
 number of pairs the change won (a tie counts for neither side), whether
-the change's median is within the metric's bound of the parent's, and
-whether the change clears the gain rule: it wins at least nine tenths of
+the change's median is within the metric's bound of the parent's,
+whether the change clears the gain rule (it wins at least nine tenths of
 the pairs and its median is better than the parent's by more than the
-distance between the parent's quartiles.
+distance between the parent's quartiles), and whether the metric is
+unresolved: the parent's quartiles lie further apart, relative to its
+median, than the bound, and not every change run reads better than every
+parent run.  The printed verdict is "gain", "WORSE", "unresolved" or
+"ok", in that order of precedence.
 
 Under "ops" it holds, for each operation, each side's median time and
 the number of pairs the change won.  A run's time for an operation is
@@ -97,6 +101,9 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
     gain = sign * (p_med - c_med)
     # a relative bound: how much worse than the parent the change may read
     worse = -gain / abs(p_med) if p_med else (0.0 if gain >= 0 else float("inf"))
+    spread = (p_q[1] - p_q[0]) / abs(p_med) if p_med else 0.0
+    # every change run better than every parent run
+    separated = max(sign * c for c in change) < min(sign * p for p in parent)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -109,7 +116,17 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
         "relative_change": (c_med - p_med) / p_med if p_med else None,
         "within_bound": worse <= metric["bound"],
         "gain_rule_met": wins * 10 >= 9 * len(parent) and gain > p_q[1] - p_q[0],
+        "unresolved": spread > metric["bound"] and not separated,
     }
+
+
+def verdict(m: dict) -> str:
+    """The printed verdict of one summarized metric."""
+    if m["gain_rule_met"]:
+        return "gain"
+    if not m["within_bound"]:
+        return "WORSE"
+    return "unresolved" if m["unresolved"] else "ok"
 
 
 def summarize_ops(runs: list) -> dict:
@@ -214,7 +231,7 @@ def main(argv=None) -> int:
                 ", ".join("%.4g" % q for q in m["change"]["quartiles"]),
                 m["change_wins"],
                 m["pairs"],
-                "gain" if m["gain_rule_met"] else ("ok" if m["within_bound"] else "WORSE"),
+                verdict(m),
             )
         )
     for op, m in out["ops"].items():

@@ -7,6 +7,10 @@ iteration happens over sorted copies.
 
 Exit codes: 0 success, 1 contract violation, tool error or unreadable
 input file, 2 usage.
+
+`construct` and `golden` import their modules when they run, so no other
+call loads them.  numpy and the automaton layer load with this module, so
+a pipeline call pays for them before `main` starts.
 """
 
 from __future__ import annotations
@@ -26,13 +30,6 @@ from .complexity import (
     rows_to_tsv,
     unbounded_exponent_scan,
 )
-from .construction import (
-    ConstructionParams,
-    build,
-    double_log_threshold,
-    trace_to_json,
-    verify_structure,
-)
 from .counting import (
     counting_representation,
     minimize_representation,
@@ -41,7 +38,6 @@ from .counting import (
     to_dfao,
 )
 from .errors import InvalidParameter, ToolError
-from .golden import golden_report
 from .logic import build_predicate_library, compile_formula, parse_with_library
 from .words import WordGenerator
 
@@ -207,6 +203,14 @@ def _growth(text: str) -> tuple[int, ...]:
 
 
 def cmd_construct(args) -> int:
+    from .construction import (
+        ConstructionParams,
+        build,
+        double_log_threshold,
+        trace_to_json,
+        verify_structure,
+    )
+
     growth = _growth(args.g) if args.g else ()
     params = ConstructionParams(
         depth=args.depth,
@@ -239,6 +243,8 @@ def cmd_scan_powers(args) -> int:
 
 
 def cmd_golden(args) -> int:
+    from .golden import golden_report
+
     rows = golden_report()
     failures = [r for r in rows if not r.ok]
     seen = []

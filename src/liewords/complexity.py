@@ -31,21 +31,30 @@ length n and keeps their codes, so the edges v -> rho(v) between factors
 have in- and out-degree at most 1, and each component is a cycle or a
 path.  A cycle is a whole rotation class inside F; a path is one arc of a
 class that is not, which may be cut into several arcs.  The walks from
-the heads (factors whose rho-predecessor is not a factor) mark the
-paths; the factors left lie on cycles, and a class of period d (the
-first return of a member in its own square) is a cycle of d of them, so
-L(n) is the letter powers plus the sum of (cycle members of period d)
-// d.  c(n) adds to the lone factors and the cycles one class per arc
-head alone among the heads of its bucket or under its rotation invariant,
-and the distinct least rotations of the other heads.  The invariant reads
-a word as a numeral K with one base-R digit per letter; rotating by one
-letter maps K to K*R - d*(R**n - 1), d the first digit, so K**n modulo
-R**n - 1 is the same for every rotation.  The least rotation compares
-only the rotations that start with the longest run of the least letter,
-using C-level string search and slice comparison.  `lie_complexity`,
+the heads (factors whose rho-predecessor is not a factor) take out the
+paths, and a walk from each factor left goes once round its cycle, so
+L(n) is the letter powers plus the cycles.
+
+c(n) adds to the lone factors and the cycles the classes among the arc
+heads.  Two words of one length are rotations of each other exactly when
+one is a factor of the other's square (Lothaire, Combinatorics on Words,
+ch. 1), so the heads of one code are counted with C-level substring
+tests: a head opens a new class unless it occurs in the square of a head
+that opened one.  A group of heads costs O(|group| * classes * n).  A code
+with more than _CROWDED_HEADS heads is first split by a rotation
+invariant, and only the heads that share its value are tested.  The
+invariant reads a word as a numeral K with one base-R digit per letter;
+rotating by one letter maps K to K*R - d*(R**n - 1), d the first digit,
+so K**n modulo R**n - 1 is the same for every rotation.  Equal values
+decide nothing: binary complements share it at even n, since
+(-K)**n = K**n.  A group that takes substring tests holds at most
+_CROWDED_HEADS heads; on the bundled words at n <= 100, the groups that
+share an invariant value hold at most 4.  `lie_complexity`,
 `cyclic_complexity` and `abelian_complexity` count a FactorSet the same
 way, each member a span of one block; `lie_complexity` stops at the
-cycles, so it takes no rotation invariant and no least rotation.
+cycles, so it takes no substring test and no rotation invariant.  No
+count takes a least rotation; `least_rotation` names the classes that
+`unbounded_exponent_scan` reports.
 
 `unbounded_exponent_scan` probes the paper's power result on exact sets
 too: a root y of length l is a primitive member of the length-l factor
@@ -225,12 +234,18 @@ def _parikh_codes(
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
+# a Parikh code with more arc heads than this is split by the rotation
+# invariant before any substring test; read at call time
+_CROWDED_HEADS = 8
 
-def _rotation_invariant(letters: Sequence[str], n: int):
-    """K**n modulo R**n - 1 for a length-n word read as a numeral K in base
-    R = b**k: each letter is its index in k base-b digits, b = min(36,
-    max(2, |letters|)) and k >= 1 the least with b**k >= |letters|.  Equal
-    on all rotations (module docstring); equal values decide nothing."""
+
+def _rotation_invariant(letters: Sequence[str], n: int) -> tuple[dict, int, int]:
+    """(table, b, modulus) of the invariant K**n modulo R**n - 1, K a
+    length-n word read as a numeral in base R = b**k:
+    pow(int(v.translate(table), b), n, modulus).  Each letter is its index
+    in k base-b digits, b = min(36, max(2, |letters|)) and k >= 1 the least
+    with b**k >= |letters|.  Equal on all rotations (module docstring);
+    equal values decide nothing."""
     b = min(36, max(2, len(letters)))
     k = 1
     while b**k < len(letters):
@@ -239,8 +254,7 @@ def _rotation_invariant(letters: Sequence[str], n: int):
         ord(c): "".join(_DIGITS[i // b**j % b] for j in range(k - 1, -1, -1))
         for i, c in enumerate(letters)
     }
-    modulus = b ** (k * n) - 1
-    return lambda v: pow(int(v.translate(table), b), n, modulus)
+    return table, b, b ** (k * n) - 1
 
 
 def _full_classes(codes: Mapping[str, int], sizes: Counter, n: int, letters: Sequence[str]):
@@ -248,15 +262,65 @@ def _full_classes(codes: Mapping[str, int], sizes: Counter, n: int, letters: Seq
     its Parikh codes and their bucket sizes (module docstring)."""
     powers = sum(1 for c in letters if c * n in codes)
     shared = {v for v, code in codes.items() if sizes[code] > 1}
-    heads = [v for v in shared if v[-1] + v[:-1] not in shared]
-    on_arcs = set()
+    rho = {v: v[1:] + v[0] for v in shared}
+    heads = list(shared.difference(rho.values()))
+    # walking rho from the heads takes the paths out of `shared`; then
+    # each walk from a factor left goes once round its cycle
     for v in heads:
         while v in shared:
-            on_arcs.add(v)
-            v = v[1:] + v[0]
-    periods = Counter((v + v).find(v, 1) for v in shared - on_arcs)
-    whole = sum(m // d for d, m in periods.items())
+            shared.remove(v)
+            v = rho[v]
+    whole = 0
+    while shared:
+        v = rho[shared.pop()]
+        whole += 1
+        while v in shared:
+            shared.remove(v)
+            v = rho[v]
     return powers + whole, whole, heads
+
+
+def _collisions(words: Sequence[str], keys: Sequence) -> tuple[int, Iterable[list[str]]]:
+    """(number of words alone under their key, the lists of words that
+    share a key); keys[i] is the key of words[i]."""
+    sizes = Counter(keys)
+    shared: dict = {}
+    for v, key in zip(words, keys):
+        if sizes[key] > 1:
+            shared.setdefault(key, []).append(v)
+    return list(sizes.values()).count(1), shared.values()
+
+
+def _distinct_classes(words: Iterable[str]) -> int:
+    """Rotation classes among words of one length: a word opens a new class
+    unless it is a factor of the square of a word that opened one."""
+    squares: list[str] = []
+    for v in words:
+        for d in squares:
+            if v in d:
+                break
+        else:
+            squares.append(v + v)
+    return len(squares)
+
+
+def _head_classes(heads: Sequence[str], codes: Mapping[str, int], n: int, letters) -> int:
+    """Rotation classes among the arc heads of a length-n factor set
+    (module docstring): by Parikh code, then, in a code of more than
+    _CROWDED_HEADS heads, by rotation invariant, then by substring test."""
+    classes, parts = _collisions(heads, [codes[v] for v in heads])
+    table = None
+    for part in parts:
+        groups: Iterable[list[str]] = (part,)
+        if len(part) > _CROWDED_HEADS:
+            if table is None:
+                table, b, modulus = _rotation_invariant(letters, n)
+            keys = [pow(int(v.translate(table), b), n, modulus) for v in part]
+            alone, groups = _collisions(part, keys)
+            classes += alone
+        for group in groups:
+            classes += _distinct_classes(group)
+    return classes
 
 
 def _keyed_counts(
@@ -264,22 +328,14 @@ def _keyed_counts(
 ) -> tuple[int, int, int, int]:
     """(p, c, a, L) of a length-n factor set from its Parikh codes, as the
     module docstring sets out: lone factors, then the cycles and arcs of
-    rotate-by-one in the shared buckets; least rotations are taken only of
-    the arc heads that share a key (Parikh code, rotation invariant).
+    rotate-by-one in the shared buckets, then the classes of the arc heads.
     """
     if n == 0:
         return len(codes), 1, 1, 1
     sizes = Counter(codes.values())
     lone = list(sizes.values()).count(1)
     full, whole, heads = _full_classes(codes, sizes, n, letters)
-    head_sizes = Counter(codes[v] for v in heads)
-    lone_heads = list(head_sizes.values()).count(1)
-    invariant = _rotation_invariant(letters, n)
-    keys = {v: (codes[v], invariant(v)) for v in heads if head_sizes[codes[v]] > 1}
-    key_sizes = Counter(keys.values())
-    lone_keys = list(key_sizes.values()).count(1)
-    arcs = len({least_rotation(v) for v, key in keys.items() if key_sizes[key] > 1})
-    classes = lone + whole + lone_heads + lone_keys + arcs
+    classes = lone + whole + _head_classes(heads, codes, n, letters)
     return len(codes), classes, len(sizes), full
 
 
@@ -304,7 +360,7 @@ def _member_spans(fs: FactorSet) -> list[tuple[str, int]]:
 
 def lie_complexity(fs: FactorSet) -> int:
     """Number of rotation classes entirely contained in the factor set;
-    no rotation invariant or least rotation is taken."""
+    no substring test, rotation invariant or least rotation is taken."""
     if fs.n == 0:
         return 1
     codes, letters = _span_codes(_member_spans(fs), fs.n)

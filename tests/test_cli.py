@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import liewords
 from liewords import automata as au
 from liewords import words
 from liewords.cli import main
@@ -341,3 +345,19 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+
+
+def test_cli_import_leaves_construction_and_golden_unloaded():
+    # a fresh interpreter, so the modules other tests loaded do not count
+    script = (
+        "import sys, liewords, liewords.cli\n"
+        "print(sorted(m for m in ('liewords.construction', 'liewords.golden') if m in sys.modules))\n"
+        "print(set(liewords.__all__) <= set(dir(liewords)))\n"
+        "from liewords import build, golden_report\n"
+        "print(build.__module__, golden_report.__module__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(liewords.__path__[0]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split("\n")[:3] == ["[]", "True", "liewords.construction liewords.golden"]

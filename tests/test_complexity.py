@@ -1,7 +1,10 @@
 import ast
 import json
+import random
 from collections import Counter
 from functools import lru_cache
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,11 @@ from oracles import (
     provable_prefix_length,
     sam_lie_counts,
 )
+
+
+# splits that force each path: every code crowded, so every head takes the
+# invariant first; and no code crowded, so heads take substring tests only
+_EVERY_CODE, _NO_CODE = 0, 10**9
 
 
 def test_factor_set_by_hand():
@@ -223,8 +231,10 @@ def test_arc_counts_match_booth_counts(case):
     fs = FactorSet(n, members, True)
     _, c, a, L = booth_counts(members, n)
     assert lie_complexity(fs) == L
-    assert cyclic_complexity(fs) == c
     assert abelian_complexity(fs) == a
+    for split in (complexity._CROWDED_HEADS, _EVERY_CODE, _NO_CODE):
+        with mock.patch.object(complexity, "_CROWDED_HEADS", split):
+            assert cyclic_complexity(fs) == c
 
 
 @pytest.mark.parametrize(
@@ -255,57 +265,120 @@ def test_rotation_invariant_is_equal_on_all_rotations(size, data):
     # 1 to 36 letters take one base-b digit each, 37 to 40 take two
     letters = _FORTY[:size]
     v = data.draw(st.text(alphabet=letters, min_size=1, max_size=30))
-    invariant = _rotation_invariant(letters, len(v))
-    assert len({invariant(u) for u in _orbit(v)}) == 1
+    table, b, modulus = _rotation_invariant(letters, len(v))
+    assert len({pow(int(u.translate(table), b), len(v), modulus) for u in _orbit(v)}) == 1
 
 
-def _counted_rotations(monkeypatch):
-    """The words least_rotation is called on, from here on."""
+def _recorded(monkeypatch, name):
+    """The arguments of each call of complexity.<name>, from here on."""
     calls = []
+    fn = getattr(complexity, name)
 
-    def recording(v):
-        calls.append(v)
-        return least_rotation(v)
+    def recording(*args):
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(complexity, "least_rotation", recording)
+    monkeypatch.setattr(complexity, name, recording)
     return calls
 
 
 @pytest.mark.parametrize(
-    "members, c, L, rotations",
+    "members, c, L",
     [
         # arcs of the class of 001011 and of its complement's, 110100: one
-        # Parikh code and, at even n, one invariant, so both heads are rotated
-        ({"001011", "010110", "110100", "101001"}, 2, 0, 2),
+        # Parikh code and, at even n, one invariant value
+        ({"001011", "010110", "110100", "101001"}, 2, 0),
         # two arcs of the class of 000111, cut by the missing 011100, 100011
-        ({"000111", "001110", "111000", "110001"}, 1, 0, 2),
-        # arc heads 0011 and 0101 share a code, not the invariant (6 and 10)
-        ({"0011", "0110", "0101"}, 2, 0, 0),
+        ({"000111", "001110", "111000", "110001"}, 1, 0),
+        # arc heads 0011 and 0101 share a code, not an invariant value
+        ({"0011", "0110", "0101"}, 2, 0),
     ],
 )
-def test_heads_are_rotated_only_when_they_share_a_key(monkeypatch, members, c, L, rotations):
-    calls = _counted_rotations(monkeypatch)
+def test_arc_heads_are_told_apart_by_substring_tests(monkeypatch, members, c, L):
+    rotations = _recorded(monkeypatch, "least_rotation")
+    invariants = _recorded(monkeypatch, "_rotation_invariant")
     n = len(next(iter(members)))
     fs = FactorSet(n, frozenset(members), True)
     assert cyclic_complexity(fs) == c
-    assert len(calls) == rotations
     assert lie_complexity(fs) == L
     assert (c, L) == booth_counts(members, n)[1::2]
+    # two heads, within the split: substring tests only
+    assert invariants == []
+    monkeypatch.setattr(complexity, "_CROWDED_HEADS", _EVERY_CODE)
+    assert cyclic_complexity(fs) == c
+    assert invariants == [(["0", "1"], n)]
+    assert rotations == []
 
 
 def test_counts_over_forty_letters_match_booth_counts(monkeypatch):
     # the letter powers bring all 40 letters in, so each letter takes two
     # base-36 digits; three permutations of one word share a Parikh code:
     # two arcs of one class, one arc of another and a whole third class
-    calls = _counted_rotations(monkeypatch)
+    rotations = _recorded(monkeypatch, "least_rotation")
+    invariants = _recorded(monkeypatch, "_rotation_invariant")
     members = {c * 6 for c in _FORTY}
     members.update(_orbit("AB0zC1")[0:2] + _orbit("AB0zC1")[3:5])
     members.update(_orbit("0zAB1C")[0:3] + _orbit("zA0B1C"))
     fs = FactorSet(6, frozenset(members), True)
     _, c, a, L = booth_counts(members, 6)
     assert cyclic_complexity(fs) == c == 43
-    assert sorted(calls) == ["AB0zC1", "zC1AB0"]
+    # the shared code holds three arc heads, within the split
+    assert invariants == []
+    # past the split, the two arcs of one class share an invariant value
+    monkeypatch.setattr(complexity, "_CROWDED_HEADS", 2)
+    assert cyclic_complexity(fs) == c
+    assert len(invariants) == 1
+    assert rotations == []
     assert (abelian_complexity(fs), lie_complexity(fs)) == (a, L) == (41, 41)
+
+
+def _complement(v):
+    return v.translate(str.maketrans("01", "10"))
+
+
+def _necklaces(n, ones):
+    """The least rotation of each class of length-n words with `ones` 1s."""
+    return sorted({min(_orbit("".join(w))) for w in product("01", repeat=n) if w.count("1") == ones})
+
+
+def _crowded_sets():
+    """Length-n sets whose arc heads crowd one Parikh code past the split."""
+    # a word and its complement share an invariant value at even n.  Each
+    # class gets two one-word arcs: the self-complementary 00001111,
+    # 00101101 and 00110011 a word and its complement, the others a word
+    # and another's complement ((01)^4 is left out: its complement is its
+    # rotate-by-one)
+    eight = [v for v in _necklaces(8, 4) if v != "01010101"]
+    pairs = set(eight) | {_complement(v) for v in eight}
+    # n = 64: 2**64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 is
+    # smooth, so K**64 takes few values modulo its small factors.  Heads
+    # start arcs of two rotations of balanced words and of their
+    # complements; 0^16 1^16 0^16 1^16 is its complement's rotation, so
+    # its two arcs are one class
+    rng = random.Random(64)
+    words = ["0" * 16 + "1" * 16 + "0" * 16 + "1" * 16]
+    for _ in range(8):
+        w = "".join(rng.sample("0" * 32 + "1" * 32, 64))
+        words += [w, _complement(w)]
+    wide = {u for w in words for u in _orbit(w)[:2]}
+    wide.update(_orbit(words[0])[16:18])
+    # two arcs of the class of 000001111, among nine one-word classes of
+    # its code
+    arcs = set(_orbit("000001111")[0:2] + _orbit("000001111")[4:6])
+    arcs.update(_necklaces(9, 4)[1:10])
+    return [(8, frozenset(pairs)), (64, frozenset(wide)), (9, frozenset(arcs))]
+
+
+@pytest.mark.parametrize("n, members", _crowded_sets(), ids=["pairs", "n64", "two-arcs"])
+def test_crowded_codes_match_booth_counts(monkeypatch, n, members):
+    invariants = _recorded(monkeypatch, "_rotation_invariant")
+    fs = FactorSet(n, members, True)
+    _, c, _, L = booth_counts(members, n)
+    assert (cyclic_complexity(fs), lie_complexity(fs)) == (c, L)
+    assert invariants == [(["0", "1"], n)]
+    monkeypatch.setattr(complexity, "_CROWDED_HEADS", _NO_CODE)
+    assert cyclic_complexity(fs) == c
+    assert len(invariants) == 1
 
 
 @st.composite
@@ -342,11 +415,17 @@ _TWELVE_NS = (0, 1, 2, 3, 4, 5, 7, 10, 20, 30, 40, 50, 60, 70, 80, 90, 99, 100)
 @pytest.mark.parametrize(
     "name", ["thue-morse", "vtm", "cantor", "fibonacci", "tribonacci", "twelve"]
 )
-def test_table_matches_booth_counts_on_exact_sets(name):
+def test_table_matches_booth_counts_on_exact_sets(monkeypatch, name):
     gen = get_word(name)
-    for row in complexity_table(gen, _TWELVE_NS if name == "twelve" else range(101)):
-        expected = booth_counts(exact_factors(gen, row.n), row.n)
-        assert (row.p, row.c, row.a, row.L) == expected, row.n
+    rows = complexity_table(gen, range(101))
+    # the invariant split, taken by every code or by none, changes no row
+    for split in (_EVERY_CODE, _NO_CODE):
+        monkeypatch.setattr(complexity, "_CROWDED_HEADS", split)
+        assert complexity_table(gen, range(101)) == rows, split
+    for row in rows:
+        if name != "twelve" or row.n in _TWELVE_NS:
+            expected = booth_counts(exact_factors(gen, row.n), row.n)
+            assert (row.p, row.c, row.a, row.L) == expected, row.n
 
 
 @lru_cache(maxsize=None)
@@ -372,9 +451,16 @@ def test_rows_match_booth_counts_at_larger_n():
     fib = get_word("fibonacci")
     for row in complexity_table(fib, range(201)):
         assert (row.p, row.c, row.a, row.L) == booth_counts(exact_factors(fib, row.n), row.n)
-    tm = get_word("thue-morse")
-    for row in complexity_table(tm, [128, 150, 200, 256]):
-        assert (row.p, row.c, row.a, row.L) == booth_counts(exact_factors(tm, row.n), row.n)
+    for name, ns in [
+        ("thue-morse", [128, 150, 200, 256]),
+        ("vtm", [128, 200]),
+        ("tribonacci", [128, 200]),
+        ("twelve", [128]),
+    ]:
+        gen = get_word(name)
+        for row in complexity_table(gen, ns):
+            expected = booth_counts(exact_factors(gen, row.n), row.n)
+            assert (row.p, row.c, row.a, row.L) == expected, (name, row.n)
 
 
 def test_complexity_table_refuses_a_negative_length_first(monkeypatch):
@@ -506,12 +592,16 @@ def test_bundled_exact_sets_equal_blocks_of_a_provable_prefix(name):
 )
 def test_lie_complexity_takes_no_least_rotation(monkeypatch, name, max_n):
     # the factor sets algebra-check reads, each counted by Booth rotations
-    calls = _counted_rotations(monkeypatch)
+    calls = _recorded(monkeypatch, "least_rotation")
 
     def no_invariant(letters, n):
         raise AssertionError("rotation invariant taken at n=%d" % n)
 
+    def no_substring_test(words):
+        raise AssertionError("substring tests taken")
+
     monkeypatch.setattr(complexity, "_rotation_invariant", no_invariant)
+    monkeypatch.setattr(complexity, "_distinct_classes", no_substring_test)
     for n in range(max_n + 1):
         fs = saturated_factor_set(get_word(name), n)
         assert lie_complexity(fs) == booth_counts(fs.members, n)[3], (name, n)
