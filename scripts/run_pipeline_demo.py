@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Walk the full formula-to-automatic-sequence pipeline for each bundled
-word with a digit automaton, optionally writing the artifacts.
+word with a digit automaton, optionally writing the artifacts.  Each
+output automaton is checked at n = 0..256 against the L column of the
+direct route.
 
 Usage: run_pipeline_demo.py [output-dir]
 """
@@ -10,8 +12,8 @@ import sys
 import time
 
 from liewords.bundled import PIPELINE_WORDS, get_word
+from liewords.complexity import complexity_table
 from liewords.counting import (
-    count_direct,
     counting_representation,
     minimize_representation,
     representation_to_text,
@@ -37,8 +39,8 @@ def main() -> int:
         d = to_dfao(small)
         built = time.monotonic() - started
 
-        for n in range(0, 257):
-            assert int(dfao_eval(d, n)) == count_direct(lie, n)
+        for row in complexity_table(word, range(257)):
+            assert int(dfao_eval(d, row.n)) == row.L, (name, row.n)
 
         head = " ".join(dfao_eval(d, n) for n in range(17))
         print("%s (base %d), built in %.1fs" % (name, word.dfao.base, built))

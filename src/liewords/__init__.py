@@ -42,9 +42,7 @@ _EXPORTS = {
     ),
     "counting": (
         "LinearRepresentation",
-        "count_direct",
         "counting_representation",
-        "eval_int",
         "minimize_representation",
         "sup_value",
         "to_dfao",

@@ -171,14 +171,12 @@ def cmd_logic_compile(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.state_cap < 1:
-        raise InvalidParameter("state cap must be at least 1, got %d" % args.state_cap)
     seq = _sequence(args.seq)
     lib = build_predicate_library(seq)
     lie = lib["lie"]
     rep = counting_representation(lie)
     small = minimize_representation(rep)
-    dfao = to_dfao(small, args.state_cap)
+    dfao = to_dfao(small)
     sys.stdout.write(
         "lie states: %d\nrepresentation dimension: %d\nminimized dimension: %d\n"
         "dfao states: %d\nsup: %d\n"
@@ -309,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="bundled word or .dfao file")
     p.add_argument("--emit-rep", help="write the linear representation (.linrep)")
     p.add_argument("--emit-dfao", help="write the counting automaton (.dfao)")
-    p.add_argument("--state-cap", type=int, default=4096)
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("construct", help="staged low-complexity word")

@@ -83,7 +83,6 @@ from .errors import (
 )
 # perfbench/tracing.py looks saturation_window up in this module
 from .words import (  # noqa: F401
-    Prefix,
     _check_block_budget,
     _check_length,
     exact_factors,
@@ -111,10 +110,9 @@ class ComplexityRow:
     certified: bool
 
 
-def factor_set(p, n: int) -> FactorSet:
-    """All length-n blocks of the prefix, labeled uncertified: a prefix
+def factor_set(s: str, n: int) -> FactorSet:
+    """All length-n blocks of the prefix s, labeled uncertified: a prefix
     need not hold every factor of the word."""
-    s = p.letters if isinstance(p, Prefix) else p
     _check_length(n)
     if n > len(s):
         raise LengthExceedsPrefix("length %d exceeds prefix of %d" % (n, len(s)))

@@ -30,7 +30,7 @@ from .errors import (
     SuffixSearchExceeded,
     WindowUnstable,
 )
-from .words import Prefix, fixed_point_prefix
+from .words import fixed_point_prefix
 
 DEFAULT_MAX_LETTERS = 1 << 22
 CALIBRATION = 19
@@ -80,7 +80,7 @@ class ConstructionTrace:
     a: tuple[tuple[int, ...], ...]
     v: tuple[str, ...]
     s: tuple[str, ...]
-    prefix: Prefix
+    prefix: str
 
     def u_word(self, i: int) -> str:
         return self.u[i - 1]
@@ -102,7 +102,7 @@ class ConstructionTrace:
 
 
 def _fib_letters(length: int) -> str:
-    return fixed_point_prefix(fibonacci_morphism, "0", length).letters
+    return fixed_point_prefix(fibonacci_morphism, "0", length)
 
 
 def _honest_threshold(f, stage: int, prev_len: int, max_letters: int) -> int:
@@ -205,7 +205,6 @@ def build(params: ConstructionParams) -> ConstructionTrace:
             )
         s.append(nxt)
 
-    prefix = Prefix(s[-1], "construction %s depth=%d" % (params.mode, depth))
     return ConstructionTrace(
         params=params,
         thresholds=tuple(thresholds),
@@ -214,7 +213,7 @@ def build(params: ConstructionParams) -> ConstructionTrace:
         a=a,
         v=tuple(v),
         s=tuple(s),
-        prefix=prefix,
+        prefix=s[-1],
     )
 
 
@@ -226,7 +225,7 @@ def verify_powers(trace: ConstructionTrace, i: int, e: int) -> bool:
             "power needs %d letters, prefix has %d"
             % (len(block), len(trace.prefix))
         )
-    return block in trace.prefix.letters
+    return block in trace.prefix
 
 
 def monotone_envelope(f: Callable[[int], int], upto: int) -> list[int]:
@@ -257,7 +256,7 @@ def verify_complexity_bound(
     finite-stage stand-in for window stability; otherwise the prefix is
     too short to trust and WindowUnstable is raised.
     """
-    letters = trace.prefix.letters
+    letters = trace.prefix
     half = letters[: len(letters) // 2]
     ns = sorted(set(n_range))
     if not ns:
@@ -354,6 +353,6 @@ def trace_to_json(trace: ConstructionTrace) -> str:
         "v": list(trace.v),
         "v_lengths": [len(x) for x in trace.v],
         "s_lengths": [len(x) for x in trace.s],
-        "prefix": trace.prefix.letters,
+        "prefix": trace.prefix,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

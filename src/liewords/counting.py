@@ -1,18 +1,17 @@
-"""Counting accepted positions of a two-track automaton, three ways.
+"""Counting accepted positions of a two-track automaton.
 
 For an automaton over tracks (i, n), the map n -> #{i accepted} is
-computed directly by weighted path counting, through a linear
-representation (row vector, digit-indexed matrices, column vector), and
-through a DFAO obtained from the minimized representation when the
-counts are bounded.  All arithmetic is exact.
+computed through a linear representation (row vector, digit-indexed
+matrices, column vector), which is minimized and, when the counts are
+bounded, turned into a DFAO.  All arithmetic is exact.  This is the
+package's one path for the count; the direct weighted path count that
+checks it lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
 
 from .automata import MultiTrackDfa, _coreachable, normalize_padding
 from .errors import (
@@ -23,7 +22,10 @@ from .errors import (
     UnknownTrack,
 )
 from .linalg import RowBasis
-from .words import Dfao, _numbered_lines, _parse_int, digits_msd
+from .words import Dfao, _numbered_lines, _parse_int
+
+# the most distinct state vectors `to_dfao` builds; read at call time
+_DFAO_STATE_CAP = 4096
 
 Rational = Fraction
 Row = tuple[Rational, ...]
@@ -56,38 +58,27 @@ class LinearRepresentation:
         return len(self.v)
 
 
-def _require_in_tracks(a: MultiTrackDfa, free: str, fixed: str):
-    if set(a.tracks) != {free, fixed}:
-        raise UnknownTrack(
-            "expected tracks (%s, %s), automaton has (%s)"
-            % (free, fixed, ", ".join(a.tracks))
-        )
+def _count_matrices(a: MultiTrackDfa):
+    """Digit-transition count matrices for the tracks (i, n).
 
-
-@lru_cache(maxsize=32)
-def _count_matrices(a: MultiTrackDfa, free: str, fixed: str):
-    """Digit-transition count matrices for one free and one fixed track.
-
-    M[c][p][q] = number of free-track digits e whose column (e, c) maps
-    p to q; also the first-column matrix restricted to nonzero e."""
+    M[c][p][q] = number of i-track digits e whose column (e, c) maps p
+    to q; also the first-column matrix restricted to nonzero e."""
     base = a.base
     n = a.n_states
-    pf = a.tracks.index(free)
-    shift_free = base ** (len(a.tracks) - 1 - pf)
-    px = a.tracks.index(fixed)
-    shift_fixed = base ** (len(a.tracks) - 1 - px)
+    shift_i = base ** (len(a.tracks) - 1 - a.tracks.index("i"))
+    shift_n = base ** (len(a.tracks) - 1 - a.tracks.index("n"))
     rows = a.transitions.tolist()
     mats = []
     for c in range(base):
         m = [[0] * n for _ in range(n)]
         for p, row in enumerate(rows):
             for e in range(base):
-                m[p][row[e * shift_free + c * shift_fixed]] += 1
+                m[p][row[e * shift_i + c * shift_n]] += 1
         mats.append(tuple(tuple(r) for r in m))
     lead = [[0] * n for _ in range(n)]
     for p, row in enumerate(rows):
         for e in range(1, base):
-            lead[p][row[e * shift_free]] += 1
+            lead[p][row[e * shift_i]] += 1
     return tuple(mats), tuple(tuple(r) for r in lead)
 
 
@@ -103,90 +94,18 @@ def _vec_mat(vec, mat):
     return out
 
 
-def count_direct(a: MultiTrackDfa, n: int) -> int:
-    """Number of i values accepted with the n track fixed to n.
-
-    An i wider than n's digit string contributes through leading
-    columns that are zero on the n track with a nonzero first i digit.
-    Raises InfiniteCount when a padding loop lets arbitrarily wide i
-    through to acceptance.
-    """
-    _require_in_tracks(a, "i", "n")
-    mats, lead = _count_matrices(a, "i", "n")
-    nn = a.n_states
-    acc = [1 if q in a.accepting else 0 for q in range(nn)]
-
-    w = acc
-    for d in reversed(digits_msd(n, a.base)):
-        # w <- M_d * w, building the path-count column right to left
-        w = [sum(mats[d][p][q] * w[q] for q in range(nn) if w[q]) for p in range(nn)]
-
-    u0 = [0] * nn
-    u0[a.initial] = 1
-    total = sum(u0[q] * w[q] for q in range(nn))
-
-    x = _vec_mat(u0, lead)
-    # states on a zero-column cycle both reachable from x and able to
-    # contribute to w witness infinitely many i
-    zero = mats[0]
-    fwd = {p for p in range(nn) if x[p]}
-    stack = list(fwd)
-    while stack:
-        p = stack.pop()
-        for q in range(nn):
-            if zero[p][q] and q not in fwd:
-                fwd.add(q)
-                stack.append(q)
-    bwd = {q for q in range(nn) if w[q]}
-    stack = list(bwd)
-    while stack:
-        q = stack.pop()
-        for p in range(nn):
-            if zero[p][q] and p not in bwd:
-                bwd.add(p)
-                stack.append(p)
-    live = fwd & bwd
-    color: dict[int, int] = {}
-    for start in live:
-        if start in color:
-            continue
-        stack2 = [(start, iter(range(nn)))]
-        color[start] = 1
-        while stack2:
-            p, it = stack2[-1]
-            for q in it:
-                if not zero[p][q] or q not in live:
-                    continue
-                c = color.get(q)
-                if c == 1:
-                    raise InfiniteCount(
-                        "padding cycle admits arbitrarily wide i at n=%d" % n
-                    )
-                if c is None:
-                    color[q] = 1
-                    stack2.append((q, iter(range(nn))))
-                    break
-            else:
-                color[p] = 2
-                stack2.pop()
-
-    for _ in range(len(live) + 1):
-        total += sum(x[q] * w[q] for q in range(nn))
-        x = _vec_mat(x, zero)
-    return total
-
-
 def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
-    """Linear representation of n -> count_direct(a, n).
+    """Linear representation of n -> #{i : a accepts (i, n)}.
 
     The initial vector folds in every number of leading zero columns on
     the n track.  A padding walk still on a coreachable state after
     n_states zero columns has repeated a state, so its cycle admits
     infinitely many i: the fold stops there and raises InfiniteCount.
     """
-    _require_in_tracks(a, "i", "n")
+    if set(a.tracks) != {"i", "n"}:
+        raise UnknownTrack("expected tracks (i, n), automaton has (%s)" % ", ".join(a.tracks))
     a = normalize_padding(a)
-    mats, lead = _count_matrices(a, "i", "n")
+    mats, lead = _count_matrices(a)
     nn = a.n_states
     core = [q for q, live in enumerate(_coreachable(a).tolist()) if live]
 
@@ -213,20 +132,6 @@ def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
         matrices=tuple(frac(m) for m in mats),
         w=tuple(Fraction(1 if q in a.accepting else 0) for q in range(nn)),
     )
-
-
-def evaluate(r: LinearRepresentation, n: int) -> Fraction:
-    vec = list(r.v)
-    for d in digits_msd(n, r.base):
-        vec = _vec_mat(vec, r.matrices[d])
-    return sum((x * y for x, y in zip(vec, r.w)), Fraction(0))
-
-
-def eval_int(r: LinearRepresentation, n: int) -> int:
-    val = evaluate(r, n)
-    if val.denominator != 1 or val < 0:
-        raise NonIntegerOutput("value at n=%d is %s" % (n, val))
-    return int(val)
 
 
 def _transpose(r: LinearRepresentation) -> LinearRepresentation:
@@ -285,13 +190,15 @@ def minimize_representation(r: LinearRepresentation) -> LinearRepresentation:
     return _transpose(_forward_reduce(_transpose(_forward_reduce(r))))
 
 
-def to_dfao(r: LinearRepresentation, state_cap: Optional[int] = 4096) -> Dfao:
+def to_dfao(r: LinearRepresentation) -> Dfao:
     """Reachable-vector subset automaton of a bounded integer sequence.
 
     States are the exact vectors v * zeta(x); the construction
     terminates iff finitely many arise, which boundedness guarantees
-    for a minimized representation.
+    for a minimized representation.  More than _DFAO_STATE_CAP vectors
+    raise StateCapExceeded.
     """
+    cap = _DFAO_STATE_CAP
     index: dict[Row, int] = {}
     order: list[Row] = []
 
@@ -301,10 +208,8 @@ def to_dfao(r: LinearRepresentation, state_cap: Optional[int] = 4096) -> Dfao:
             k = len(order)
             index[vec] = k
             order.append(vec)
-            if state_cap is not None and len(order) > state_cap:
-                raise StateCapExceeded(
-                    "more than %d distinct state vectors" % state_cap
-                )
+            if len(order) > cap:
+                raise StateCapExceeded("more than %d distinct state vectors" % cap)
         return k
 
     intern(r.v)

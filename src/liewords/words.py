@@ -145,10 +145,6 @@ def dfao_eval(d: Dfao, n: int) -> str:
     return d.outputs[state]
 
 
-def dfao_prefix(d: Dfao, length: int) -> "Prefix":
-    return Prefix("".join(dfao_eval(d, n) for n in range(length)), "dfao")
-
-
 def dfao_morphism(d: Dfao) -> tuple["Morphism", str, dict[str, str]]:
     """k-uniform morphism, seed and coding whose coded fixed point is the
     DFAO's word (Cobham 1972).
@@ -170,21 +166,7 @@ def dfao_morphism(d: Dfao) -> tuple["Morphism", str, dict[str, str]]:
     return morphism([seed] + state, rules), seed, coding
 
 
-@dataclass(frozen=True)
-class Prefix:
-    """A certified chunk of an infinite word, with its provenance tag."""
-
-    letters: str
-    source: str
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __getitem__(self, item):
-        return self.letters[item]
-
-
-def fixed_point_prefix(m: Morphism, seed: str, length: int) -> Prefix:
+def fixed_point_prefix(m: Morphism, seed: str, length: int) -> str:
     """Prefix of the fixed point of m prolongable on seed.
 
     Applies the whole morphism to the current prefix and truncates; images
@@ -205,7 +187,7 @@ def fixed_point_prefix(m: Morphism, seed: str, length: int) -> Prefix:
             if total >= length:
                 break
         s = "".join(parts)
-    return Prefix(s[:length], "morphism")
+    return s[:length]
 
 
 def _require_prolongable(m: Morphism, seed: str) -> None:
@@ -402,7 +384,7 @@ class WordGenerator:
             self._morphic = _MorphicWord(*self._fixed_point)
         return self._morphic
 
-    def prefix(self, length: int) -> Prefix:
+    def prefix(self, length: int) -> str:
         """The first `length` letters, memoized in memory.  Raises
         WindowExceeded, before building anything, when `length` is past
         LETTER_BUDGET letters."""
@@ -413,9 +395,9 @@ class WordGenerator:
             )
         if length > len(self._cached):
             m, seed, coding = self._fixed_point
-            s = fixed_point_prefix(m, seed, length).letters
+            s = fixed_point_prefix(m, seed, length)
             self._cached = s.translate(str.maketrans(coding)) if coding else s
-        return Prefix(self._cached[:length], self.name)
+        return self._cached[:length]
 
 
 def _exact_spans(word: _MorphicWord, n: int) -> list[tuple[str, int]]:
@@ -525,7 +507,7 @@ def saturation_window(generator, n: int) -> tuple[int, bool]:
                 "no prefix within the letter budget of %d letters holds every "
                 "factor of length %d" % (LETTER_BUDGET, n)
             )
-        s = generator.prefix(w).letters
+        s = generator.prefix(w)
         # the blocks of a prefix are factors, so equal counts mean equal sets
         if len({s[i : i + n] for i in range(w - n + 1)}) == len(members):
             return w, bool(getattr(generator, "certifiable", False))

@@ -8,9 +8,11 @@ scan, abelian counts from `Counter`, repeated factors from one lookup per
 factor, commutator rows from every pair of factors whose lengths add
 up, ranks come from Gaussian elimination over Z/p, growing letters from image lengths, factor
 sets of morphic words from a prefix long enough to hold every factor,
-minimal automata from Moore refinement on exact signature tuples, and
+minimal automata from Moore refinement on exact signature tuples,
 reduced representations from a second pass that reads every coordinate
-off the finished basis.
+off the finished basis, counts of accepted positions from weighted
+path sums fixed to one n at a time, and prefixes of digit-automaton
+words from one automaton run per position.
 Products and subset constructions run one pair or one subset at a
 time, where the package expands a frontier a chunk at a time;
 predicates take their arguments with every constraint conjoined
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +35,9 @@ from liewords import counting
 from liewords import formulas as fo
 from liewords import logic
 from liewords.automata import MultiTrackDfa, digits_of, sym_of
-from liewords.errors import FormulaSyntaxError
+from liewords.errors import FormulaSyntaxError, InfiniteCount, NonIntegerOutput, UnknownTrack
 from liewords.linalg import RowBasis
+from liewords.words import dfao_eval, digits_msd
 
 
 def image_lengths(rules: dict, k: int) -> dict:
@@ -594,6 +598,126 @@ def two_pass_minimize_representation(r):
     """Forward then backward `two_pass_forward_reduce`."""
     t = counting._transpose
     return t(two_pass_forward_reduce(t(two_pass_forward_reduce(r))))
+
+
+def evaluate(r, n: int) -> Fraction:
+    """v * zeta(d_1) * ... * zeta(d_m) * w for the digits d of n."""
+    vec = list(r.v)
+    for d in digits_msd(n, r.base):
+        vec = counting._vec_mat(vec, r.matrices[d])
+    return sum((x * y for x, y in zip(vec, r.w)), Fraction(0))
+
+
+def eval_int(r, n: int) -> int:
+    """`evaluate` as a count; NonIntegerOutput when it is not one."""
+    val = evaluate(r, n)
+    if val.denominator != 1 or val < 0:
+        raise NonIntegerOutput("value at n=%d is %s" % (n, val))
+    return int(val)
+
+
+def dfao_prefix(d, length: int) -> str:
+    """The first `length` letters of a DFAO word, one run per position."""
+    return "".join(dfao_eval(d, n) for n in range(length))
+
+
+# ---------------------------------------------------------------------------
+# counting accepted positions directly, one n at a time
+
+
+@lru_cache(maxsize=32)
+def path_count_matrices(a):
+    """For each n-track digit c, M_c[p][q] = the number of i-track digits
+    whose column maps p to q, found by decoding every symbol; and the
+    matrix of the columns with a nonzero i digit and a zero n digit.
+    Memoized per automaton: the acceptance tests count thousands of n
+    against a handful of automata."""
+    i, n = a.tracks.index("i"), a.tracks.index("n")
+    size = a.n_states
+    mats = [[[0] * size for _ in range(size)] for _ in range(a.base)]
+    lead = [[0] * size for _ in range(size)]
+    for sym in range(a.n_symbols):
+        digits = digits_of(sym, a.base, len(a.tracks))
+        for p, q in enumerate(a.transitions[:, sym].tolist()):
+            mats[digits[n]][p][q] += 1
+            if digits[i] and not digits[n]:
+                lead[p][q] += 1
+    return mats, lead
+
+
+def count_direct(a, n: int) -> int:
+    """Number of i values accepted with the n track fixed to n.
+
+    An i wider than n's digit string contributes through leading
+    columns that are zero on the n track with a nonzero first i digit.
+    Raises InfiniteCount when a padding loop lets arbitrarily wide i
+    through to acceptance.
+    """
+    if set(a.tracks) != {"i", "n"}:
+        raise UnknownTrack("expected tracks (i, n), automaton has (%s)" % ", ".join(a.tracks))
+    mats, lead = path_count_matrices(a)
+    _vec_mat = counting._vec_mat
+    nn = a.n_states
+    acc = [1 if q in a.accepting else 0 for q in range(nn)]
+
+    w = acc
+    for d in reversed(digits_msd(n, a.base)):
+        # w <- M_d * w, building the path-count column right to left
+        w = [sum(mats[d][p][q] * w[q] for q in range(nn) if w[q]) for p in range(nn)]
+
+    u0 = [0] * nn
+    u0[a.initial] = 1
+    total = sum(u0[q] * w[q] for q in range(nn))
+
+    x = _vec_mat(u0, lead)
+    # states on a zero-column cycle both reachable from x and able to
+    # contribute to w witness infinitely many i
+    zero = mats[0]
+    fwd = {p for p in range(nn) if x[p]}
+    stack = list(fwd)
+    while stack:
+        p = stack.pop()
+        for q in range(nn):
+            if zero[p][q] and q not in fwd:
+                fwd.add(q)
+                stack.append(q)
+    bwd = {q for q in range(nn) if w[q]}
+    stack = list(bwd)
+    while stack:
+        q = stack.pop()
+        for p in range(nn):
+            if zero[p][q] and p not in bwd:
+                bwd.add(p)
+                stack.append(p)
+    live = fwd & bwd
+    color: dict[int, int] = {}
+    for start in live:
+        if start in color:
+            continue
+        stack2 = [(start, iter(range(nn)))]
+        color[start] = 1
+        while stack2:
+            p, it = stack2[-1]
+            for q in it:
+                if not zero[p][q] or q not in live:
+                    continue
+                c = color.get(q)
+                if c == 1:
+                    raise InfiniteCount(
+                        "padding cycle admits arbitrarily wide i at n=%d" % n
+                    )
+                if c is None:
+                    color[q] = 1
+                    stack2.append((q, iter(range(nn))))
+                    break
+            else:
+                color[p] = 2
+                stack2.pop()
+
+    for _ in range(len(live) + 1):
+        total += sum(x[q] * w[q] for q in range(nn))
+        x = _vec_mat(x, zero)
+    return total
 
 
 # ---------------------------------------------------------------------------

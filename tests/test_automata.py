@@ -54,7 +54,7 @@ def test_const_predicate_reads_the_digits():
 def test_seq_letter_predicate_matches_word():
     tm = get_word("thue-morse")
     a = au.seq_letter_predicate(tm.dfao, "i", "1")
-    prefix = tm.prefix(200).letters
+    prefix = tm.prefix(200)
     for i in range(200):
         assert au.accepts(a, {"i": i}) == (prefix[i] == "1")
 
@@ -215,7 +215,7 @@ def test_large_projection_falls_back_to_reversal(twelve_library):
     """The wide-alphabet library build exercises the double-reversal
     projection path; spot check the result against the actual word."""
     feq = twelve_library["factoreq"]
-    prefix = get_word("twelve").prefix(2200).letters
+    prefix = get_word("twelve").prefix(2200)
     rng = random.Random(3)
     for _ in range(300):
         n = rng.randrange(0, 40)

@@ -7,6 +7,7 @@ import pytest
 
 import liewords
 from liewords import automata as au
+from liewords import counting
 from liewords import words
 from liewords.cli import main
 from liewords.words import parse_dfao
@@ -117,8 +118,6 @@ def test_morphism_file_with_a_non_growing_letter(tmp_path, capsys):
         (("logic", "compile", "--formula", "i<j", "--base", "-2"), "base must be at least 2, got -2"),
         (("logic", "compile", "--formula", "i<j"), "formula reads no sequence; pass a base"),
         (("scan-powers", "--word", "thue-morse", "--max-root-len", "-1"), "largest root length must be nonnegative, got -1"),
-        (("pipeline", "--seq", "thue-morse", "--state-cap", "0"), "state cap must be at least 1, got 0"),
-        (("pipeline", "--seq", "thue-morse", "--state-cap", "-1"), "state cap must be at least 1, got -1"),
     ],
 )
 def test_bad_numeric_input_exits_one(capsys, argv, message):
@@ -135,6 +134,13 @@ def test_logic_compile_past_the_state_cap_exits_one(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("CompileBlowup: automaton grew past the state cap")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_pipeline_past_the_dfao_state_cap_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(counting, "_DFAO_STATE_CAP", 2)
+    code, out, err = run(capsys, "pipeline", "--seq", "thue-morse")
+    assert (code, out) == (1, "")
+    assert err == "StateCapExceeded: more than 2 distinct state vectors\n"
 
 
 def test_verify_inequalities_pass(capsys):

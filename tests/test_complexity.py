@@ -152,7 +152,7 @@ def test_complexity_table_thue_morse_head():
 def test_lie_count_matches_naive_oracle(n):
     tm = get_word("thue-morse")
     fs = saturated_factor_set(tm, n)
-    window = tm.prefix(saturation_window(tm, n)[0]).letters
+    window = tm.prefix(saturation_window(tm, n)[0])
     assert lie_complexity(fs) == naive_lie_count(window, n)
 
 
@@ -478,7 +478,7 @@ def test_closure_rows_match_booth_counts(image, max_n):
     # so their rows come from the closure; up to max_n the first 2^16
     # letters hold every factor
     gen = WordGenerator("runs", morphism=morphism("ab", {"a": image, "b": "b"}), seed="a")
-    prefix = gen.prefix(1 << 16).letters
+    prefix = gen.prefix(1 << 16)
     for row in complexity_table(gen, range(max_n + 1)):
         expected = booth_counts(blocks(prefix, row.n), row.n)
         assert (row.p, row.c, row.a, row.L) == expected, row.n
@@ -488,7 +488,7 @@ def test_lie_counts_match_suffix_automaton_on_fibonacci():
     fib = get_word("fibonacci")
     w, certified = saturation_window(fib, 120)
     assert certified
-    counts = sam_lie_counts(fib.prefix(w).letters, 120)
+    counts = sam_lie_counts(fib.prefix(w), 120)
     rows = complexity_table(fib, range(0, 121))
     assert [r.L for r in rows] == counts
 
@@ -554,7 +554,7 @@ def test_power_scan_matches_brute_force_on_a_provable_prefix(name):
     rules = gen.morphism.rule_map
     for exponent in (2, 3, 4):
         # every factor of length <= 4 * exponent is a block of this prefix
-        prefix = gen.prefix(provable_prefix_length(rules, gen.seed, 4 * exponent)).letters
+        prefix = gen.prefix(provable_prefix_length(rules, gen.seed, 4 * exponent))
         expected = _brute_force_scan(prefix, 4, exponent)
         assert unbounded_exponent_scan(gen, 4, exponent) == expected, exponent
 

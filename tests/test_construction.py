@@ -133,7 +133,7 @@ def test_complexity_bound_report():
     trace = build(toy())
     rows = verify_complexity_bound(trace, double_log_threshold, range(1, 18))
     assert all(isinstance(r, BoundRow) for r in rows)
-    prefix = trace.prefix.letters if hasattr(trace.prefix, "letters") else trace.prefix
+    prefix = trace.prefix
     for r in rows:
         direct = len({prefix[i : i + r.n] for i in range(len(prefix) - r.n + 1)})
         assert r.p == direct

@@ -5,13 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liewords import automata as au
+from liewords import counting
 from liewords.bundled import PIPELINE_WORDS, get_word
 from liewords.counting import (
     LinearRepresentation,
-    count_direct,
     counting_representation,
-    eval_int,
-    evaluate,
     minimize_representation,
     representation_from_text,
     representation_to_text,
@@ -26,7 +24,7 @@ from liewords.errors import (
 )
 from liewords.golden import closed_form
 from liewords.words import dfao_eval
-from oracles import two_pass_minimize_representation
+from oracles import count_direct, eval_int, evaluate, two_pass_minimize_representation
 
 
 def test_count_direct_equals_position_scan(tm_library):
@@ -98,10 +96,11 @@ def test_pipeline_dfao_matches_brute_force(name):
         assert int(dfao_eval(d, n)) == lie_complexity(saturated_factor_set(word, n))
 
 
-def test_state_cap_respected(tm_library):
+def test_state_cap_respected(tm_library, monkeypatch):
     rep = minimize_representation(counting_representation(tm_library["lie"]))
+    monkeypatch.setattr(counting, "_DFAO_STATE_CAP", 1)
     with pytest.raises(StateCapExceeded):
-        to_dfao(rep, state_cap=1)
+        to_dfao(rep)
 
 
 def test_non_integer_rep_rejected():

@@ -58,7 +58,7 @@ def test_sequence_base_must_match():
 def test_sequence_atoms_follow_the_word():
     tm = get_word("thue-morse")
     a = compile_formula(fo.parse("W[i]=W[j]"), {"W": tm.dfao})
-    prefix = tm.prefix(128).letters
+    prefix = tm.prefix(128)
     for i in range(0, 120, 7):
         for j in range(0, 120, 11):
             assert au.accepts(a, {"i": i, "j": j}) == (prefix[i] == prefix[j])
@@ -132,7 +132,7 @@ def test_shift_false_when_offset_exceeds_length(tm_library):
 
 
 def test_factoreq_matches_prefix_comparison(tm_library):
-    prefix = get_word("thue-morse").prefix(600).letters
+    prefix = get_word("thue-morse").prefix(600)
     feq = tm_library["factoreq"]
     for i in range(0, 500, 13):
         for j in range(0, 500, 17):
@@ -142,7 +142,7 @@ def test_factoreq_matches_prefix_comparison(tm_library):
 
 
 def test_conj_matches_rotation_semantics(tm_library):
-    prefix = get_word("thue-morse").prefix(300).letters
+    prefix = get_word("thue-morse").prefix(300)
     conj = tm_library["conj"]
     for i in range(0, 40):
         for j in range(0, 40):
@@ -159,7 +159,7 @@ def test_lie_accepted_positions_are_class_witnesses(tm_library):
     prefix and compare."""
     tm = get_word("thue-morse")
     lie = tm_library["lie"]
-    prefix = tm.prefix(4096).letters
+    prefix = tm.prefix(4096)
     for n in (1, 2, 3, 4, 5, 6):
         fs = saturated_factor_set(tm, n)
         expected = set()
@@ -174,7 +174,7 @@ def test_lie_accepted_positions_are_class_witnesses(tm_library):
 
 
 def test_apply_predicate_binds_compound_arguments(tm_library):
-    prefix = get_word("thue-morse").prefix(300).letters
+    prefix = get_word("thue-morse").prefix(300)
     feq = tm_library["factoreq"]
     shifted = apply_predicate(
         feq, {"i": fo.Var("p"), "j": fo.Plus(fo.Var("p"), fo.Var("k")), "n": fo.Const(3)}

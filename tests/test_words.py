@@ -21,7 +21,6 @@ from liewords.words import (
     WordGenerator,
     dfao_eval,
     dfao_morphism,
-    dfao_prefix,
     digits_msd,
     dfao_to_text,
     exact_factors,
@@ -35,7 +34,13 @@ from liewords.words import (
     saturation_window,
 )
 
-from oracles import blocks, closure_in_rounds, growing_by_cycles, provable_prefix_length
+from oracles import (
+    blocks,
+    closure_in_rounds,
+    dfao_prefix,
+    growing_by_cycles,
+    provable_prefix_length,
+)
 
 
 def test_morphism_apply():
@@ -57,7 +62,7 @@ def test_morphism_validates_rules():
 
 def test_fixed_point_prefix_thue_morse():
     m = morphism("01", {"0": "01", "1": "10"})
-    assert fixed_point_prefix(m, "0", 16).letters == "0110100110010110"
+    assert fixed_point_prefix(m, "0", 16) == "0110100110010110"
 
 
 def test_fixed_point_needs_prolongable_seed():
@@ -83,13 +88,13 @@ def test_thue_morse_dfao_is_bit_parity(n):
 @given(st.integers(min_value=0, max_value=2000))
 def test_dfao_matches_morphic_prefix(n):
     word = get_word("vtm")
-    assert dfao_eval(word.dfao, n) == word.prefix(n + 1).letters[n]
+    assert dfao_eval(word.dfao, n) == word.prefix(n + 1)[n]
 
 
 def test_generator_prefix_is_consistent():
     fib = get_word("fibonacci")
-    short = fib.prefix(30).letters
-    long = fib.prefix(200).letters
+    short = fib.prefix(30)
+    long = fib.prefix(200)
     assert long.startswith(short)
     assert long.startswith("010010100100101001010")
 
@@ -97,29 +102,29 @@ def test_generator_prefix_is_consistent():
 def test_prefix_cache_round_trip():
     m = morphism("01", {"0": "01", "1": "10"})
     a = WordGenerator("cache-probe", morphism=m, seed="0")
-    text = a.prefix(64).letters
-    assert a.prefix(16).letters == text[:16]
-    assert a.prefix(64).letters == text
+    text = a.prefix(64)
+    assert a.prefix(16) == text[:16]
+    assert a.prefix(64) == text
     b = WordGenerator("cache-probe", morphism=m, seed="0")
-    assert b.prefix(64).letters == text
+    assert b.prefix(64) == text
 
 
 def test_prefix_cache_is_keyed_by_rules_not_name():
     fib = morphism("01", {"0": "01", "1": "0"})
     tm = morphism("01", {"0": "01", "1": "10"})
     WordGenerator("w.rules", morphism=fib, seed="0").prefix(64)
-    swapped = WordGenerator("w.rules", morphism=tm, seed="0").prefix(64).letters
-    assert swapped == fixed_point_prefix(tm, "0", 64).letters
+    swapped = WordGenerator("w.rules", morphism=tm, seed="0").prefix(64)
+    assert swapped == fixed_point_prefix(tm, "0", 64)
     coded = WordGenerator("w.rules", morphism=tm, seed="0", coding={"0": "a", "1": "b"})
-    assert coded.prefix(64).letters == swapped.translate(str.maketrans("01", "ab"))
+    assert coded.prefix(64) == swapped.translate(str.maketrans("01", "ab"))
 
 
 def test_saturation_window_stabilizes():
     tm = get_word("thue-morse")
     w, certified = saturation_window(tm, 12)
     assert certified
-    small = tm.prefix(w).letters
-    big = tm.prefix(2 * w).letters
+    small = tm.prefix(w)
+    big = tm.prefix(2 * w)
     blocks = lambda s: {s[i : i + 12] for i in range(len(s) - 11)}
     assert blocks(small) == blocks(big)
 
@@ -220,7 +225,7 @@ def test_exact_factors_equal_blocks_of_a_provable_prefix(rules, coded):
     coding = {"a": "0", "b": "1", "c": "0", "d": "1"} if coded else None
     gen = WordGenerator("h", morphism=m, seed="a", coding=coding)
     assert set(gen._morphic_word().pairs) == pairs
-    prefix = gen.prefix(length).letters
+    prefix = gen.prefix(length)
     for n in range(max_n + 1):
         assert exact_factors(gen, n) == blocks(prefix, n), n
 
@@ -246,7 +251,7 @@ def _dfao_rules(d):
 def test_dfao_words_take_the_exact_path(d):
     rules, seed = _dfao_rules(d)
     length = provable_prefix_length(rules, seed, 10)
-    prefix = dfao_prefix(d, length).letters
+    prefix = dfao_prefix(d, length)
     gen = WordGenerator("dfao", dfao=d)
     assert gen._morphic_word().growing
     for n in range(11):
@@ -269,9 +274,9 @@ def test_exact_factors_of_random_dfaos(d):
     rules, seed = _dfao_rules(d)
     length = provable_prefix_length(rules, seed, 8)
     assume(length <= 1 << 14)
-    prefix = dfao_prefix(d, length).letters
+    prefix = dfao_prefix(d, length)
     gen = WordGenerator("dfao", dfao=d)
-    assert gen.prefix(length).letters == prefix
+    assert gen.prefix(length) == prefix
     for n in range(9):
         assert exact_factors(gen, n) == blocks(prefix, n), n
 
@@ -284,7 +289,7 @@ def test_non_growing_letter_takes_the_closure():
     assert not gen._morphic_word().growing
     spans = factor_spans(gen, 3)
     assert {starts for _, starts in spans} == {1}
-    assert exact_factors(gen, 3) == blocks(gen.prefix(1 << 16).letters, 3)
+    assert exact_factors(gen, 3) == blocks(gen.prefix(1 << 16), 3)
 
 
 def test_closure_mends_the_doubling_window_rows():
@@ -326,7 +331,7 @@ def test_prefix_refuses_past_the_letter_budget(monkeypatch):
     with pytest.raises(WindowExceeded, match="prefix of 4000000000 letters is past the letter budget"):
         tm.prefix(4_000_000_000)
     monkeypatch.setattr(words, "LETTER_BUDGET", 8)
-    assert tm.prefix(8).letters == "01101001"
+    assert tm.prefix(8) == "01101001"
     with pytest.raises(WindowExceeded, match="prefix of 9 letters is past the letter budget of 8"):
         tm.prefix(9)
 
