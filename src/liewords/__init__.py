@@ -22,7 +22,6 @@ _EXPORTS = {
         "ComplexityRow",
         "FactorSet",
         "abelian_complexity",
-        "complexity_row",
         "complexity_table",
         "cyclic_complexity",
         "factor_set",

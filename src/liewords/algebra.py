@@ -18,12 +18,13 @@ of length i, every b worth a row.  The row of (b, a) is minus the row of
 (a, b), since [b, a] = -[a, b], so the splits past n/2 add nothing to the
 span: they are counted, one for one with split n - i, but not built.
 Empty-side pairs contribute nothing (a*empty = empty*a) and are skipped.
+`commutator_span` is the one place that builds and counts the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import words
 from .complexity import FactorSet, saturated_factor_set
@@ -35,35 +36,21 @@ Row = tuple[Optional[int], Optional[int]]
 
 
 @dataclass(frozen=True)
-class FactorBasis:
-    """Sorted length-n factors; a factor's coordinate is its position."""
-
-    n: int
-    factors: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors)
-
-
-@dataclass(frozen=True)
 class CommutatorSpan:
     n: int
     rank: int
     generator_count: int
 
 
-def factor_basis(fs: FactorSet) -> FactorBasis:
-    return FactorBasis(fs.n, tuple(sorted(fs.members)))
-
-
-def split_rows(basis: FactorBasis, left: FactorSet, right: FactorSet) -> list[Row]:
+def split_rows(factors: tuple[str, ...], left: FactorSet, right: FactorSet) -> list[Row]:
     """Nonzero rows [a, b] = (index of ab, index of ba), a in `left` and b
-    in `right`, read off the prefix and suffix indexes of the basis."""
-    n, i = basis.n, left.n
+    in `right`, over `factors`, the sorted length-n factors with
+    n = left.n + right.n, read off their prefix and suffix indexes."""
+    i = left.n
+    n = i + right.n
     by_prefix: dict[str, dict[str, int]] = {}
     by_suffix: dict[str, dict[str, int]] = {}
-    for k, x in enumerate(basis.factors):
+    for k, x in enumerate(factors):
         by_prefix.setdefault(x[:i], {})[x[i:]] = k
         by_suffix.setdefault(x[n - i :], {})[x[: n - i]] = k
     bs = right.members
@@ -79,42 +66,28 @@ def split_rows(basis: FactorBasis, left: FactorSet, right: FactorSet) -> list[Ro
     return rows
 
 
-def commutator_vectors(
-    fs_by_len: Mapping[int, FactorSet], n: int, basis: Optional[FactorBasis] = None
-) -> Iterator[Row]:
-    """Rows [a, b] of the splits |a| = 1..n/2, |b| = n - |a|; the other
-    splits give these negated.  A product that is not itself a factor is
-    the zero of the algebra, so it is None in the row."""
-    if basis is None:
-        basis = factor_basis(fs_by_len[n])
-    for i in range(1, n // 2 + 1):
-        yield from split_rows(basis, fs_by_len[i], fs_by_len[n - i])
-
-
 def commutator_span(fs_by_len: Mapping[int, FactorSet], n: int) -> CommutatorSpan:
     """Rank of the commutators of length n, and their number over all
-    splits |a| = 1..n-1, each split n - i counted as the mirror of i."""
-    basis = factor_basis(fs_by_len[n])
+    splits |a| = 1..n-1.  A factor's coordinate is its position in the
+    sorted F(n).  Rows are built for the splits |a| = 1..n/2 alone; each
+    split n - i is counted as the mirror of i."""
+    factors = tuple(sorted(fs_by_len[n].members))
     count = 0
 
-    def counted():
+    def rows():
         nonlocal count
         for i in range(1, n // 2 + 1):
-            rows = split_rows(basis, fs_by_len[i], fs_by_len[n - i])
-            count += len(rows) if 2 * i == n else 2 * len(rows)
-            yield from rows
+            split = split_rows(factors, fs_by_len[i], fs_by_len[n - i])
+            count += len(split) if 2 * i == n else 2 * len(split)
+            yield from split
 
-    rank = signed_incidence_rank(counted(), basis.dim)
+    rank = signed_incidence_rank(rows(), len(factors))
     return CommutatorSpan(n, rank, count)
-
-
-def commutator_rank(fs_by_len: Mapping[int, FactorSet], n: int) -> int:
-    return commutator_span(fs_by_len, n).rank
 
 
 def lie_via_algebra(fs_by_len: Mapping[int, FactorSet], n: int) -> int:
     """dim V_n - dim W_n."""
-    return len(fs_by_len[n].members) - commutator_rank(fs_by_len, n)
+    return len(fs_by_len[n].members) - commutator_span(fs_by_len, n).rank
 
 
 def factor_sets_up_to(generator, max_n: int, *, strict: bool = True):

@@ -91,10 +91,8 @@ def _build_registry() -> dict[str, WordGenerator]:
         WordGenerator(
             "thue-morse", morphism=thue_morse_morphism, seed="0", dfao=thue_morse_dfao
         ),
-        WordGenerator("vtm", morphism=vtm_morphism, seed="2", dfao=vtm_dfao,
-                      letters=("0", "1", "2")),
-        WordGenerator("cantor", morphism=cantor_morphism, seed="1", dfao=cantor_dfao,
-                      letters=("0", "1")),
+        WordGenerator("vtm", morphism=vtm_morphism, seed="2", dfao=vtm_dfao),
+        WordGenerator("cantor", morphism=cantor_morphism, seed="1", dfao=cantor_dfao),
         WordGenerator("fibonacci", morphism=fibonacci_morphism, seed="0"),
         WordGenerator("tribonacci", morphism=tribonacci_morphism, seed="0"),
         WordGenerator("twelve", morphism=twelve_morphism, seed="a", dfao=twelve_dfao),

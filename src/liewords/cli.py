@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 from typing import Optional
 
 from . import automata as au
@@ -63,6 +64,8 @@ def _add_word_source(p: argparse.ArgumentParser):
 
 
 def _generator(args) -> WordGenerator:
+    if args.seed is not None and not args.morphism_file:
+        raise InvalidParameter("--seed needs --morphism-file")
     if args.word:
         return get_word(args.word)
     if args.morphism_file:
@@ -245,13 +248,9 @@ def cmd_golden(args) -> int:
 
     rows = golden_report()
     failures = [r for r in rows if not r.ok]
-    seen = []
-    for r in rows:
-        key = (r.word, r.method)
-        if key not in seen:
-            seen.append(key)
-    for word, method in seen:
-        group = [r for r in rows if (r.word, r.method) == (word, method)]
+    # golden_report emits the rows of each plan entry together
+    for (word, method), group in groupby(rows, lambda r: (r.word, r.method)):
+        group = list(group)
         ok = sum(1 for r in group if r.ok)
         sys.stdout.write(
             "%s\t%s\t%d/%d\t%s\n"

@@ -53,8 +53,9 @@ share an invariant value hold at most 4.  `lie_complexity`,
 `cyclic_complexity` and `abelian_complexity` count a FactorSet the same
 way, each member a span of one block; `lie_complexity` stops at the
 cycles, so it takes no substring test and no rotation invariant.  No
-count takes a least rotation; `least_rotation` names the classes that
-`unbounded_exponent_scan` reports.
+count takes a least rotation.  `least_rotation` is the least length-n
+block of v+v, O(n^2) in the worst case; its one caller is
+`unbounded_exponent_scan`, which names each class it reports by it.
 
 `unbounded_exponent_scan` probes the paper's power result on exact sets
 too: a root y of length l is a primitive member of the length-l factor
@@ -130,64 +131,19 @@ def _certified(generator) -> bool:
     return bool(getattr(generator, "certifiable", False))
 
 
-def _least_start(s: str) -> int:
-    """Start of the least rotation of s, found with C-level string search.
-
-    The least rotation begins with the longest cyclic run m^r of the least
-    letter m.  r comes from galloping and bisecting on `m*k in s+s`; the
-    candidates are the occurrences of m^r starting in s, compared as slices
-    of s+s.  A candidate equal to the best so far shows that s is a power
-    whose rotations repeat with that shift, so no later one is smaller.
-    """
-    n = len(s)
-    m = min(set(s))
-    ss = s + s
-    r = 1
-    run = m
-    if m + m in ss:
-        if s.count(m) == n:
-            return 0
-        lo, hi = 2, 4
-        while hi < n and m * hi in ss:
-            lo, hi = hi, 2 * hi
-        hi = min(hi, n)
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if m * mid in ss:
-                lo = mid
-            else:
-                hi = mid
-        r = lo
-        run = m * r
-    # every occurrence of m^r is a whole run, so the next one starts after
-    # the letter that ends this one
-    end = n + r - 1
-    best = ss.find(run, 0, end)
-    i = ss.find(run, best + r + 1, end)
-    if i == -1:
-        return best
-    least = ss[best : best + n]
-    while i != -1:
-        cand = ss[i : i + n]
-        if cand < least:
-            best, least = i, cand
-        elif cand == least:
-            break
-        i = ss.find(run, i + r + 1, end)
-    return best
-
-
 def least_rotation(v: str) -> str:
-    """Lexicographically least cyclic rotation, in codepoint order.
+    """Lexicographically least cyclic rotation, in codepoint order: the
+    least length-n block of v+v, n = |v|.
 
-    Only the rotations that start with the longest run of the least letter
-    are compared (the candidate idea of Shiloach 1981), with `str.find` and
-    slice comparison.
+    It compares n slices of n letters, so it costs O(n^2) in the worst
+    case.  Its one caller in the package, `unbounded_exponent_scan`, calls
+    it on roots no longer than the scan's largest root length.
     """
     if not v:
         raise EmptyWord("the empty word has no rotations")
-    k = _least_start(v)
-    return v[k:] + v[:k] if k else v
+    n = len(v)
+    vv = v + v
+    return min(vv[i : i + n] for i in range(n))
 
 
 def is_primitive(v: str) -> bool:
@@ -392,11 +348,6 @@ def _run_rows(generator, lo: int, hi: int) -> dict[int, ComplexityRow]:
         if n > lo:
             codes = {v[:-1]: code - weight[v[-1]] for v, code in codes.items()}
     return rows
-
-
-def complexity_row(generator, n: int) -> ComplexityRow:
-    """The row of length n: the run n..n of `complexity_table`."""
-    return _run_rows(generator, n, n)[n]
 
 
 def complexity_table(generator, ns: Iterable[int]) -> list[ComplexityRow]:

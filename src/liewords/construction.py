@@ -32,7 +32,8 @@ from .errors import (
 )
 from .words import fixed_point_prefix
 
-DEFAULT_MAX_LETTERS = 1 << 22
+# the most letters a stage word or prefix search may take; read at call time
+MAX_LETTERS = 1 << 22
 CALIBRATION = 19
 
 
@@ -48,7 +49,6 @@ class ConstructionParams:
     growth: tuple[int, ...] = ()
     f: Optional[Callable[[int], int]] = None
     variant: str = "symmetric"
-    max_letters: int = DEFAULT_MAX_LETTERS
 
     def __post_init__(self):
         if self.depth < 1:
@@ -105,7 +105,7 @@ def _fib_letters(length: int) -> str:
     return fixed_point_prefix(fibonacci_morphism, "0", length)
 
 
-def _honest_threshold(f, stage: int, prev_len: int, max_letters: int) -> int:
+def _honest_threshold(f, stage: int, prev_len: int) -> int:
     """2^m for the largest m with f(m) <= 19 * stage^2, bailing out as
     soon as the implied prefix length exceeds the letter budget."""
     bound = CALIBRATION * stage * stage
@@ -114,24 +114,24 @@ def _honest_threshold(f, stage: int, prev_len: int, max_letters: int) -> int:
     m = 0
     while f(m + 1) <= bound:
         m += 1
-        if (1 << m) * max(prev_len, 1) > max_letters:
+        if (1 << m) * max(prev_len, 1) > MAX_LETTERS:
             raise ParameterOverflow(
                 "stage %d needs more than 2^%d letters (budget %d)"
-                % (stage, m, max_letters)
+                % (stage, m, MAX_LETTERS)
             )
     return 1 << m
 
 
-def _find_stage_prefix(prev: str, threshold_len: int, max_letters: int) -> str:
+def _find_stage_prefix(prev: str, threshold_len: int) -> str:
     """Shortest Fibonacci prefix longer than threshold_len ending in prev."""
-    if threshold_len >= max_letters:
+    if threshold_len >= MAX_LETTERS:
         raise ParameterOverflow(
             "stage prefix must exceed %d letters (budget %d)"
-            % (threshold_len, max_letters)
+            % (threshold_len, MAX_LETTERS)
         )
     size = max(2 * (threshold_len + len(prev)) + 4, 1024)
     while True:
-        size = min(size, max_letters)
+        size = min(size, MAX_LETTERS)
         letters = _fib_letters(size)
         idx = letters.find(prev, max(0, threshold_len + 1 - len(prev)))
         while idx != -1:
@@ -139,9 +139,9 @@ def _find_stage_prefix(prev: str, threshold_len: int, max_letters: int) -> str:
             if end > threshold_len:
                 return letters[:end]
             idx = letters.find(prev, idx + 1)
-        if size >= max_letters:
+        if size >= MAX_LETTERS:
             raise SuffixSearchExceeded(
-                "no qualifying prefix within %d letters" % max_letters
+                "no qualifying prefix within %d letters" % MAX_LETTERS
             )
         size *= 2
 
@@ -167,7 +167,6 @@ def _separator_block(u, a, n: int, variant: str) -> str:
 def build(params: ConstructionParams) -> ConstructionTrace:
     """Run the staged construction and return the full trace."""
     depth = params.depth
-    cap = params.max_letters
 
     thresholds: list[int] = []
     u: list[str] = []
@@ -176,16 +175,16 @@ def build(params: ConstructionParams) -> ConstructionTrace:
         if params.mode == "toy":
             g = params.growth[i - 1]
         else:
-            g = _honest_threshold(params.f, i, d[-1] if d else 1, cap)
+            g = _honest_threshold(params.f, i, d[-1] if d else 1)
         thresholds.append(g)
         if i == 1:
-            if g > cap:
+            if g > MAX_LETTERS:
                 raise ParameterOverflow(
-                    "first stage needs %d letters (budget %d)" % (g, cap)
+                    "first stage needs %d letters (budget %d)" % (g, MAX_LETTERS)
                 )
             u.append(_fib_letters(g))
         else:
-            u.append(_find_stage_prefix(u[-1], g * d[-1], cap))
+            u.append(_find_stage_prefix(u[-1], g * d[-1]))
         d.append(len(u[-1]))
 
     a = tuple(
@@ -199,9 +198,9 @@ def build(params: ConstructionParams) -> ConstructionTrace:
     s: list[str] = [u[0]]
     for n in range(2, depth + 1):
         nxt = s[-1] + v[n - 2] + s[-1] + v[n - 2]
-        if len(nxt) > cap:
+        if len(nxt) > MAX_LETTERS:
             raise ParameterOverflow(
-                "stage %d word needs %d letters (budget %d)" % (n, len(nxt), cap)
+                "stage %d word needs %d letters (budget %d)" % (n, len(nxt), MAX_LETTERS)
             )
         s.append(nxt)
 

@@ -154,7 +154,7 @@ def _forward_reduce(r: LinearRepresentation) -> LinearRepresentation:
     padded to the final dimension they are the rows of the new matrices,
     and the new v is the first unit vector.  A zero v spans nothing: the
     result is the dimension-1 zero representation."""
-    basis = RowBasis(r.dimension, track_coords=True)
+    basis = RowBasis(r.dimension)
     kept: list[Row] = []
 
     def coords(y: Row) -> list[Fraction]:

@@ -86,7 +86,8 @@ class UnboundSequence(ToolError):
 
 
 class CompileBlowup(ToolError):
-    """An intermediate automaton exceeded the configured state cap."""
+    """An automaton operation would build more than `automata.STATE_CAP`
+    states."""
 
 
 # counting

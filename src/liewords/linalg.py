@@ -11,12 +11,11 @@ class RowBasis:
 
     insert() keeps the vector when it is independent and returns None;
     otherwise it returns the coordinates of the vector over the previously
-    kept (independent) vectors, provided coordinate tracking is on.
+    kept (independent) vectors.
     """
 
-    def __init__(self, width: int, track_coords: bool = False):
+    def __init__(self, width: int):
         self.width = width
-        self.track = track_coords
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
         # expression of each echelon row over the kept originals
@@ -29,12 +28,11 @@ class RowBasis:
 
     def _reduce(self, vec):
         """vec less its eliminations by the echelon rows, and the
-        coordinates of what they took over the kept originals (None
-        without coordinate tracking)."""
+        coordinates of what they took over the kept originals."""
         res = [Fraction(x) for x in vec]
         if len(res) != self.width:
             raise ValueError("vector width %d != %d" % (len(res), self.width))
-        combo = [Fraction(0)] * self.n_kept if self.track else None
+        combo = [Fraction(0)] * self.n_kept
         for r, p in enumerate(self.pivots):
             c = res[p]
             if c:
@@ -42,37 +40,31 @@ class RowBasis:
                 for i in range(self.width):
                     if row[i]:
                         res[i] -= c * row[i]
-                if self.track:
-                    rc = self.combos[r]
-                    for i in range(len(rc)):
-                        if rc[i]:
-                            combo[i] += c * rc[i]
+                rc = self.combos[r]
+                for i in range(len(rc)):
+                    if rc[i]:
+                        combo[i] += c * rc[i]
         return res, combo
 
     def insert(self, vec):
         res, combo = self._reduce(vec)
         pivot = next((i for i, x in enumerate(res) if x), None)
         if pivot is None:
-            if self.track:
-                return combo
-            return []
+            return combo
         lead = res[pivot]
         norm = [x / lead for x in res]
         self.rows.append(norm)
         self.pivots.append(pivot)
-        if self.track:
-            # echelon row = (original - sum c_r E_r) / lead
-            self.combos = [c + [Fraction(0)] for c in self.combos]
-            new_combo = [(-x) / lead for x in combo] + [Fraction(1) / lead]
-            self.combos.append(new_combo)
+        # echelon row = (original - sum c_r E_r) / lead
+        self.combos = [c + [Fraction(0)] for c in self.combos]
+        new_combo = [(-x) / lead for x in combo] + [Fraction(1) / lead]
+        self.combos.append(new_combo)
         self.n_kept += 1
         return None
 
     def coords(self, vec):
         """Coordinates of vec over the kept originals, or None if outside
         the span.  Does not modify the basis."""
-        if not self.track:
-            raise ValueError("basis built without coordinate tracking")
         res, combo = self._reduce(vec)
         if any(res):
             return None

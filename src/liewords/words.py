@@ -347,7 +347,6 @@ class WordGenerator:
         seed: Optional[str] = None,
         coding: Optional[Mapping[str, str]] = None,
         dfao: Optional[Dfao] = None,
-        letters: Optional[tuple[str, ...]] = None,
     ):
         if morphism is None and dfao is None:
             raise ValueError("need a morphism or a dfao")
@@ -358,14 +357,6 @@ class WordGenerator:
         self.seed = seed
         self.coding = dict(coding) if coding else None
         self.dfao = dfao
-        if letters is not None:
-            self.letters = tuple(letters)
-        elif dfao is not None:
-            self.letters = dfao.letters
-        elif coding:
-            self.letters = tuple(sorted(set(coding.values())))
-        else:
-            self.letters = morphism.alphabet
         self.certifiable = morphism is not None and is_primitive_morphism(morphism)
         if morphism is not None:
             self._fixed_point = (morphism, seed, self.coding)

@@ -571,7 +571,7 @@ def two_pass_forward_reduce(r):
     breadth-first pass finds a basis among the products, and a second
     pass recomputes every product and reads its coordinates off the
     finished basis with `RowBasis.coords`."""
-    basis = RowBasis(r.dimension, track_coords=True)
+    basis = RowBasis(r.dimension)
     kept = []
     if basis.insert(r.v) is None:
         kept.append(r.v)

@@ -118,6 +118,9 @@ def test_morphism_file_with_a_non_growing_letter(tmp_path, capsys):
         (("logic", "compile", "--formula", "i<j", "--base", "-2"), "base must be at least 2, got -2"),
         (("logic", "compile", "--formula", "i<j"), "formula reads no sequence; pass a base"),
         (("scan-powers", "--word", "thue-morse", "--max-root-len", "-1"), "largest root length must be nonnegative, got -1"),
+        (("complexity", "--word", "fibonacci", "--seed", "1", "--n", "0..2"), "--seed needs --morphism-file"),
+        # refused before the file is opened
+        (("complexity", "--dfao-file", "absent.dfao", "--seed", "zz", "--n", "0..2"), "--seed needs --morphism-file"),
     ],
 )
 def test_bad_numeric_input_exits_one(capsys, argv, message):
@@ -236,6 +239,19 @@ def test_construct_trace(tmp_path, capsys):
     assert "d: 2 5 13 34" in out
     assert "FAIL" not in out
     assert json.loads(target.read_text())["depth"] == 4
+
+
+def test_construct_verbatim_variant(tmp_path, capsys):
+    target = tmp_path / "trace.json"
+    code, out, _ = run(
+        capsys,
+        "construct", "--variant", "verbatim", "--depth", "3", "--g", "2,2,2",
+        "--emit", str(target),
+    )
+    assert code == 0
+    checks = [line.split("\t") for line in out.splitlines() if "\t" in line]
+    assert checks and all(status == "ok" for _, status in checks)
+    assert json.loads(target.read_text())["variant"] == "verbatim"
 
 
 def test_construct_honest_overflows(capsys):

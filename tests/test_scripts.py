@@ -1,5 +1,6 @@
-"""The scripts in `scripts/` import only names the package binds, so a
-name removed from the package cannot break a script unnoticed."""
+"""The scripts in `scripts/`, the layer tracer in `perfbench/` and the
+package's own export list name only what the package binds, so a name
+removed from the package cannot break one of them unnoticed."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import os
 import pytest
 
 _SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+_PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def _package_imports(path):
@@ -27,3 +29,16 @@ def _package_imports(path):
 def test_script_imports_are_bound(script):
     for module, name in _package_imports(os.path.join(_SCRIPTS, script)):
         assert hasattr(importlib.import_module(module), name), (script, module, name)
+
+
+def test_traced_and_exported_names_are_bound(monkeypatch):
+    # the layer modules that cli loads are the ones the tracer looks in;
+    # missing_names() only reads them, nothing is wrapped
+    import liewords
+    import liewords.cli  # noqa: F401
+
+    monkeypatch.syspath_prepend(_PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    assert tracing.missing_names() == []
+    for name in liewords.__all__:
+        getattr(liewords, name)
