@@ -31,8 +31,11 @@ are numbered through one dict, by parent and then by symbol, as an
 item-by-item search would.  Acceptance is read from the keys at the end.
 Projection tries the forward subset construction under a soft cap and
 falls back to Brzozowski's double reversal, whose predecessor step ORs
-one gather per guessed digit.  Reachability (`_bfs_order`) and
-coreachability (`_coreachable`) also step a whole frontier at a time.
+one gather per guessed digit.  Reachability inside one table
+(`_reachable`: the trim of `minimize`, the zero closure of a projection)
+is the same search over state numbers.  Coreachability takes no search:
+in a minimal automaton the one state that cannot reach acceptance, if
+any, is a rejecting state whose row points back to itself (`_live`).
 
 Tracks are kept sorted by name; combining automata with different track
 sets implicitly cylindrifies (the automaton simply does not read the
@@ -200,21 +203,19 @@ def _intern(keys: np.ndarray, index: dict) -> tuple[np.ndarray, np.ndarray]:
 # minimization and canonical form
 
 
-def _bfs_order(table: np.ndarray, start: int) -> np.ndarray:
-    """States reachable from start, in breadth-first order of discovery
-    (by parent, then by symbol), one level per step."""
-    seen = np.zeros(len(table), dtype=bool)
-    seen[start] = True
-    levels = [np.array([start], dtype=np.intp)]
-    while True:
-        targets = table[levels[-1]].ravel()
-        targets = targets[~seen[targets]]
-        if not len(targets):
-            return np.concatenate(levels)
-        _, first = np.unique(targets, return_index=True)
-        level = targets[np.sort(first)]
-        seen[level] = True
-        levels.append(level)
+def _reachable(table: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states reachable from start, numbered breadth first by
+    `_search` (by parent, then by symbol): the renumbered table, and the
+    old state of each number.  Raises CompileBlowup past STATE_CAP
+    states."""
+    width = table.shape[1]
+    return _search(
+        np.array([start]),
+        lambda states: table[states].ravel(),
+        width,
+        max(1, CHUNK_CELLS // width),
+        STATE_CAP,
+    )
 
 
 @lru_cache(maxsize=256)
@@ -267,7 +268,7 @@ def _refine(rows: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _numbered(table: np.ndarray) -> bool:
     """Whether every state is reachable from state 0 and numbered in
     breadth-first order of discovery (by parent, then by symbol), so that
-    `_bfs_order(table, 0)` is the identity.
+    `_reachable(table, 0)` returns the table as it is.
 
     Read row by row, that holds when each cell is at most one above every
     cell before it (state 0 counts as seen), the largest cell is n-1, and
@@ -315,11 +316,7 @@ def minimize(a: MultiTrackDfa) -> MultiTrackDfa:
         rows = a.transitions
         acc = _mask(a.n_states, a.accepting)
     else:
-        live = _bfs_order(a.transitions, a.initial)
-        _check_cap(len(live), STATE_CAP)
-        index = np.zeros(a.n_states, dtype=np.int32)
-        index[live] = np.arange(len(live))
-        rows = index[a.transitions[live]]
+        rows, live = _reachable(a.transitions, a.initial)
         acc = _mask(a.n_states, a.accepting)[live]
     block, first = _refine(rows, acc)
 
@@ -331,30 +328,17 @@ def minimize(a: MultiTrackDfa) -> MultiTrackDfa:
     return MultiTrackDfa(a.base, a.tracks, renum[quotient[order]], final_acc, 0)
 
 
-def _coreachable(a: MultiTrackDfa) -> np.ndarray:
-    """Mask of the states that can reach acceptance: one breadth-first
-    pass from the accepting states over the reversed edges, a whole
-    frontier per step."""
-    n = a.n_states
-    # reversed edges target*n + source, sorted and distinct, so the
-    # sources of the edges into q are src[starts[q]:starts[q+1]]; the
-    # codes reach n**2, so they are int64 (int32 * n would stay int32)
-    edges = (a.transitions * np.int64(n) + np.arange(n)[:, None]).ravel()
-    edges.sort()
-    edges = edges[np.diff(edges, prepend=-1) != 0]
-    targets, src = np.divmod(edges, n)
-    starts = np.concatenate(([0], np.cumsum(np.bincount(targets, minlength=n))))
-    seen = _mask(n, a.accepting)
-    frontier = np.flatnonzero(seen)
-    while len(frontier):
-        lo = starts[frontier]
-        lengths = starts[frontier + 1] - lo
-        offsets = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
-        preds = src[offsets + np.arange(len(offsets))]
-        before = seen.copy()
-        seen[preds] = True
-        frontier = np.flatnonzero(seen & ~before)
-    return seen
+def _live(a: MultiTrackDfa) -> np.ndarray:
+    """Mask of every state but a rejecting state whose whole row points
+    back to itself.
+
+    A minimal automaton has at most one state with the empty language,
+    and every successor of that state is itself, so on minimal input
+    this is exactly the states that can reach acceptance.  On any other
+    input it is a superset of them."""
+    rows = a.transitions
+    sink = (rows == np.arange(a.n_states)[:, None]).all(axis=1)
+    return ~sink | _mask(a.n_states, a.accepting)
 
 
 def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
@@ -582,7 +566,8 @@ def complement(a: MultiTrackDfa) -> MultiTrackDfa:
 
 class _GuessNfa:
     """The automaton with one track's digits guessed nondeterministically,
-    restricted to states that can still reach acceptance."""
+    restricted to the states `_live` marks: on minimal input, the states
+    that can still reach acceptance."""
 
     def __init__(self, a: MultiTrackDfa, track: str):
         base = a.base
@@ -600,8 +585,8 @@ class _GuessNfa:
             (hi[:, None] * base + np.arange(base)[None, :]) * pow_low + lo[:, None]
         )
         self.trans = a.transitions
-        self.useful = _coreachable(a)
-        zero_closure = _bfs_order(self.trans[:, self.guess_cols[0]], a.initial)
+        self.useful = _live(a)
+        _, zero_closure = _reachable(self.trans[:, self.guess_cols[0]], a.initial)
         self.initial = _mask(self.n, zero_closure) & self.useful
         self.accepting = _mask(self.n, a.accepting) & self.useful
 
@@ -700,7 +685,8 @@ def project(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
     The projected value may need more digit columns than the remaining
     tracks, so start states are closed under columns that are zero on
     the kept tracks.  States that cannot reach acceptance are pruned
-    before the subset construction.
+    before the subset construction (all of them when `a` is minimal, as
+    every operation's output is; see `_live`).
     """
     if track not in a.tracks:
         return a
@@ -781,7 +767,7 @@ def accepted_values(
 
 
 def is_empty(a: MultiTrackDfa) -> bool:
-    return not _coreachable(a)[a.initial]
+    return not minimize(a).accepting
 
 
 def is_universal(a: MultiTrackDfa) -> bool:

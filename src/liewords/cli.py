@@ -121,7 +121,7 @@ def cmd_verify_inequalities(args) -> int:
             prev = by_n[n - 1]
             trusted = (r.certified and prev.certified) or args.allow_heuristic
             if trusted:
-                margin = first_difference_margin(r, prev.p, prev_certified=True, strict=False)
+                margin = first_difference_margin(r, prev.p, strict=False)
             else:
                 skipped += 1
         checked_margin = margin is None or margin >= 0

@@ -124,11 +124,7 @@ def factor_set(s: str, n: int) -> FactorSet:
 def saturated_factor_set(generator, n: int) -> FactorSet:
     """The exact length-n factor set of the word (words.exact_factors),
     labeled with the generator's certification status."""
-    return FactorSet(n, exact_factors(generator, n), _certified(generator))
-
-
-def _certified(generator) -> bool:
-    return bool(getattr(generator, "certifiable", False))
+    return FactorSet(n, exact_factors(generator, n), generator.certifiable)
 
 
 def least_rotation(v: str) -> str:
@@ -341,10 +337,9 @@ def _run_rows(generator, lo: int, hi: int) -> dict[int, ComplexityRow]:
     _check_block_budget(spans, hi)
     codes, letters = _span_codes(spans, hi)
     weight = _parikh_weights(hi, letters)
-    certified = _certified(generator)
     rows = {}
     for n in range(hi, lo - 1, -1):
-        rows[n] = ComplexityRow(n, *_keyed_counts(codes, n, letters), certified)
+        rows[n] = ComplexityRow(n, *_keyed_counts(codes, n, letters), generator.certifiable)
         if n > lo:
             codes = {v[:-1]: code - weight[v[-1]] for v, code in codes.items()}
     return rows
@@ -368,7 +363,6 @@ def first_difference_margin(
     row: ComplexityRow,
     prev_p: int,
     *,
-    prev_certified: bool = True,
     strict: bool = True,
 ) -> int:
     """Slack in the first-difference bound: p(n) - p(n-1) + 1 - L(n).
@@ -376,7 +370,7 @@ def first_difference_margin(
     Nonnegative whenever the factor data is complete.  In strict mode,
     uncertified rows are refused rather than silently trusted.
     """
-    if strict and not (row.certified and prev_certified):
+    if strict and not row.certified:
         raise UncertifiedData(
             "margin at n=%d needs certified factor data (pass strict=False to override)"
             % row.n

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import MultiTrackDfa, _coreachable, normalize_padding
+from .automata import MultiTrackDfa, _live, _reachable, normalize_padding, padded_dfao
 from .errors import (
     FormatError,
     InfiniteCount,
@@ -98,7 +98,8 @@ def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
     """Linear representation of n -> #{i : a accepts (i, n)}.
 
     The initial vector folds in every number of leading zero columns on
-    the n track.  A padding walk still on a coreachable state after
+    the n track.  A padding walk still on a coreachable state (`_live`,
+    exact on the minimal automaton `normalize_padding` returns) after
     n_states zero columns has repeated a state, so its cycle admits
     infinitely many i: the fold stops there and raises InfiniteCount.
     """
@@ -107,7 +108,7 @@ def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
     a = normalize_padding(a)
     mats, lead = _count_matrices(a)
     nn = a.n_states
-    core = [q for q, live in enumerate(_coreachable(a).tolist()) if live]
+    core = [q for q, live in enumerate(_live(a).tolist()) if live]
 
     v = [0] * nn
     v[a.initial] = 1
@@ -238,22 +239,12 @@ def to_dfao(r: LinearRepresentation) -> Dfao:
 
 def sup_value(d: Dfao) -> int:
     """Largest output over states reachable by canonical digit strings
-    (no leading zero out of the initial state)."""
-    seen = {d.initial}
-    stack = []
-    for digit in range(1, d.base):
-        t = d.transitions[d.initial][digit]
-        if t not in seen:
-            seen.add(t)
-            stack.append(t)
-    while stack:
-        q = stack.pop()
-        for digit in range(d.base):
-            t = d.transitions[q][digit]
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return max(int(d.outputs[q]) for q in seen)
+    (no leading zero out of the initial state).  `padded_dfao` makes
+    digit 0 fix its start state, so those are the states reachable from
+    that start."""
+    table, start, outputs = padded_dfao(d)
+    _, states = _reachable(table, start)
+    return max(int(outputs[q]) for q in states.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ of `PREDICATE_TEXTS` this way for one sequence.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -326,13 +325,8 @@ def parse_with_library(text: str) -> fo.Formula:
 
 def build_predicate_library(d: Dfao) -> dict[str, au.MultiTrackDfa]:
     """Compile the eight bundled predicates of PREDICATE_TEXTS against one
-    sequence, bound as W.  Each is compiled once, and a call to it
-    applies its automaton (`apply_predicate`)."""
-    return dict(_library_cached(d))
-
-
-@lru_cache(maxsize=8)
-def _library_cached(d: Dfao) -> tuple[tuple[str, au.MultiTrackDfa], ...]:
+    sequence, bound as W, keyed in sorted order.  Each is compiled once,
+    and a call to it applies its automaton (`apply_predicate`)."""
     compiler = _Compiler({"W": d}, d.base)
     lib = {name: compiler.predicate(defn) for name, defn in predicate_defs().items()}
-    return tuple(sorted(lib.items()))
+    return dict(sorted(lib.items()))

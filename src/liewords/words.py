@@ -501,7 +501,7 @@ def saturation_window(generator, n: int) -> tuple[int, bool]:
         s = generator.prefix(w)
         # the blocks of a prefix are factors, so equal counts mean equal sets
         if len({s[i : i + n] for i in range(w - n + 1)}) == len(members):
-            return w, bool(getattr(generator, "certifiable", False))
+            return w, generator.certifiable
         w *= 2
 
 

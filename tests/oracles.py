@@ -9,6 +9,7 @@ factor, commutator rows from every pair of factors whose lengths add
 up, ranks come from Gaussian elimination over Z/p, growing letters from image lengths, factor
 sets of morphic words from a prefix long enough to hold every factor,
 minimal automata from Moore refinement on exact signature tuples,
+coreachable states from a reverse search over predecessor sets,
 reduced representations from a second pass that reads every coordinate
 off the finished basis, counts of accepted positions from weighted
 path sums fixed to one n at a time, and prefixes of digit-automaton
@@ -394,6 +395,24 @@ def bfs_trim(a):
     rows = tuple(tuple(seen[t] for t in trans[q]) for q in order)
     accepting = frozenset(seen[q] for q in a.accepting if q in seen)
     return MultiTrackDfa(a.base, a.tracks, rows, accepting, 0)
+
+
+def loop_coreachable(a):
+    """For each state of a, whether some string leads it to acceptance:
+    a search from the accepting states over the reversed edges, held in
+    a dictionary of predecessor sets."""
+    preds = {}
+    for p, row in enumerate(a.transitions.tolist()):
+        for t in row:
+            preds.setdefault(t, set()).add(p)
+    seen = set(a.accepting)
+    stack = list(seen)
+    while stack:
+        for p in preds.get(stack.pop(), ()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return [q in seen for q in range(a.n_states)]
 
 
 def moore_minimal(a):

@@ -12,6 +12,7 @@ from liewords.errors import UnknownTrack
 from liewords.words import Dfao, dfao_eval, digits_msd
 from oracles import (
     bfs_trim,
+    loop_coreachable,
     loop_det_by_sets,
     loop_normalize_padding,
     loop_product,
@@ -304,7 +305,7 @@ def test_minimize_takes_numbered_tables_as_they_are(cells, a):
     want = au.to_text(moore_minimal(a))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(au, "CHUNK_CELLS", cells)
-        mp.setattr(au, "_bfs_order", _no_trim)
+        mp.setattr(au, "_reachable", _no_trim)
         assert au.to_text(au.minimize(numbered)) == want
 
 
@@ -372,8 +373,8 @@ def test_tables_are_read_only_int32_compared_by_value():
 
 
 def test_pair_and_edge_codes_do_not_overflow_int32():
-    # 50,000 states: the product's pair codes p*n + q and the reversed
-    # edge codes target*n + source reach 2.5e9, past int32
+    # 50,000 states: the product's pair codes p*n + q reach 2.5e9, past
+    # int32
     n = 50_000
     q = np.arange(n)
     rows = np.stack([2 * q % n, (2 * q + 1) % n], axis=1)
@@ -381,7 +382,26 @@ def test_pair_and_edge_codes_do_not_overflow_int32():
     assert au.combine(a, a, "and") == au.minimize(a)
     # every state reaches n-1 within 16 digits
     last = au.MultiTrackDfa(2, ("x",), rows, frozenset({n - 1}), 0)
-    assert au._coreachable(last).all()
+    assert au._live(last).all()
+
+
+@given(raw_tables(max_states=8, copies=3))
+def test_live_states_against_the_coreachability_oracle(a):
+    # exact on minimal automata, a superset on raw tables
+    m = au.minimize(a)
+    assert au._live(m).tolist() == loop_coreachable(m)
+    coreachable = loop_coreachable(a)
+    assert au._live(a)[coreachable].all()
+    assert au.is_empty(a) == (not coreachable[a.initial])
+
+
+@given(raw_tables(max_states=8, copies=3))
+def test_reachable_numbers_states_as_the_dictionary_search(a):
+    rows, old = au._reachable(a.transitions, a.initial)
+    assert np.array_equal(rows, bfs_trim(a).transitions)
+    # number k stands for old state old[k]
+    assert old[0] == a.initial
+    assert np.array_equal(a.transitions[old], old[rows])
 
 
 def _raw_product(a, b, op):

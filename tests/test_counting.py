@@ -23,7 +23,7 @@ from liewords.errors import (
     UnknownTrack,
 )
 from liewords.golden import closed_form
-from liewords.words import dfao_eval
+from liewords.words import Dfao, dfao_eval
 from oracles import count_direct, eval_int, evaluate, two_pass_minimize_representation
 
 
@@ -84,13 +84,20 @@ def test_dfao_agrees_with_representation(tm_library):
     assert sup_value(d) == 3
 
 
+_LIBRARY_FIXTURES = {
+    "thue-morse": "tm_library",
+    "vtm": "vtm_library",
+    "cantor": "cantor_library",
+    "twelve": "twelve_library",
+}
+
+
 @pytest.mark.parametrize("name", PIPELINE_WORDS)
-def test_pipeline_dfao_matches_brute_force(name):
+def test_pipeline_dfao_matches_brute_force(name, request):
     from liewords.complexity import lie_complexity, saturated_factor_set
-    from liewords.logic import build_predicate_library
 
     word = get_word(name)
-    lie = build_predicate_library(word.dfao)["lie"]
+    lie = request.getfixturevalue(_LIBRARY_FIXTURES[name])["lie"]
     d = to_dfao(minimize_representation(counting_representation(lie)))
     for n in range(0, 65):
         assert int(dfao_eval(d, n)) == lie_complexity(saturated_factor_set(word, n))
@@ -130,6 +137,34 @@ def test_sup_value_matches_observed_outputs(cantor_library):
     d = to_dfao(minimize_representation(counting_representation(cantor_library["lie"])))
     outputs = {int(dfao_eval(d, n)) for n in range(200)}
     assert sup_value(d) == max(outputs) == 3
+
+
+def test_sup_value_follows_digit_zero_out_of_a_revisited_initial_state():
+    # "1" leads back to the initial state 2, and "10" on to state 1,
+    # whose output 4 is the largest that a canonical string reads
+    d = Dfao(2, ((0, 2), (2, 2), (1, 2)), ("5", "4", "2"), ("2", "4", "5"), initial=2)
+    assert dfao_eval(d, 2) == "4"
+    assert sup_value(d) == 4
+
+
+@st.composite
+def _dfaos(draw):
+    """DFAOs in base 2 or 3 with 1 to 5 states, outputs 0..9 and any
+    initial state."""
+    base = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    rows = tuple(tuple(draw(state) for _ in range(base)) for _ in range(n))
+    outputs = tuple(str(draw(st.integers(0, 9))) for _ in range(n))
+    return Dfao(base, rows, outputs, tuple(sorted(set(outputs))), draw(state))
+
+
+@given(_dfaos())
+def test_sup_value_is_the_largest_value_read(d):
+    # a canonical string reaches each state it can reach within
+    # n_states digits
+    values = [int(dfao_eval(d, k)) for k in range(d.base ** (d.n_states + 1))]
+    assert sup_value(d) == max(values)
 
 
 @pytest.mark.parametrize("library", ["tm_library", "vtm_library", "cantor_library"])
