@@ -7,7 +7,6 @@ import sys
 from liewords.construction import (
     ConstructionParams,
     build,
-    double_log_threshold,
     verify_complexity_bound,
     verify_structure,
 )
@@ -31,7 +30,7 @@ def main() -> int:
     rows = []
     while True:
         try:
-            rows = verify_complexity_bound(trace, double_log_threshold, range(1, hi + 1))
+            rows = verify_complexity_bound(trace, range(1, hi + 1))
         except WindowUnstable:
             break
         hi += 1
@@ -47,7 +46,7 @@ def main() -> int:
         )
 
     try:
-        build(ConstructionParams(depth=depth, mode="honest", f=double_log_threshold))
+        build(ConstructionParams(depth=depth, mode="honest"))
         print("  honest mode unexpectedly fit in memory")
         return 1
     except ParameterOverflow as e:

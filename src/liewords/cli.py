@@ -207,7 +207,6 @@ def cmd_construct(args) -> int:
     from .construction import (
         ConstructionParams,
         build,
-        double_log_threshold,
         trace_to_json,
         verify_structure,
     )
@@ -217,7 +216,6 @@ def cmd_construct(args) -> int:
         depth=args.depth,
         mode=args.mode,
         growth=growth,
-        f=double_log_threshold if args.mode == "honest" else None,
         variant=args.variant,
     )
     trace = build(params)

@@ -8,7 +8,8 @@ recurrent word whose factor complexity stays close to linear while
 every u_i appears to arbitrarily large powers.
 
 Honest mode derives the thresholds 2^(m_j), with m_j the largest m
-whose f(m) stays under 19 j^2; for slowly growing f those lengths
+whose f(m) stays under 19 j^2, for f the doubly logarithmic
+`double_log_threshold`; for so slowly growing an f those lengths
 explode past any memory budget, which is the designed failure mode.
 Toy mode swaps the thresholds for small multipliers and keeps every
 structural property testable at desk scale.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .bundled import fibonacci_morphism
 from .complexity import factor_set, primitive_root
@@ -38,7 +38,8 @@ CALIBRATION = 19
 
 
 def double_log_threshold(n: int) -> int:
-    """Default honest-mode growth function, about log log n."""
+    """The honest-mode growth function f, about log log n; weakly
+    increasing, with f(0) = 1."""
     return max(0, math.ceil(math.log2(math.log2(n + 4))))
 
 
@@ -47,7 +48,6 @@ class ConstructionParams:
     depth: int
     mode: str = "toy"
     growth: tuple[int, ...] = ()
-    f: Optional[Callable[[int], int]] = None
     variant: str = "symmetric"
 
     def __post_init__(self):
@@ -64,8 +64,6 @@ class ConstructionParams:
                 )
             if any(g < 2 for g in self.growth):
                 raise InvalidParameter("growth multipliers must be at least 2")
-        elif self.f is None:
-            raise InvalidParameter("honest mode needs a threshold function")
 
 
 @dataclass(frozen=True)
@@ -105,14 +103,13 @@ def _fib_letters(length: int) -> str:
     return fixed_point_prefix(fibonacci_morphism, "0", length)
 
 
-def _honest_threshold(f, stage: int, prev_len: int) -> int:
-    """2^m for the largest m with f(m) <= 19 * stage^2, bailing out as
-    soon as the implied prefix length exceeds the letter budget."""
+def _honest_threshold(stage: int, prev_len: int) -> int:
+    """2^m for the largest m with f(m) <= 19 * stage^2, f the
+    `double_log_threshold`, bailing out as soon as the implied prefix
+    length exceeds the letter budget."""
     bound = CALIBRATION * stage * stage
-    if f(0) > bound:
-        raise ValueError("threshold function starts above %d" % bound)
     m = 0
-    while f(m + 1) <= bound:
+    while double_log_threshold(m + 1) <= bound:
         m += 1
         if (1 << m) * max(prev_len, 1) > MAX_LETTERS:
             raise ParameterOverflow(
@@ -175,7 +172,7 @@ def build(params: ConstructionParams) -> ConstructionTrace:
         if params.mode == "toy":
             g = params.growth[i - 1]
         else:
-            g = _honest_threshold(params.f, i, d[-1] if d else 1)
+            g = _honest_threshold(i, d[-1] if d else 1)
         thresholds.append(g)
         if i == 1:
             if g > MAX_LETTERS:
@@ -227,17 +224,6 @@ def verify_powers(trace: ConstructionTrace, i: int, e: int) -> bool:
     return block in trace.prefix
 
 
-def monotone_envelope(f: Callable[[int], int], upto: int) -> list[int]:
-    """Suffix minima of f over 0..upto; equals f when f is weakly
-    increasing, otherwise the sound replacement min over j >= n within
-    the window."""
-    vals = [f(j) for j in range(upto + 1)]
-    for j in range(upto - 1, -1, -1):
-        if vals[j + 1] < vals[j]:
-            vals[j] = vals[j + 1]
-    return vals
-
-
 @dataclass(frozen=True)
 class BoundRow:
     n: int
@@ -246,10 +232,9 @@ class BoundRow:
     ok: bool
 
 
-def verify_complexity_bound(
-    trace: ConstructionTrace, f: Callable[[int], int], n_range
-) -> list[BoundRow]:
-    """Per-length comparison of factor counts against n * f(n).
+def verify_complexity_bound(trace: ConstructionTrace, n_range) -> list[BoundRow]:
+    """Per-length comparison of factor counts against n * f(n), f the
+    `double_log_threshold`.
 
     Counts must agree between the built prefix and its first half, the
     finite-stage stand-in for window stability; otherwise the prefix is
@@ -257,12 +242,8 @@ def verify_complexity_bound(
     """
     letters = trace.prefix
     half = letters[: len(letters) // 2]
-    ns = sorted(set(n_range))
-    if not ns:
-        return []
-    env = monotone_envelope(f, ns[-1])
     rows = []
-    for n in ns:
+    for n in sorted(set(n_range)):
         p = len(factor_set(letters, n).members)
         p_half = len(factor_set(half, n).members)
         if p != p_half:
@@ -270,7 +251,7 @@ def verify_complexity_bound(
                 "factor count at n=%d still grows with the window (%d -> %d)"
                 % (n, p_half, p)
             )
-        bound = n * env[n]
+        bound = n * double_log_threshold(n)
         rows.append(BoundRow(n=n, p=p, bound=bound, ok=p <= bound))
     return rows
 

@@ -4,16 +4,28 @@ Concrete syntax, loosely modelled on the usual automatic-sequence
 provers: quantifiers are written `Ax,y ...` and `Et ...` and scope to
 the end of the enclosing formula, `=>` binds loosest and associates to
 the right, then `|`, `&`, `~`.  Terms are built from variables, natural
-constants, `+` and `-`.  `W[t]` reads the letter of sequence W at
-position t, `@c` is the letter constant c, and `name(args)` calls a
-named predicate.  A call stays a `Call` node: the compiler compiles the
-predicate's body once and substitutes the arguments into that automaton.
+constants (ASCII digits), `+` and `-`.  `W[t]` reads the letter of
+sequence W at position t, `@c` is the letter constant c, and
+`name(args)` calls a named predicate.  A call stays a `Call` node: the
+compiler compiles the predicate's body once and substitutes the
+arguments into that automaton.
+
+One node class per kind, the variants told apart by an operator field:
+
+* terms: `Var`, `Const`, `Arith` (`+`, `-`);
+* atoms: `Compare` (`=`, `<`, `<=`), `SeqIs` (a letter of a sequence is
+  a letter constant), `SeqCompare` (`=`, `<` between two letters of
+  sequences), `Call`;
+* connectives: `Not`, `Binary` (`&`, `|`, `=>`), `Quant` (`E`, `A`).
+
+`!=`, `>` and `>=` are sugar: the parser swaps the sides or negates.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import FormulaSyntaxError
 
@@ -33,18 +45,13 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Plus:
+class Arith:
+    op: str  # "+" or "-" (natural, so a-b has no value when b > a)
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Minus:
-    left: "Term"
-    right: "Term"
-
-
-Term = Union[Var, Const, Plus, Minus]
+Term = Union[Var, Const, Arith]
 
 
 # ---------------------------------------------------------------------------
@@ -52,19 +59,8 @@ Term = Union[Var, Const, Plus, Minus]
 
 
 @dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Lt:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Leq:
+class Compare:
+    op: str  # "=", "<" or "<="
     left: Term
     right: Term
 
@@ -77,15 +73,8 @@ class SeqIs:
 
 
 @dataclass(frozen=True)
-class SeqEq:
-    left_seq: str
-    left_pos: Term
-    right_seq: str
-    right_pos: Term
-
-
-@dataclass(frozen=True)
-class SeqLetterLt:
+class SeqCompare:
+    op: str  # "=" or "<", the latter in the sequences' declared letter order
     left_seq: str
     left_pos: Term
     right_seq: str
@@ -98,31 +87,15 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class Binary:
+    op: str  # "&", "|" or "=>"
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Exists:
-    names: tuple[str, ...]
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Forall:
+class Quant:
+    q: str  # "E" or "A"
     names: tuple[str, ...]
     body: "Formula"
 
@@ -142,9 +115,7 @@ class Call:
     args: tuple[Term, ...]
 
 
-Formula = Union[
-    Eq, Lt, Leq, SeqIs, SeqEq, SeqLetterLt, Not, And, Or, Implies, Exists, Forall, Call
-]
+Formula = Union[Compare, SeqIs, SeqCompare, Not, Binary, Quant, Call]
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +131,17 @@ def term_vars(t: Term) -> frozenset[str]:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Eq, Lt, Leq)):
+    if isinstance(f, Compare):
         return term_vars(f.left) | term_vars(f.right)
     if isinstance(f, SeqIs):
         return term_vars(f.pos)
-    if isinstance(f, (SeqEq, SeqLetterLt)):
+    if isinstance(f, SeqCompare):
         return term_vars(f.left_pos) | term_vars(f.right_pos)
     if isinstance(f, Not):
         return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, Binary):
         return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Quant):
         return free_vars(f.body) - frozenset(f.names)
     if isinstance(f, Call):
         return frozenset().union(*map(term_vars, f.args))
@@ -180,16 +151,14 @@ def free_vars(f: Formula) -> frozenset[str]:
 def sequence_names(f: Formula) -> frozenset[str]:
     if isinstance(f, SeqIs):
         return frozenset({f.seq})
-    if isinstance(f, (SeqEq, SeqLetterLt)):
+    if isinstance(f, SeqCompare):
         return frozenset({f.left_seq, f.right_seq})
-    if isinstance(f, (Eq, Lt, Leq)):
+    if isinstance(f, Compare):
         return frozenset()
-    if isinstance(f, Not):
+    if isinstance(f, (Not, Quant)):
         return sequence_names(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, Binary):
         return sequence_names(f.left) | sequence_names(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return sequence_names(f.body)
     if isinstance(f, Call):
         return sequence_names(f.defn.body)
     raise TypeError("not a formula: %r" % (f,))
@@ -198,14 +167,17 @@ def sequence_names(f: Formula) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # printing
 
+# binding level of each connective: a looser one is parenthesised under a
+# tighter one; `~` binds at 4
+_LEVELS = {"=>": 1, "|": 2, "&": 3}
+
 
 def term_to_text(t: Term, level: int = 0) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Const):
         return str(t.value)
-    op = "+" if isinstance(t, Plus) else "-"
-    s = "%s%s%s" % (term_to_text(t.left, 0), op, term_to_text(t.right, 1))
+    s = "%s%s%s" % (term_to_text(t.left, 0), t.op, term_to_text(t.right, 1))
     return "(" + s + ")" if level >= 1 else s
 
 
@@ -216,39 +188,27 @@ def to_text(f: Formula, level: int = 0) -> str:
     def wrap(s: str, own: int) -> str:
         return "(" + s + ")" if own < level else s
 
-    if isinstance(f, Eq):
-        return "%s=%s" % (term_to_text(f.left), term_to_text(f.right))
-    if isinstance(f, Lt):
-        return "%s<%s" % (term_to_text(f.left), term_to_text(f.right))
-    if isinstance(f, Leq):
-        return "%s<=%s" % (term_to_text(f.left), term_to_text(f.right))
+    if isinstance(f, Compare):
+        return "%s%s%s" % (term_to_text(f.left), f.op, term_to_text(f.right))
     if isinstance(f, SeqIs):
         return "%s[%s]=@%s" % (f.seq, term_to_text(f.pos), f.letter)
-    if isinstance(f, SeqEq):
-        return "%s[%s]=%s[%s]" % (
+    if isinstance(f, SeqCompare):
+        return "%s[%s]%s%s[%s]" % (
             f.left_seq,
             term_to_text(f.left_pos),
-            f.right_seq,
-            term_to_text(f.right_pos),
-        )
-    if isinstance(f, SeqLetterLt):
-        return "%s[%s]<%s[%s]" % (
-            f.left_seq,
-            term_to_text(f.left_pos),
+            f.op,
             f.right_seq,
             term_to_text(f.right_pos),
         )
     if isinstance(f, Not):
         return wrap("~" + to_text(f.body, 4), 4)
-    if isinstance(f, And):
-        return wrap("%s & %s" % (to_text(f.left, 3), to_text(f.right, 4)), 3)
-    if isinstance(f, Or):
-        return wrap("%s | %s" % (to_text(f.left, 2), to_text(f.right, 3)), 2)
-    if isinstance(f, Implies):
-        return wrap("%s => %s" % (to_text(f.left, 2), to_text(f.right, 1)), 1)
-    if isinstance(f, (Exists, Forall)):
-        q = "E" if isinstance(f, Exists) else "A"
-        return wrap("%s%s %s" % (q, ",".join(f.names), to_text(f.body, 1)), 1)
+    if isinstance(f, Binary):
+        own = _LEVELS[f.op]
+        # `&` and `|` associate to the left, `=>` to the right
+        left, right = (own + 1, own) if f.op == "=>" else (own, own + 1)
+        return wrap("%s %s %s" % (to_text(f.left, left), f.op, to_text(f.right, right)), own)
+    if isinstance(f, Quant):
+        return wrap("%s%s %s" % (f.q, ",".join(f.names), to_text(f.body, 1)), 1)
     if isinstance(f, Call):
         return "%s(%s)" % (f.defn.name, ",".join(map(term_to_text, f.args)))
     raise TypeError("not a formula: %r" % (f,))
@@ -257,8 +217,22 @@ def to_text(f: Formula, level: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # lexer
 
-
-_SYMBOLS = ("=>", "<=", ">=", "!=", "(", ")", "[", "]", ",", "+", "-", "=", "<", ">", "&", "|", "~")
+# One alternative per token kind, tried in order; `other` takes any
+# character that starts no token.  In a str pattern `\w` is
+# `str.isalnum()` or `_`, and `\d` a decimal digit of any script.  An
+# identifier starts with `str.isalpha()` or `_`: `[^\W\d]` also admits
+# the other digits, such as `²`, which `_lex` refuses.
+_TOKENS = re.compile(
+    r"""(?P<newline>\n)
+      | (?P<space>[ \t\r]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<number>[0-9]+)
+      | (?P<ident>[^\W\d]\w*)
+      | @(?P<letter>[^\W_])
+      | (?P<symbol>=>|<=|>=|!=|[()\[\],+\-=<>&|~])
+      | (?P<other>.)""",
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -271,60 +245,35 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "@":
-            if i + 1 < n and text[i + 1].isalnum():
-                toks.append(_Token("letter", text[i + 1], line, col))
-                i += 2
-                col += 2
-                continue
-            raise FormulaSyntaxError("@ must be followed by a letter", line, col)
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Token("symbol", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
+    line, line_start = 1, 0
+    for m in _TOKENS.finditer(text):
+        kind, ch = m.lastgroup, m[0][0]
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "other" or kind == "ident" and not (ch.isalpha() or ch == "_"):
+            if ch == "@":
+                raise FormulaSyntaxError("@ must be followed by a letter", line, col)
             raise FormulaSyntaxError("unexpected character %r" % ch, line, col)
-    toks.append(_Token("end", "", line, col))
+        elif kind not in ("space", "comment"):
+            toks.append(_Token(kind, m[kind], line, col))
+    toks.append(_Token("end", "", line, len(text) - line_start + 1))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+# each comparison as written: the node's op, whether the sides swap, and
+# whether the node is negated
+_COMPARISONS = {
+    "=": ("=", False, False),
+    "!=": ("=", False, True),
+    "<": ("<", False, False),
+    ">": ("<", True, False),
+    "<=": ("<=", False, False),
+    ">=": ("<=", True, False),
+}
 
 
 class _Parser:
@@ -376,27 +325,22 @@ class _Parser:
                 raise FormulaSyntaxError(
                     "repeated bound variable", head.line, head.col
                 )
-            body = self.formula()
-            cls = Exists if q[0] == "E" else Forall
-            return cls(tuple(names), body)
-        left = self.disjunction()
+            return Quant(q[0], tuple(names), self.formula())
+        left = self.binary("|", self.conjunction)
         if self.at_symbol("=>"):
             self.take()
-            return Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.at_symbol("|"):
-            self.take()
-            left = Or(left, self.conjunction())
+            return Binary("=>", left, self.formula())
         return left
 
     def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.at_symbol("&"):
+        return self.binary("&", self.unary)
+
+    def binary(self, op: str, operand) -> Formula:
+        """operand (op operand)*, associated to the left."""
+        left = operand()
+        while self.at_symbol(op):
             self.take()
-            left = And(left, self.unary())
+            left = Binary(op, left, operand())
         return left
 
     def unary(self) -> Formula:
@@ -437,7 +381,7 @@ class _Parser:
             return SeqIs(seq, pos, t.text)
         left = self.term()
         op = self.peek()
-        if op.kind != "symbol" or op.text not in ("=", "<", "<=", ">", ">=", "!="):
+        if op.kind != "symbol" or op.text not in _COMPARISONS:
             raise FormulaSyntaxError(
                 "expected a comparison, got %r" % (op.text or "end of input"),
                 op.line,
@@ -445,7 +389,9 @@ class _Parser:
             )
         self.take()
         right = self.term()
-        return _compare(op.text, left, right)
+        node, swap, negate = _COMPARISONS[op.text]
+        f = Compare(node, right, left) if swap else Compare(node, left, right)
+        return Not(f) if negate else f
 
     def call(self) -> Formula:
         name_tok = self.take()
@@ -475,37 +421,31 @@ class _Parser:
         return name, pos
 
     def seq_atom(self) -> Formula:
-        lseq, lpos = self.seq_ref()
+        left = self.seq_ref()
         op = self.peek()
         if op.kind != "symbol" or op.text not in ("=", "<", ">", "!="):
             raise FormulaSyntaxError(
                 "expected =, <, > or != after a sequence letter", op.line, op.col
             )
         self.take()
+        node, swap, negate = _COMPARISONS[op.text]
         if self.peek().kind == "letter":
             lt = self.take()
-            if op.text == "=":
-                return SeqIs(lseq, lpos, lt.text)
-            if op.text == "!=":
-                return Not(SeqIs(lseq, lpos, lt.text))
-            raise FormulaSyntaxError(
-                "letters compare to letters only with = or !=", lt.line, lt.col
-            )
-        rseq, rpos = self.seq_ref()
-        if op.text == "=":
-            return SeqEq(lseq, lpos, rseq, rpos)
-        if op.text == "!=":
-            return Not(SeqEq(lseq, lpos, rseq, rpos))
-        if op.text == "<":
-            return SeqLetterLt(lseq, lpos, rseq, rpos)
-        return SeqLetterLt(rseq, rpos, lseq, lpos)
+            if node != "=":
+                raise FormulaSyntaxError(
+                    "letters compare to letters only with = or !=", lt.line, lt.col
+                )
+            f = SeqIs(*left, lt.text)
+        else:
+            right = self.seq_ref()
+            f = SeqCompare(node, *right, *left) if swap else SeqCompare(node, *left, *right)
+        return Not(f) if negate else f
 
     def term(self) -> Term:
         left = self.term_factor()
         while self.peek().kind == "symbol" and self.peek().text in ("+", "-"):
             op = self.take().text
-            right = self.term_factor()
-            left = Plus(left, right) if op == "+" else Minus(left, right)
+            left = Arith(op, left, self.term_factor())
         return left
 
     def term_factor(self) -> Term:
@@ -524,20 +464,6 @@ class _Parser:
         raise FormulaSyntaxError(
             "expected a term, got %r" % (t.text or "end of input"), t.line, t.col
         )
-
-
-def _compare(op: str, left: Term, right: Term) -> Formula:
-    if op == "=":
-        return Eq(left, right)
-    if op == "<":
-        return Lt(left, right)
-    if op == "<=":
-        return Leq(left, right)
-    if op == ">":
-        return Lt(right, left)
-    if op == ">=":
-        return Leq(right, left)
-    return Not(Eq(left, right))
 
 
 def parse(text: str, defs: Optional[Mapping[str, PredicateDef]] = None) -> Formula:

@@ -69,7 +69,7 @@ def _flatten(
         constraints.append(au.eq_predicate(right, copy, base))
         right = copy
     v = temps.fresh()
-    if isinstance(term, fo.Plus):
+    if term.op == "+":
         constraints.append(au.add_predicate(left, right, v, base))
     else:
         # v + right = left, so v = left - right when it exists at all
@@ -97,6 +97,10 @@ def _discharge(
     return au.conjoin(parts)
 
 
+# the automaton of each comparison op, on two distinct tracks
+_COMPARE = {"=": au.eq_predicate, "<": au.lt_predicate, "<=": au.leq_predicate}
+
+
 class _Compiler:
     def __init__(self, sequences: Mapping[str, Dfao], base: int):
         self.seqs = sequences
@@ -104,34 +108,30 @@ class _Compiler:
         self.predicates: dict[str, au.MultiTrackDfa] = {}
 
     def compile(self, f: fo.Formula) -> au.MultiTrackDfa:
-        if isinstance(f, (fo.Eq, fo.Lt, fo.Leq)):
+        if isinstance(f, fo.Compare):
             return self.comparison(f)
         if isinstance(f, fo.SeqIs):
             return self.seq_is(f)
-        if isinstance(f, (fo.SeqEq, fo.SeqLetterLt)):
+        if isinstance(f, fo.SeqCompare):
             return self.seq_pair(f)
         if isinstance(f, fo.Not):
             return au.complement(self.compile(f.body))
-        if isinstance(f, (fo.And, fo.Or)):
-            parts = [self.compile(g) for g in _chain(f, type(f))]
-            if isinstance(f, fo.And):
+        if isinstance(f, fo.Binary):
+            if f.op == "=>":
+                return au.combine(au.complement(self.compile(f.left)), self.compile(f.right), "or")
+            parts = [self.compile(g) for g in _chain(f, f.op)]
+            if f.op == "&":
                 return au.conjoin(parts)
             parts.sort(key=lambda a: a.n_states)
             out = parts[0]
             for nxt in parts[1:]:
                 out = au.combine(out, nxt, "or")
             return out
-        if isinstance(f, fo.Implies):
-            return au.combine(au.complement(self.compile(f.left)), self.compile(f.right), "or")
-        if isinstance(f, fo.Exists):
+        if isinstance(f, fo.Quant):
+            step = au.project if f.q == "E" else au.forall
             out = self.compile(f.body)
             for name in f.names:
-                out = au.project(out, name)
-            return out
-        if isinstance(f, fo.Forall):
-            out = self.compile(f.body)
-            for name in f.names:
-                out = au.forall(out, name)
+                out = step(out, name)
             return out
         if isinstance(f, fo.Call):
             return apply_predicate(self.predicate(f.defn), dict(zip(f.defn.params, f.args)))
@@ -152,22 +152,17 @@ class _Compiler:
                 % (name, ", ".join(sorted(self.seqs)) or "none")
             ) from None
 
-    def comparison(self, f) -> au.MultiTrackDfa:
+    def comparison(self, f: fo.Compare) -> au.MultiTrackDfa:
         temps = _Temps()
         constraints: list[au.MultiTrackDfa] = []
         left = _flatten(f.left, self.base, temps, constraints)
         right = _flatten(f.right, self.base, temps, constraints)
-        if left == right:
-            if isinstance(f, fo.Lt):
-                core = au.reject_all(self.base, (left,))
-            else:
-                core = au.accept_all(self.base, (left,))
-        elif isinstance(f, fo.Eq):
-            core = au.eq_predicate(left, right, self.base)
-        elif isinstance(f, fo.Lt):
-            core = au.lt_predicate(left, right, self.base)
+        if left != right:
+            core = _COMPARE[f.op](left, right, self.base)
+        elif f.op == "<":
+            core = au.reject_all(self.base, (left,))
         else:
-            core = au.leq_predicate(left, right, self.base)
+            core = au.accept_all(self.base, (left,))
         return _discharge(core, constraints, temps)
 
     def seq_is(self, f: fo.SeqIs) -> au.MultiTrackDfa:
@@ -177,10 +172,10 @@ class _Compiler:
         core = au.seq_letter_predicate(self.dfao(f.seq), pos, f.letter)
         return _discharge(core, constraints, temps)
 
-    def seq_pair(self, f) -> au.MultiTrackDfa:
+    def seq_pair(self, f: fo.SeqCompare) -> au.MultiTrackDfa:
         d_left = self.dfao(f.left_seq)
         d_right = self.dfao(f.right_seq)
-        if isinstance(f, fo.SeqEq):
+        if f.op == "=":
             rel = lambda a, b: a == b
         else:
             if d_left.letters != d_right.letters:
@@ -198,9 +193,10 @@ class _Compiler:
         return _discharge(core, constraints, temps)
 
 
-def _chain(f: fo.Formula, cls) -> list[fo.Formula]:
-    if isinstance(f, cls):
-        return _chain(f.left, cls) + _chain(f.right, cls)
+def _chain(f: fo.Formula, op: str) -> list[fo.Formula]:
+    """The operands of a run of `op` nodes, left to right."""
+    if isinstance(f, fo.Binary) and f.op == op:
+        return _chain(f.left, op) + _chain(f.right, op)
     return [f]
 
 

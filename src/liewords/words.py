@@ -336,7 +336,10 @@ class WordGenerator:
     assert it agrees with the DFAO for the bundled words), else the DFAO's
     k-uniform morphism (`dfao_morphism`).  Prefixes and factor sets both
     read that fixed point.  `coding` is an optional letter-to-letter map
-    applied to the fixed point.
+    applied to the fixed point.  Every letter of the coded word, a `coding`
+    value or a DFAO output, must be one character, as a `Morphism`'s
+    letters are; UnknownLetter is raised otherwise.  (A `Dfao` itself may
+    output longer strings: `counting.to_dfao` writes counts.)
     """
 
     def __init__(
@@ -362,6 +365,11 @@ class WordGenerator:
             self._fixed_point = (morphism, seed, self.coding)
         else:
             self._fixed_point = dfao_morphism(dfao)
+        for letter in (self._fixed_point[2] or {}).values():
+            if len(letter) != 1:
+                raise UnknownLetter(
+                    "letters of the coded word must be single characters, got %r" % letter
+                )
         self._cached = ""
         self._morphic: Optional[_MorphicWord] = None
 

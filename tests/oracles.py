@@ -745,17 +745,17 @@ def count_direct(a, n: int) -> int:
 
 def all_names(f):
     """Every variable name occurring, bound or free."""
-    if isinstance(f, (fo.Eq, fo.Lt, fo.Leq)):
+    if isinstance(f, fo.Compare):
         return fo.term_vars(f.left) | fo.term_vars(f.right)
     if isinstance(f, fo.SeqIs):
         return fo.term_vars(f.pos)
-    if isinstance(f, (fo.SeqEq, fo.SeqLetterLt)):
+    if isinstance(f, fo.SeqCompare):
         return fo.term_vars(f.left_pos) | fo.term_vars(f.right_pos)
     if isinstance(f, fo.Not):
         return all_names(f.body)
-    if isinstance(f, (fo.And, fo.Or, fo.Implies)):
+    if isinstance(f, fo.Binary):
         return all_names(f.left) | all_names(f.right)
-    if isinstance(f, (fo.Exists, fo.Forall)):
+    if isinstance(f, fo.Quant):
         return all_names(f.body) | frozenset(f.names)
     raise TypeError("not a formula: %r" % (f,))
 
@@ -774,8 +774,7 @@ def subst_term(t, env):
         return env.get(t.name, t)
     if isinstance(t, fo.Const):
         return t
-    cls = type(t)
-    return cls(subst_term(t.left, env), subst_term(t.right, env))
+    return fo.Arith(t.op, subst_term(t.left, env), subst_term(t.right, env))
 
 
 def substitute(f, env):
@@ -784,12 +783,13 @@ def substitute(f, env):
     env = {k: v for k, v in env.items() if v != fo.Var(k)}
     if not env:
         return f
-    if isinstance(f, (fo.Eq, fo.Lt, fo.Leq)):
-        return type(f)(subst_term(f.left, env), subst_term(f.right, env))
+    if isinstance(f, fo.Compare):
+        return fo.Compare(f.op, subst_term(f.left, env), subst_term(f.right, env))
     if isinstance(f, fo.SeqIs):
         return fo.SeqIs(f.seq, subst_term(f.pos, env), f.letter)
-    if isinstance(f, (fo.SeqEq, fo.SeqLetterLt)):
-        return type(f)(
+    if isinstance(f, fo.SeqCompare):
+        return fo.SeqCompare(
+            f.op,
             f.left_seq,
             subst_term(f.left_pos, env),
             f.right_seq,
@@ -797,9 +797,9 @@ def substitute(f, env):
         )
     if isinstance(f, fo.Not):
         return fo.Not(substitute(f.body, env))
-    if isinstance(f, (fo.And, fo.Or, fo.Implies)):
-        return type(f)(substitute(f.left, env), substitute(f.right, env))
-    if isinstance(f, (fo.Exists, fo.Forall)):
+    if isinstance(f, fo.Binary):
+        return fo.Binary(f.op, substitute(f.left, env), substitute(f.right, env))
+    if isinstance(f, fo.Quant):
         inner = {k: v for k, v in env.items() if k not in f.names}
         incoming = set()
         for v in inner.values():
@@ -816,14 +816,14 @@ def substitute(f, env):
             else:
                 new_names.append(name)
         body = substitute(f.body, rename) if rename else f.body
-        return type(f)(tuple(new_names), substitute(body, inner) if inner else body)
+        return fo.Quant(f.q, tuple(new_names), substitute(body, inner) if inner else body)
     raise TypeError("not a formula: %r" % (f,))
 
 
 def _has_minus(t):
     if isinstance(t, (fo.Var, fo.Const)):
         return False
-    return isinstance(t, fo.Minus) or _has_minus(t.left) or _has_minus(t.right)
+    return t.op == "-" or _has_minus(t.left) or _has_minus(t.right)
 
 
 def inline_call(d, args):
@@ -853,7 +853,7 @@ def inline_call(d, args):
             env[p] = a
     body = substitute(d.body, env)
     for m, a in reversed(hoisted):
-        body = fo.Exists((m,), fo.And(fo.Eq(fo.Var(m), a), body))
+        body = fo.Quant("E", (m,), fo.Binary("&", fo.Compare("=", fo.Var(m), a), body))
     return body
 
 
@@ -867,8 +867,8 @@ def inline_calls(f):
         return inline_call(fo.PredicateDef(d.name, d.params, inline_calls(d.body)), f.args)
     if isinstance(f, fo.Not):
         return fo.Not(inline_calls(f.body))
-    if isinstance(f, (fo.And, fo.Or, fo.Implies)):
-        return type(f)(inline_calls(f.left), inline_calls(f.right))
-    if isinstance(f, (fo.Exists, fo.Forall)):
-        return type(f)(f.names, inline_calls(f.body))
+    if isinstance(f, fo.Binary):
+        return fo.Binary(f.op, inline_calls(f.left), inline_calls(f.right))
+    if isinstance(f, fo.Quant):
+        return fo.Quant(f.q, f.names, inline_calls(f.body))
     return f

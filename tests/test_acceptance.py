@@ -204,11 +204,11 @@ def test_accept_9_staged_construction_at_toy_scale():
         assert verify_powers(trace, i, trace.exponent(4, i))
 
     with pytest.raises(ParameterOverflow):
-        build(ConstructionParams(depth=4, mode="honest", f=double_log_threshold))
+        build(ConstructionParams(depth=4, mode="honest"))
 
     # quantitative calibration is out of reach at this scale; the report
     # documents where the doubly logarithmic budget holds on the prefix
-    report = verify_complexity_bound(trace, double_log_threshold, range(1, 18))
+    report = verify_complexity_bound(trace, range(1, 18))
     prefix = trace.prefix
     for r in report:
         direct = len({prefix[i : i + r.n] for i in range(len(prefix) - r.n + 1)})

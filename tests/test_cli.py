@@ -103,6 +103,23 @@ def test_morphism_file_with_a_non_growing_letter(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ("complexity", "--n", "0..2"),
+        ("algebra-check", "--max-n", "3"),
+        ("scan-powers",),
+    ],
+)
+def test_dfao_file_with_a_multi_character_output_exits_one(tmp_path, capsys, command):
+    # read as one letter by `pipeline`, so a word route must not count it as two
+    path = tmp_path / "multi.dfao"
+    path.write_text("base: 2\nstate 0 output ab\n0 -> 0\n1 -> 1\nstate 1 output c\n0 -> 1\n1 -> 0\n")
+    code, out, err = run(capsys, command[0], "--dfao-file", str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err == "UnknownLetter: letters of the coded word must be single characters, got 'ab'\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("construct", "--depth", "4"), "toy mode needs one growth multiplier per stage"),
@@ -204,6 +221,14 @@ def test_logic_compile_of_a_call_emits_the_library_predicate(tmp_path, capsys, t
     )
     assert code == 0
     assert target.read_text() == au.to_text(tm_library["lie"])
+
+
+# '²' is a digit to str.isdigit but no number to int; '٣' would read as 3
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_logic_compile_refuses_digits_that_are_not_ascii(capsys, digit):
+    code, out, err = run(capsys, "logic", "compile", "--base", "2", "--formula", "x=" + digit)
+    assert (code, out) == (1, "")
+    assert err == "FormulaSyntaxError: line 1, col 3: unexpected character %r\n" % digit
 
 
 def test_logic_compile_of_a_large_constant(capsys):

@@ -11,7 +11,6 @@ from liewords.construction import (
     ConstructionParams,
     build,
     double_log_threshold,
-    monotone_envelope,
     trace_to_json,
     verify_complexity_bound,
     verify_powers,
@@ -102,7 +101,7 @@ def test_power_blocks_present():
 
 
 def test_honest_mode_overflows_at_desk_scale():
-    params = ConstructionParams(depth=3, mode="honest", f=double_log_threshold)
+    params = ConstructionParams(depth=3, mode="honest")
     with pytest.raises(ParameterOverflow):
         build(params)
 
@@ -114,8 +113,6 @@ def test_toy_params_validated():
         ConstructionParams(depth=2, mode="toy", growth=(2,))
     with pytest.raises(ValueError):
         ConstructionParams(depth=2, mode="toy", growth=(2, 1))
-    with pytest.raises(ValueError):
-        ConstructionParams(depth=2, mode="honest")
 
 
 def test_primitive_root():
@@ -124,19 +121,15 @@ def test_primitive_root():
     assert primitive_root("0") == "0"
 
 
-def test_monotone_envelope():
-    f = lambda n: [5, 3, 4, 2, 6][n]
-    assert monotone_envelope(f, 4) == [2, 2, 2, 2, 6]
-
-
 def test_complexity_bound_report():
     trace = build(toy())
-    rows = verify_complexity_bound(trace, double_log_threshold, range(1, 18))
+    rows = verify_complexity_bound(trace, range(1, 18))
     assert all(isinstance(r, BoundRow) for r in rows)
     prefix = trace.prefix
     for r in rows:
         direct = len({prefix[i : i + r.n] for i in range(len(prefix) - r.n + 1)})
         assert r.p == direct
+        assert r.bound == r.n * double_log_threshold(r.n)
         assert r.ok == (r.p <= r.bound)
     # the doubly logarithmic budget is honest only for tiny n at toy scale
     assert all(r.ok for r in rows if r.n <= 8)
@@ -146,7 +139,7 @@ def test_complexity_bound_report():
 def test_complexity_bound_rejects_unstable_window():
     trace = build(toy())
     with pytest.raises(WindowUnstable):
-        verify_complexity_bound(trace, double_log_threshold, range(1, 60))
+        verify_complexity_bound(trace, range(1, 60))
 
 
 def test_trace_json_is_deterministic():

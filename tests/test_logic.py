@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -177,7 +178,7 @@ def test_apply_predicate_binds_compound_arguments(tm_library):
     prefix = get_word("thue-morse").prefix(300)
     feq = tm_library["factoreq"]
     shifted = apply_predicate(
-        feq, {"i": fo.Var("p"), "j": fo.Plus(fo.Var("p"), fo.Var("k")), "n": fo.Const(3)}
+        feq, {"i": fo.Var("p"), "j": fo.Arith("+", fo.Var("p"), fo.Var("k")), "n": fo.Const(3)}
     )
     for p in range(0, 60):
         for k in range(0, 30):
@@ -189,7 +190,7 @@ def test_apply_predicate_truncated_argument(tm_library):
     feq = tm_library["factoreq"]
     # n-5 underflows for n < 5, so nothing of negative length is compared
     trimmed = apply_predicate(
-        feq, {"n": fo.Minus(fo.Var("n"), fo.Const(5))}
+        feq, {"n": fo.Arith("-", fo.Var("n"), fo.Const(5))}
     )
     assert not au.accepts(trimmed, {"i": 0, "j": 0, "n": 2})
     assert au.accepts(trimmed, {"i": 0, "j": 0, "n": 7})
@@ -279,7 +280,8 @@ def _widest_product(build):
     return out, max(widths)
 
 
-V, P, M, C = fo.Var, fo.Plus, fo.Minus, fo.Const
+V, C = fo.Var, fo.Const
+P, M = partial(fo.Arith, "+"), partial(fo.Arith, "-")
 SUBSTITUTIONS = [
     {"i": V("j"), "j": P(V("i"), V("t")), "n": M(V("n"), V("t"))},
     {"j": M(P(V("j"), V("n")), V("t")), "n": V("t")},

@@ -1,12 +1,18 @@
 """The scripts in `scripts/`, the layer tracer in `perfbench/` and the
 package's own export list name only what the package binds, so a name
-removed from the package cannot break one of them unnoticed."""
+removed from the package cannot break one of them unnoticed.  The
+construction demo also runs, so a keyword removed from a call it makes
+fails here too."""
 
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
+
+import liewords
 
 _SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 _PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -42,3 +48,15 @@ def test_traced_and_exported_names_are_bound(monkeypatch):
     assert tracing.missing_names() == []
     for name in liewords.__all__:
         getattr(liewords, name)
+
+
+def test_construction_demo_runs():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(liewords.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, os.path.join(_SCRIPTS, "run_construction_demo.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "  structure checks:  all ok\n" in done.stdout

@@ -119,6 +119,16 @@ def test_prefix_cache_is_keyed_by_rules_not_name():
     assert coded.prefix(64) == swapped.translate(str.maketrans("01", "ab"))
 
 
+def test_coded_letters_are_single_characters():
+    tm = morphism("01", {"0": "01", "1": "10"})
+    with pytest.raises(UnknownLetter, match="got 'ab'"):
+        WordGenerator("w", morphism=tm, seed="0", coding={"0": "ab", "1": "c"})
+    # a DFAO may output a longer string; its word may not
+    d = Dfao(2, ((0, 1), (1, 0)), ("ab", "c"), ("ab", "c"))
+    with pytest.raises(UnknownLetter, match="got 'ab'"):
+        WordGenerator("w", dfao=d)
+
+
 def test_saturation_window_stabilizes():
     tm = get_word("thue-morse")
     w, certified = saturation_window(tm, 12)
