@@ -39,7 +39,12 @@ any, is a rejecting state whose row points back to itself (`_live`).
 
 Tracks are kept sorted by name; combining automata with different track
 sets implicitly cylindrifies (the automaton simply does not read the
-extra tracks).
+extra tracks).  Symbol s over m tracks is the column of digits that
+spells s in base k, first track most significant: the C order of
+`np.ravel_multi_index`, which encodes a column.  `_columns` is the one
+decoder, and it refuses an alphabet past `_SYMBOL_CAP` symbols with
+CompileBlowup, before anything is built: the fourth cap, next to
+`STATE_CAP`, `counting._DFAO_STATE_CAP` and `construction.MAX_LETTERS`.
 
 A transition table has one form, at rest and inside every operation: a
 C-contiguous, read-only int32 array [n_states, n_symbols].  Rows given
@@ -114,31 +119,32 @@ def _check_cap(count: int, cap: int):
         raise CompileBlowup("automaton grew past the state cap (%d states)" % count)
 
 
-def sym_of(digits: Sequence[int], base: int) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * base + d
-    return idx
+# the most symbols (base ** tracks) one alphabet may have; read at call time
+_SYMBOL_CAP = 1 << 20
 
 
-def digits_of(sym: int, base: int, m: int) -> tuple[int, ...]:
-    out = [0] * m
-    for i in range(m - 1, -1, -1):
-        sym, out[i] = divmod(sym, base)
-    return tuple(out)
+def _columns(base: int, m: int) -> np.ndarray:
+    """Row s holds the digits of symbol s over m tracks (one empty row for
+    m = 0); read-only and cached, the cap checked on every call."""
+    if base**m > _SYMBOL_CAP:
+        raise CompileBlowup(
+            "alphabet of %d tracks in base %d has more than %d symbols" % (m, base, _SYMBOL_CAP)
+        )
+    return _digit_table(base, m)
 
 
-@lru_cache(maxsize=256)
-def _submap(all_tracks: tuple[str, ...], sub_tracks: tuple[str, ...], base: int) -> np.ndarray:
-    """For each symbol over all_tracks, the induced symbol over sub_tracks
-    (read-only; cached, since a formula meets a handful of track tuples)."""
-    m = len(all_tracks)
-    syms = np.arange(base**m)
-    out = np.zeros(base**m, dtype=np.intp)
-    for t in sub_tracks:
-        out = out * base + syms // base ** (m - 1 - all_tracks.index(t)) % base
+@lru_cache(maxsize=64)
+def _digit_table(base: int, m: int) -> np.ndarray:
+    place = base ** np.arange(m - 1, -1, -1)
+    out = np.arange(base**m)[:, None] // place % base
     out.flags.writeable = False
     return out
+
+
+def _submap(all_tracks: tuple[str, ...], sub_tracks: tuple[str, ...], base: int) -> np.ndarray:
+    """For each symbol over all_tracks, the induced symbol over sub_tracks."""
+    pick = [all_tracks.index(t) for t in sub_tracks]
+    return _columns(base, len(all_tracks))[:, pick] @ base ** np.arange(len(pick) - 1, -1, -1)
 
 
 def _mask(n: int, states: Iterable[int]) -> np.ndarray:
@@ -384,51 +390,45 @@ def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
 # primitive predicates
 
 
+def _serial(base: int, tracks: Sequence[str], n_states: int,
+            step: Callable[..., np.ndarray], accepting: Iterable[int]) -> MultiTrackDfa:
+    """The minimal automaton, over the sorted tracks and from state 0, of
+    the table step(q, *digits) [n_states, n_symbols]: q is the column of
+    states and digits the row of each track's digits, tracks as given."""
+    if len(set(tracks)) != len(tracks):
+        raise UnknownTrack("tracks %s are not distinct" % ", ".join(tracks))
+    names = tuple(sorted(tracks))
+    cols = _columns(base, len(names))
+    digits = [cols[:, names.index(t)] for t in tracks]
+    rows = np.broadcast_to(step(np.arange(n_states)[:, None], *digits), (n_states, len(cols)))
+    return minimize(MultiTrackDfa(base, names, rows, frozenset(accepting), 0))
+
+
 def accept_all(base: int, tracks: Iterable[str] = ()) -> MultiTrackDfa:
-    tracks = tuple(sorted(tracks))
-    nsym = base ** len(tracks)
-    return MultiTrackDfa(base, tracks, ((0,) * nsym,), frozenset({0}), 0)
+    return _serial(base, tuple(tracks), 1, lambda q, *digits: q, {0})
+
 
 def reject_all(base: int, tracks: Iterable[str] = ()) -> MultiTrackDfa:
-    tracks = tuple(sorted(tracks))
-    nsym = base ** len(tracks)
-    return MultiTrackDfa(base, tracks, ((0,) * nsym,), frozenset(), 0)
-
-
-def _two_track(base, x, y, table, accepting):
-    """Helper for comparison automata; table maps (state, cmp) -> state
-    where cmp is -1, 0, 1 for the current digit comparison."""
-    if x == y:
-        raise UnknownTrack("comparison needs two distinct tracks")
-    tracks = tuple(sorted((x, y)))
-    xi = tracks.index(x)
-    n = len(table)
-    rows = []
-    for q in range(n):
-        row = []
-        for sym in range(base * base):
-            dx, dy = digits_of(sym, base, 2) if xi == 0 else digits_of(sym, base, 2)[::-1]
-            cmp_ = (dx > dy) - (dx < dy)
-            row.append(table[q][cmp_])
-        rows.append(row)
-    return minimize(MultiTrackDfa(base, tracks, rows, frozenset(accepting), 0))
+    return _serial(base, tuple(tracks), 1, lambda q, *digits: q, ())
 
 
 def eq_predicate(x: str, y: str, base: int) -> MultiTrackDfa:
     # state 0: equal so far; state 1: differ somewhere
-    table = [{-1: 1, 0: 0, 1: 1}, {-1: 1, 0: 1, 1: 1}]
-    return _two_track(base, x, y, table, {0})
+    return _serial(base, (x, y), 2, lambda q, dx, dy: (q > 0) | (dx != dy), {0})
+
+
+def _msd_compare(q: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    # msd comparison: the first differing column decides; state 0 = equal
+    # so far, 1 = less, 2 = greater
+    return np.where(q == 0, (dx < dy) + 2 * (dx > dy), q)
 
 
 def lt_predicate(x: str, y: str, base: int) -> MultiTrackDfa:
-    # msd comparison: the first differing column decides; 1 = less, 2 = greater
-    table = [{-1: 1, 0: 0, 1: 2}, {-1: 1, 0: 1, 1: 1}, {-1: 2, 0: 2, 1: 2}]
-    return _two_track(base, x, y, table, {1})
+    return _serial(base, (x, y), 3, _msd_compare, {1})
 
 
 def leq_predicate(x: str, y: str, base: int) -> MultiTrackDfa:
-    table = [{-1: 1, 0: 0, 1: 2}, {-1: 1, 0: 1, 1: 1}, {-1: 2, 0: 2, 1: 2}]
-    return _two_track(base, x, y, table, {0, 1})
+    return _serial(base, (x, y), 3, _msd_compare, {0, 1})
 
 
 def const_predicate(x: str, value: int, base: int) -> MultiTrackDfa:
@@ -437,36 +437,29 @@ def const_predicate(x: str, value: int, base: int) -> MultiTrackDfa:
     takes the leading zeros, and the last state is dead."""
     digits = digits_msd(value, base)
     dead = len(digits) + 1
-    rows = [[dead] * base for _ in range(dead + 1)]
-    rows[0][0] = 0
-    for k, d in enumerate(digits):
-        rows[k][d] = k + 1
-    return minimize(MultiTrackDfa(base, (x,), rows, frozenset({len(digits)}), 0))
+    # the digit each state moves on; none for the last two
+    want = np.array(digits + [-1, -1])
+
+    def step(q, d):
+        return np.where(d == want[q], q + 1, np.where((q == 0) & (d == 0), 0, dead))
+
+    return _serial(base, (x,), dead + 1, step, {len(digits)})
 
 
 def add_predicate(x: str, y: str, z: str, base: int) -> MultiTrackDfa:
     """x + y = z, columns msd first.
 
-    The live balance value(x) + value(y) - value(z) over the consumed
-    prefix can only finish at zero from balances 0 and -1; anything else
-    is a dead end.
+    The balance value(x) + value(y) - value(z) over the consumed prefix
+    can only finish at zero from balances 0 and -1, states 0 and 1; state
+    2 stands for every balance below, all dead ends, and any balance
+    above 0 is one too.
     """
-    if len({x, y, z}) != 3:
-        raise UnknownTrack("addition needs three distinct tracks")
-    tracks = tuple(sorted((x, y, z)))
-    pos = {t: i for i, t in enumerate(tracks)}
-    balances = {0: 0, -1: 1}
-    dead = 2
-    rows = []
-    for b in (0, -1):
-        row = []
-        for sym in range(base**3):
-            digs = digits_of(sym, base, 3)
-            nb = base * b + digs[pos[x]] + digs[pos[y]] - digs[pos[z]]
-            row.append(balances.get(nb, dead))
-        rows.append(row)
-    rows.append([dead] * base**3)
-    return minimize(MultiTrackDfa(base, tracks, rows, frozenset({0}), 0))
+
+    def step(q, dx, dy, dz):
+        balance = -base * q + dx + dy - dz
+        return np.where((balance >= -1) & (balance <= 0), -balance, 2)
+
+    return _serial(base, (x, y, z), 3, step, {0})
 
 
 def padded_dfao(d: Dfao) -> tuple[np.ndarray, int, tuple[str, ...]]:
@@ -571,19 +564,15 @@ class _GuessNfa:
 
     def __init__(self, a: MultiTrackDfa, track: str):
         base = a.base
-        m = len(a.tracks)
-        p = a.tracks.index(track)
         self.base = base
         self.kept = tuple(t for t in a.tracks if t != track)
         self.n_red = base ** len(self.kept)
         self.n = a.n_states
-        pow_low = base ** (m - 1 - p)
-        reds = np.arange(self.n_red)
-        hi, lo = np.divmod(reds, pow_low)
-        # guess_cols[red] = the full symbols matching reduced symbol red
-        self.guess_cols = (
-            (hi[:, None] * base + np.arange(base)[None, :]) * pow_low + lo[:, None]
-        )
+        # guess_cols[red, d] = the full symbol reducing to red whose
+        # guessed digit is d
+        self.guess_cols = np.empty((self.n_red, base), dtype=np.intp)
+        guessed = _columns(base, len(a.tracks))[:, a.tracks.index(track)]
+        self.guess_cols[_submap(a.tracks, self.kept, base), guessed] = np.arange(a.n_symbols)
         self.trans = a.transitions
         self.useful = _live(a)
         _, zero_closure = _reachable(self.trans[:, self.guess_cols[0]], a.initial)
@@ -730,7 +719,7 @@ def accepts_string(a: MultiTrackDfa, columns: Sequence[Sequence[int]]) -> bool:
     for col in columns:
         if len(col) != len(a.tracks):
             raise UnknownTrack("column arity %d != %d" % (len(col), len(a.tracks)))
-        q = int(a.transitions[q, sym_of(col, a.base)])
+        q = int(a.transitions[q, np.ravel_multi_index(tuple(col), (a.base,) * len(col))])
     return q in a.accepting
 
 
@@ -739,16 +728,10 @@ def accepts(a: MultiTrackDfa, assignment: Mapping[str, int]) -> bool:
     for t in a.tracks:
         if t not in assignment:
             raise UnknownTrack("no value for track %r" % t)
-    digit_strings = {t: digits_msd(assignment[t], a.base) for t in a.tracks}
-    length = max((len(v) for v in digit_strings.values()), default=0)
-    cols = []
-    for i in range(length):
-        col = []
-        for t in a.tracks:
-            ds = digit_strings[t]
-            col.append(ds[i - (length - len(ds))] if i >= length - len(ds) else 0)
-        cols.append(col)
-    return accepts_string(a, cols)
+    digit_strings = [digits_msd(assignment[t], a.base) for t in a.tracks]
+    length = max(map(len, digit_strings), default=0)
+    padded = [[0] * (length - len(d)) + d for d in digit_strings]
+    return accepts_string(a, list(zip(*padded)))
 
 
 def accepted_values(
@@ -786,8 +769,7 @@ def to_text(a: MultiTrackDfa) -> str:
     """Canonical text form: equal languages over equal tracks serialize
     identically (after minimize)."""
     base = a.base
-    m = len(a.tracks)
-    heads = [",".join(map(str, digits_of(sym, base, m))) + " -> " for sym in range(a.n_symbols)]
+    heads = [",".join(map(str, col)) + " -> " for col in _columns(base, len(a.tracks)).tolist()]
     out = ["base: %d" % base, "tracks: %s" % " ".join(a.tracks)]
     for q, row in enumerate(a.transitions.tolist()):
         tag = " accepting" if q in a.accepting else ""
@@ -816,7 +798,7 @@ def from_text(text: str) -> MultiTrackDfa:
             raise FormatError("expected %d digits, got %d" % (m, len(digs)), no)
         if any(not 0 <= d < base for d in digs):
             raise FormatError("digit outside 0..%d" % (base - 1), no)
-        return sym_of(digs, base)
+        return int(np.ravel_multi_index(digs, (base,) * m))
 
     nsym = base**m
     accepts_tail = lambda tail: tail in ([], ["accepting"])

@@ -38,7 +38,7 @@ from .counting import (
     sup_value,
     to_dfao,
 )
-from .errors import InvalidParameter, ToolError
+from .errors import FormulaSyntaxError, InvalidParameter, ToolError
 from .logic import build_predicate_library, compile_formula, parse_with_library
 from .words import WordGenerator
 
@@ -160,9 +160,12 @@ def cmd_logic_compile(args) -> int:
             text = fh.read()
     else:
         text = args.formula
-    f = parse_with_library(text)
-    seqs = {"W": _sequence(args.seq)} if args.seq else None
-    a = compile_formula(f, seqs, base=args.base)
+    try:
+        f = parse_with_library(text)
+        a = compile_formula(f, {"W": _sequence(args.seq)} if args.seq else None, base=args.base)
+    except RecursionError:
+        # the parser and the formula walkers recurse once per nesting level
+        raise FormulaSyntaxError("formula nests too deeply") from None
     sys.stdout.write(
         "tracks: %s\nstates: %d\n" % (" ".join(a.tracks), a.n_states)
     )

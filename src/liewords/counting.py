@@ -10,10 +10,11 @@ checks it lives in `tests/oracles.py`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import MultiTrackDfa, _live, _reachable, normalize_padding, padded_dfao
+from .automata import MultiTrackDfa, _columns, _live, _reachable, normalize_padding, padded_dfao
 from .errors import (
     FormatError,
     InfiniteCount,
@@ -63,23 +64,16 @@ def _count_matrices(a: MultiTrackDfa):
 
     M[c][p][q] = number of i-track digits e whose column (e, c) maps p
     to q; also the first-column matrix restricted to nonzero e."""
-    base = a.base
-    n = a.n_states
-    shift_i = base ** (len(a.tracks) - 1 - a.tracks.index("i"))
-    shift_n = base ** (len(a.tracks) - 1 - a.tracks.index("n"))
-    rows = a.transitions.tolist()
-    mats = []
-    for c in range(base):
-        m = [[0] * n for _ in range(n)]
-        for p, row in enumerate(rows):
-            for e in range(base):
-                m[p][row[e * shift_i + c * shift_n]] += 1
-        mats.append(tuple(tuple(r) for r in m))
-    lead = [[0] * n for _ in range(n)]
-    for p, row in enumerate(rows):
-        for e in range(1, base):
-            lead[p][row[e * shift_i]] += 1
-    return tuple(mats), tuple(tuple(r) for r in lead)
+    cols = _columns(a.base, len(a.tracks))
+    e, c = cols[:, a.tracks.index("i")], cols[:, a.tracks.index("n")]
+    states = range(a.n_states)
+
+    def counted(chosen):
+        """Entry p, q: how many of the chosen columns map p to q."""
+        tallies = map(Counter, a.transitions[:, chosen].tolist())
+        return tuple(tuple(t[q] for q in states) for t in tallies)
+
+    return tuple(counted(c == d) for d in range(a.base)), counted((e > 0) & (c == 0))
 
 
 def _vec_mat(vec, mat):

@@ -87,7 +87,7 @@ class UnboundSequence(ToolError):
 
 class CompileBlowup(ToolError):
     """An automaton operation would build more than `automata.STATE_CAP`
-    states."""
+    states, or an alphabet of more than `automata._SYMBOL_CAP` symbols."""
 
 
 # counting

@@ -35,7 +35,7 @@ from liewords import automata as au
 from liewords import counting
 from liewords import formulas as fo
 from liewords import logic
-from liewords.automata import MultiTrackDfa, digits_of, sym_of
+from liewords.automata import MultiTrackDfa
 from liewords.errors import FormulaSyntaxError, InfiniteCount, NonIntegerOutput, UnknownTrack
 from liewords.linalg import RowBasis
 from liewords.words import dfao_eval, digits_msd
@@ -437,6 +437,23 @@ def moore_minimal(a):
     return MultiTrackDfa(a.base, a.tracks, final_rows, final_acc, 0)
 
 
+def column_digits(sym: int, base: int, m: int) -> list:
+    """The digits of symbol sym over m tracks, first track most
+    significant, one division at a time."""
+    out = [0] * m
+    for i in reversed(range(m)):
+        sym, out[i] = divmod(sym, base)
+    return out
+
+
+def column_symbol(digits, base: int) -> int:
+    """The symbol of one column of digits, first track most significant."""
+    sym = 0
+    for d in digits:
+        sym = sym * base + d
+    return sym
+
+
 def loop_submap(all_tracks, sub_tracks, base: int) -> list:
     """For each symbol over all_tracks, the induced symbol over
     sub_tracks, one symbol at a time through its digit tuple."""
@@ -444,8 +461,8 @@ def loop_submap(all_tracks, sub_tracks, base: int) -> list:
     m = len(all_tracks)
     out = []
     for sym in range(base**m):
-        digs = digits_of(sym, base, m)
-        out.append(sym_of([digs[p] for p in positions], base))
+        digs = column_digits(sym, base, m)
+        out.append(column_symbol([digs[p] for p in positions], base))
     return out
 
 
@@ -539,8 +556,8 @@ def loop_project(a, track: str):
     kept = tuple(t for t in a.tracks if t != track)
     groups = [[] for _ in range(base ** len(kept))]
     for sym in range(a.n_symbols):
-        digs = digits_of(sym, base, m)
-        groups[sym_of(digs[:p] + digs[p + 1 :], base)].append(sym)
+        digs = column_digits(sym, base, m)
+        groups[column_symbol(digs[:p] + digs[p + 1 :], base)].append(sym)
     start = {a.initial}
     stack = [a.initial]
     while stack:
@@ -656,7 +673,7 @@ def path_count_matrices(a):
     mats = [[[0] * size for _ in range(size)] for _ in range(a.base)]
     lead = [[0] * size for _ in range(size)]
     for sym in range(a.n_symbols):
-        digits = digits_of(sym, a.base, len(a.tracks))
+        digits = column_digits(sym, a.base, len(a.tracks))
         for p, q in enumerate(a.transitions[:, sym].tolist()):
             mats[digits[n]][p][q] += 1
             if digits[i] and not digits[n]:

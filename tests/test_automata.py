@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from liewords import automata as au
 from liewords.bundled import get_word
-from liewords.errors import UnknownTrack
+from liewords.errors import CompileBlowup, UnknownTrack
 from liewords.words import Dfao, dfao_eval, digits_msd
 from oracles import (
     bfs_trim,
+    column_digits,
+    column_symbol,
     loop_coreachable,
     loop_det_by_sets,
     loop_normalize_padding,
@@ -276,7 +278,7 @@ def test_normalize_padding_closes_raw_tables_under_zero_columns(a):
     for values in itertools.product(range(64), repeat=len(a.tracks)):
         states = starts
         for col in _columns(a, values):
-            sym = au.sym_of(col, a.base)
+            sym = column_symbol(col, a.base)
             states = {rows[q][sym] for q in states}
         assert au.accepts(norm, dict(zip(a.tracks, values))) == bool(states & a.accepting)
 
@@ -511,3 +513,25 @@ def test_packed_acceptance_matches_the_one_by_one_construction(n):
             want = loop_det_by_sets(start, lambda subset: step(subset[None, :])[0], final)
             got = au._det_by_sets(start, step, nfa.n_red, final, au.STATE_CAP)
             assert (got[0].tolist(), got[1]) == ([list(row) for row in want[0]], want[1])
+
+
+def test_columns_decode_symbols_like_the_digit_loop():
+    for base in range(2, 7):
+        for m in range(5):
+            cols = au._columns(base, m)
+            # m = 0 is one symbol with no digits
+            assert cols.shape == (base**m, m)
+            assert cols.tolist() == [column_digits(s, base, m) for s in range(base**m)]
+            assert not cols.flags.writeable
+
+
+def test_symbol_cap_fires_on_every_call(monkeypatch):
+    au._columns(3, 4)
+    au.add_predicate("x", "y", "z", 3)
+    monkeypatch.setattr(au, "_SYMBOL_CAP", 3**4 - 1)
+    # cached before the patch, refused after it
+    with pytest.raises(CompileBlowup, match="more than 80 symbols"):
+        au._columns(3, 4)
+    assert au._columns(3, 3).shape == (27, 3)
+    with pytest.raises(CompileBlowup):
+        au.combine(au.add_predicate("x", "y", "z", 3), au.eq_predicate("z", "w", 3), "and")

@@ -156,6 +156,41 @@ def test_logic_compile_past_the_state_cap_exits_one(monkeypatch, capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "base, formula",
+    [
+        # three tracks: 10^15 symbols
+        ("100000", "x+y=z"),
+        # each adder meets its equation on four tracks: 40^4 symbols
+        ("40", "a+b=c & c+d=e & e+f=g"),
+    ],
+)
+def test_logic_compile_past_the_symbol_cap_exits_one(base, formula):
+    # a child process, so an alphabet built symbol by symbol fails the
+    # timeout instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(liewords.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-m", "liewords.cli", "logic", "compile", "--base", base, "--formula", formula],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("CompileBlowup: ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["(" * 1000 + "x=1" + ")" * 1000, "~" * 2000 + "x=1", "x=1 & " * 2000 + "x=1"],
+    ids=["parentheses", "negations", "conjuncts"],
+)
+def test_logic_compile_of_a_deeply_nested_formula_exits_one(capsys, formula):
+    code, out, err = run(capsys, "logic", "compile", "--base", "2", "--formula", formula)
+    assert (code, out, err) == (1, "", "FormulaSyntaxError: formula nests too deeply\n")
+
+
 def test_pipeline_past_the_dfao_state_cap_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(counting, "_DFAO_STATE_CAP", 2)
     code, out, err = run(capsys, "pipeline", "--seq", "thue-morse")

@@ -2,7 +2,9 @@
 package's own export list name only what the package binds, so a name
 removed from the package cannot break one of them unnoticed.  The
 construction demo also runs, so a keyword removed from a call it makes
-fails here too."""
+fails here too.  `tests/oracles.py` takes only the automaton type from
+`liewords.automata`, so its reference paths share no symbol decoding
+with the package."""
 
 import ast
 import importlib
@@ -35,6 +37,13 @@ def _package_imports(path):
 def test_script_imports_are_bound(script):
     for module, name in _package_imports(os.path.join(_SCRIPTS, script)):
         assert hasattr(importlib.import_module(module), name), (script, module, name)
+
+
+def test_oracles_take_only_the_automaton_type_from_automata():
+    # the oracles decode symbols with their own digit loop
+    path = os.path.join(os.path.dirname(__file__), "oracles.py")
+    names = [name for module, name in _package_imports(path) if module == "liewords.automata"]
+    assert names == ["MultiTrackDfa"]
 
 
 def test_traced_and_exported_names_are_bound(monkeypatch):
