@@ -394,22 +394,13 @@ def _serial(base: int, tracks: Sequence[str], n_states: int,
             step: Callable[..., np.ndarray], accepting: Iterable[int]) -> MultiTrackDfa:
     """The minimal automaton, over the sorted tracks and from state 0, of
     the table step(q, *digits) [n_states, n_symbols]: q is the column of
-    states and digits the row of each track's digits, tracks as given."""
-    if len(set(tracks)) != len(tracks):
-        raise UnknownTrack("tracks %s are not distinct" % ", ".join(tracks))
-    names = tuple(sorted(tracks))
+    states and digits the row of each track's digits, tracks as given.
+    A track given twice reads one column, as `rename_tracks` does."""
+    names = tuple(sorted(set(tracks)))
     cols = _columns(base, len(names))
     digits = [cols[:, names.index(t)] for t in tracks]
     rows = np.broadcast_to(step(np.arange(n_states)[:, None], *digits), (n_states, len(cols)))
     return minimize(MultiTrackDfa(base, names, rows, frozenset(accepting), 0))
-
-
-def accept_all(base: int, tracks: Iterable[str] = ()) -> MultiTrackDfa:
-    return _serial(base, tuple(tracks), 1, lambda q, *digits: q, {0})
-
-
-def reject_all(base: int, tracks: Iterable[str] = ()) -> MultiTrackDfa:
-    return _serial(base, tuple(tracks), 1, lambda q, *digits: q, ())
 
 
 def eq_predicate(x: str, y: str, base: int) -> MultiTrackDfa:
@@ -708,57 +699,6 @@ def rename_tracks(a: MultiTrackDfa, mapping: Mapping[str, str]) -> MultiTrackDfa
     old_sym = _submap(new_tracks, image, a.base)
     rows = a.transitions[:, old_sym]
     return minimize(MultiTrackDfa(a.base, new_tracks, rows, a.accepting, a.initial))
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def accepts_string(a: MultiTrackDfa, columns: Sequence[Sequence[int]]) -> bool:
-    q = a.initial
-    for col in columns:
-        if len(col) != len(a.tracks):
-            raise UnknownTrack("column arity %d != %d" % (len(col), len(a.tracks)))
-        q = int(a.transitions[q, np.ravel_multi_index(tuple(col), (a.base,) * len(col))])
-    return q in a.accepting
-
-
-def accepts(a: MultiTrackDfa, assignment: Mapping[str, int]) -> bool:
-    """Value-level acceptance; missing tracks are an error."""
-    for t in a.tracks:
-        if t not in assignment:
-            raise UnknownTrack("no value for track %r" % t)
-    digit_strings = [digits_msd(assignment[t], a.base) for t in a.tracks]
-    length = max(map(len, digit_strings), default=0)
-    padded = [[0] * (length - len(d)) + d for d in digit_strings]
-    return accepts_string(a, list(zip(*padded)))
-
-
-def accepted_values(
-    a: MultiTrackDfa, fixed: Mapping[str, int], track: str, limit: int
-) -> list[int]:
-    """Values v < limit with track=v (others per fixed) accepted."""
-    if track not in a.tracks:
-        raise UnknownTrack("no track %r" % track)
-    out = []
-    for v in range(limit):
-        assignment = dict(fixed)
-        assignment[track] = v
-        if accepts(a, assignment):
-            out.append(v)
-    return out
-
-
-def is_empty(a: MultiTrackDfa) -> bool:
-    return not minimize(a).accepting
-
-
-def is_universal(a: MultiTrackDfa) -> bool:
-    return is_empty(complement(a))
-
-
-def equivalent(a: MultiTrackDfa, b: MultiTrackDfa) -> bool:
-    return minimize(a) == minimize(b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,18 @@
 
 Every connective maps to an automaton operation: comparisons and
 sequence atoms to small primitive automata, boolean connectives to
-products and complements, quantifiers to projection.  Compound terms
-are flattened first: each `+`, `-` or constant introduces a temporary
-track constrained by an adder or constant automaton.  Temporaries are
-projected away last created first, each as soon as the parts that
-mention it are conjoined (`_discharge`), so an intermediate reads only
-the tracks of the parts that mention one temporary.  Natural subtraction
-is strict, so an atom mentioning a-b is false whenever b exceeds a.
+products and complements, quantifiers to projection.  `_Terms` puts an
+atom's argument terms on tracks: each `+`, `-` or constant writes its
+value, through an adder or constant automaton, into a temporary track.
+Temporaries are projected away last created first, each as soon as the
+parts that mention it are conjoined (`_Terms.close`), so an
+intermediate reads only the tracks of the parts that mention one
+temporary.  Two rules keep atoms on the fewest tracks.  An `=` whose one
+side is a variable writes the other side into that variable's track, so
+`x+y=z` is the adder on x, y and z alone.  A track named twice in a
+primitive automaton is read from one column, the diagonal, so `x+x=z`
+reads two tracks and `x<x` is false.  Natural subtraction is strict, so
+an atom mentioning a-b is false whenever b exceeds a.
 
 A predicate call is compiled by `apply_predicate`: the callee's body is
 compiled once per compiler, and each call substitutes its argument
@@ -36,68 +41,61 @@ from .errors import (
 from .words import Dfao
 
 
-class _Temps:
-    """Fresh track names for flattened subterms.  Each starts with `#`,
-    which the lexer reads as a comment, so no formula variable can take
-    one."""
+class _Terms:
+    """The tracks of one atom's argument terms.
 
-    def __init__(self):
-        self.count = 0
-        self.names: list[str] = []
+    A variable keeps its own track.  A constant or compound term writes
+    its value into the track `out` when one is given, and otherwise into
+    a fresh temporary `#k`, which the lexer reads as a comment, so no
+    formula variable can take one.  Each `+`, `-` or constant adds an
+    adder or constant automaton to `constraints`; a temporary is created
+    after its operands."""
 
-    def fresh(self) -> str:
-        self.count += 1
-        name = "#%d" % self.count
-        self.names.append(name)
-        return name
+    def __init__(self, base: int):
+        self.base = base
+        self.temps: list[str] = []
+        self.constraints: list[au.MultiTrackDfa] = []
 
+    def track(self, term: fo.Term, out: Optional[str] = None) -> str:
+        if isinstance(term, fo.Var):
+            return term.name
+        if isinstance(term, fo.Const):
+            out = out or self._fresh()
+            self.constraints.append(au.const_predicate(out, term.value, self.base))
+            return out
+        left = self.track(term.left)
+        right = self.track(term.right)
+        out = out or self._fresh()
+        if term.op == "+":
+            self.constraints.append(au.add_predicate(left, right, out, self.base))
+        else:
+            # out + right = left, so out = left - right when it exists at all
+            self.constraints.append(au.add_predicate(out, right, left, self.base))
+        return out
 
-def _flatten(
-    term: fo.Term, base: int, temps: _Temps, constraints: list[au.MultiTrackDfa]
-) -> str:
-    if isinstance(term, fo.Var):
-        return term.name
-    if isinstance(term, fo.Const):
-        v = temps.fresh()
-        constraints.append(au.const_predicate(v, term.value, base))
-        return v
-    left = _flatten(term.left, base, temps, constraints)
-    right = _flatten(term.right, base, temps, constraints)
-    if left == right:
-        # adders need distinct tracks; duplicate one operand
-        copy = temps.fresh()
-        constraints.append(au.eq_predicate(right, copy, base))
-        right = copy
-    v = temps.fresh()
-    if term.op == "+":
-        constraints.append(au.add_predicate(left, right, v, base))
-    else:
-        # v + right = left, so v = left - right when it exists at all
-        constraints.append(au.add_predicate(v, right, left, base))
-    return v
+    def _fresh(self) -> str:
+        self.temps.append("#%d" % (len(self.temps) + 1))
+        return self.temps[-1]
 
+    def close(self, core: au.MultiTrackDfa) -> au.MultiTrackDfa:
+        """Conjoin the constraints to the core and project the temporaries.
 
-def _discharge(
-    core: au.MultiTrackDfa, constraints: list[au.MultiTrackDfa], temps: _Temps
-) -> au.MultiTrackDfa:
-    """Conjoin the constraints to the core and project the temporaries.
-
-    Temporaries go in reverse order of creation, and each is projected
-    as soon as the parts that mention it are conjoined: since
-    Et (A & B) = A & Et B when t is not free in A, the parts that do not
-    mention t wait.  The outer temporary of a compound term is created
-    last and so leaves first, which keeps intermediates narrow: for
-    `shift`'s `factoreq(i, (j+n)-t, t)` the widest has 5 tracks, where
-    conjoining every constraint first would read 6."""
-    parts = [core] + constraints
-    for name in reversed(temps.names):
-        mention = [p for p in parts if name in p.tracks]
-        parts = [p for p in parts if name not in p.tracks]
-        parts.append(au.project(au.conjoin(mention), name))
-    return au.conjoin(parts)
+        Temporaries go in reverse order of creation, and each is projected
+        as soon as the parts that mention it are conjoined: since
+        Et (A & B) = A & Et B when t is not free in A, the parts that do
+        not mention t wait.  The outer temporary of a compound term is
+        created last and so leaves first, which keeps intermediates
+        narrow: for `shift`'s `factoreq(i, (j+n)-t, t)` the widest has 5
+        tracks, where conjoining every constraint first would read 6."""
+        parts = [core] + self.constraints
+        for name in reversed(self.temps):
+            mention = [p for p in parts if name in p.tracks]
+            parts = [p for p in parts if name not in p.tracks]
+            parts.append(au.project(au.conjoin(mention), name))
+        return au.conjoin(parts)
 
 
-# the automaton of each comparison op, on two distinct tracks
+# the automaton of each comparison op
 _COMPARE = {"=": au.eq_predicate, "<": au.lt_predicate, "<=": au.leq_predicate}
 
 
@@ -153,24 +151,19 @@ class _Compiler:
             ) from None
 
     def comparison(self, f: fo.Compare) -> au.MultiTrackDfa:
-        temps = _Temps()
-        constraints: list[au.MultiTrackDfa] = []
-        left = _flatten(f.left, self.base, temps, constraints)
-        right = _flatten(f.right, self.base, temps, constraints)
-        if left != right:
-            core = _COMPARE[f.op](left, right, self.base)
-        elif f.op == "<":
-            core = au.reject_all(self.base, (left,))
-        else:
-            core = au.accept_all(self.base, (left,))
-        return _discharge(core, constraints, temps)
+        terms = _Terms(self.base)
+        # an equation with one variable side writes the other side into
+        # it; the core is then eq(v, v), which the diagonal makes true
+        out = None
+        if f.op == "=" and isinstance(f.left, fo.Var) != isinstance(f.right, fo.Var):
+            out = (f.left if isinstance(f.left, fo.Var) else f.right).name
+        left, right = terms.track(f.left, out), terms.track(f.right, out)
+        return terms.close(_COMPARE[f.op](left, right, self.base))
 
     def seq_is(self, f: fo.SeqIs) -> au.MultiTrackDfa:
-        temps = _Temps()
-        constraints: list[au.MultiTrackDfa] = []
-        pos = _flatten(f.pos, self.base, temps, constraints)
-        core = au.seq_letter_predicate(self.dfao(f.seq), pos, f.letter)
-        return _discharge(core, constraints, temps)
+        terms = _Terms(self.base)
+        pos = terms.track(f.pos)
+        return terms.close(au.seq_letter_predicate(self.dfao(f.seq), pos, f.letter))
 
     def seq_pair(self, f: fo.SeqCompare) -> au.MultiTrackDfa:
         d_left = self.dfao(f.left_seq)
@@ -185,12 +178,9 @@ class _Compiler:
                 )
             order = {c: k for k, c in enumerate(d_left.letters)}
             rel = lambda a, b: order[a] < order[b]
-        temps = _Temps()
-        constraints: list[au.MultiTrackDfa] = []
-        lpos = _flatten(f.left_pos, self.base, temps, constraints)
-        rpos = _flatten(f.right_pos, self.base, temps, constraints)
-        core = _seq_pair_automaton(d_left, lpos, d_right, rpos, rel)
-        return _discharge(core, constraints, temps)
+        terms = _Terms(self.base)
+        lpos, rpos = terms.track(f.left_pos), terms.track(f.right_pos)
+        return terms.close(_seq_pair_automaton(d_left, lpos, d_right, rpos, rel))
 
 
 def _chain(f: fo.Formula, op: str) -> list[fo.Formula]:
@@ -265,19 +255,10 @@ def apply_predicate(auto: au.MultiTrackDfa, args: Mapping[str, fo.Term]) -> au.M
     fresh constrained track for a compound argument; temporaries are
     then projected out.  Equivalent to inlining the substitution into
     the predicate's formula and recompiling, but much cheaper."""
-    base = auto.base
-    temps = _Temps()
-    constraints: list[au.MultiTrackDfa] = []
-    rename: dict[str, str] = {}
-    for param, term in args.items():
-        if isinstance(term, fo.Var):
-            target = term.name
-        else:
-            target = _flatten(term, base, temps, constraints)
-        if target != param:
-            rename[param] = target
-    out = au.rename_tracks(auto, rename) if rename else auto
-    return _discharge(out, constraints, temps)
+    terms = _Terms(auto.base)
+    targets = {param: terms.track(term) for param, term in args.items()}
+    rename = {param: t for param, t in targets.items() if t != param}
+    return terms.close(au.rename_tracks(auto, rename) if rename else auto)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ minimal automata from Moore refinement on exact signature tuples,
 coreachable states from a reverse search over predecessor sets,
 reduced representations from a second pass that reads every coordinate
 off the finished basis, counts of accepted positions from weighted
-path sums fixed to one n at a time, and prefixes of digit-automaton
-words from one automaton run per position.
+path sums fixed to one n at a time, prefixes of digit-automaton
+words from one automaton run per position, and acceptance of values
+from one table lookup per digit column.
 Products and subset constructions run one pair or one subset at a
 time, where the package expands a frontier a chunk at a time;
 predicates take their arguments with every constraint conjoined
@@ -585,21 +586,45 @@ def loop_project(a, track: str):
 def conjoin_then_project(auto, args):
     """`logic.apply_predicate` with every constraint conjoined before any
     temporary is projected."""
-    temps = logic._Temps()
-    constraints = []
-    rename = {}
-    for param, term in args.items():
-        if isinstance(term, fo.Var):
-            target = term.name
-        else:
-            target = logic._flatten(term, auto.base, temps, constraints)
-        if target != param:
-            rename[param] = target
+    terms = logic._Terms(auto.base)
+    targets = {param: terms.track(term) for param, term in args.items()}
+    rename = {param: t for param, t in targets.items() if t != param}
     out = au.rename_tracks(auto, rename) if rename else auto
-    out = au.conjoin([out] + constraints) if constraints else out
-    for name in reversed(temps.names):
+    out = au.conjoin([out] + terms.constraints)
+    for name in reversed(terms.temps):
         out = au.project(out, name)
     return out
+
+
+def accepts_string(a, columns) -> bool:
+    """Whether a accepts the string of digit columns, one column at a
+    time through `column_symbol`."""
+    q = a.initial
+    for col in columns:
+        if len(col) != len(a.tracks):
+            raise UnknownTrack("column arity %d != %d" % (len(col), len(a.tracks)))
+        q = int(a.transitions[q, column_symbol(col, a.base)])
+    return q in a.accepting
+
+
+def accepts(a, assignment) -> bool:
+    """Whether a accepts the values, read as digit strings padded to one
+    length; a track without a value is an error."""
+    for t in a.tracks:
+        if t not in assignment:
+            raise UnknownTrack("no value for track %r" % t)
+    strings = [digits_msd(assignment[t], a.base) for t in a.tracks]
+    length = max(map(len, strings), default=0)
+    padded = [[0] * (length - len(d)) + d for d in strings]
+    return accepts_string(a, list(zip(*padded)))
+
+
+def accepted_values(a, fixed, track: str, limit: int) -> list:
+    """The values v < limit that a accepts with track = v and the other
+    tracks as in fixed."""
+    if track not in a.tracks:
+        raise UnknownTrack("no track %r" % track)
+    return [v for v in range(limit) if accepts(a, {**fixed, track: v})]
 
 
 def two_pass_forward_reduce(r):

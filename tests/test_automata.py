@@ -11,6 +11,9 @@ from liewords.bundled import get_word
 from liewords.errors import CompileBlowup, UnknownTrack
 from liewords.words import Dfao, dfao_eval, digits_msd
 from oracles import (
+    accepted_values,
+    accepts,
+    accepts_string,
     bfs_trim,
     column_digits,
     column_symbol,
@@ -29,21 +32,32 @@ bases = st.integers(min_value=2, max_value=4)
 
 @given(small, small, bases)
 def test_eq_lt_leq_against_integers(x, y, base):
-    assert au.accepts(au.eq_predicate("x", "y", base), {"x": x, "y": y}) == (x == y)
-    assert au.accepts(au.lt_predicate("x", "y", base), {"x": x, "y": y}) == (x < y)
-    assert au.accepts(au.leq_predicate("x", "y", base), {"x": x, "y": y}) == (x <= y)
+    assert accepts(au.eq_predicate("x", "y", base), {"x": x, "y": y}) == (x == y)
+    assert accepts(au.lt_predicate("x", "y", base), {"x": x, "y": y}) == (x < y)
+    assert accepts(au.leq_predicate("x", "y", base), {"x": x, "y": y}) == (x <= y)
 
 
 @given(small, small, small, bases)
 def test_add_against_integers(x, y, z, base):
     a = au.add_predicate("x", "y", "z", base)
-    assert au.accepts(a, {"x": x, "y": y, "z": z}) == (x + y == z)
+    assert accepts(a, {"x": x, "y": y, "z": z}) == (x + y == z)
+
+
+@given(small, small, bases)
+def test_a_repeated_track_is_the_diagonal(x, z, base):
+    # a track named twice reads one column
+    assert accepts(au.add_predicate("x", "x", "z", base), {"x": x, "z": z}) == (x + x == z)
+    assert accepts(au.add_predicate("x", "z", "x", base), {"x": x, "z": z}) == (z == 0)
+    assert accepts(au.add_predicate("x", "x", "x", base), {"x": x}) == (x == 0)
+    assert accepts(au.eq_predicate("x", "x", base), {"x": x})
+    assert not accepts(au.lt_predicate("x", "x", base), {"x": x})
+    assert accepts(au.leq_predicate("x", "x", base), {"x": x})
 
 
 @given(st.integers(min_value=0, max_value=60), bases)
 def test_const_predicate(v, base):
     a = au.const_predicate("x", 17, base)
-    assert au.accepts(a, {"x": v}) == (v == 17)
+    assert accepts(a, {"x": v}) == (v == 17)
 
 
 def test_const_predicate_reads_the_digits():
@@ -51,7 +65,7 @@ def test_const_predicate_reads_the_digits():
     # digit read and a dead state
     a = au.const_predicate("x", 10**30, 2)
     assert a.n_states == 102
-    assert [au.accepts(a, {"x": 10**30 + d}) for d in (-1, 0, 1)] == [False, True, False]
+    assert [accepts(a, {"x": 10**30 + d}) for d in (-1, 0, 1)] == [False, True, False]
 
 
 def test_seq_letter_predicate_matches_word():
@@ -59,7 +73,7 @@ def test_seq_letter_predicate_matches_word():
     a = au.seq_letter_predicate(tm.dfao, "i", "1")
     prefix = tm.prefix(200)
     for i in range(200):
-        assert au.accepts(a, {"i": i}) == (prefix[i] == "1")
+        assert accepts(a, {"i": i}) == (prefix[i] == "1")
 
 
 def test_seq_letter_predicate_reads_leading_zeros_as_padding():
@@ -71,7 +85,7 @@ def test_seq_letter_predicate_reads_leading_zeros_as_padding():
         for i in range(64):
             columns = [(digit,) for digit in digits_msd(i, 2)]
             for zeros in range(3):
-                got = au.accepts_string(a, [(0,)] * zeros + columns)
+                got = accepts_string(a, [(0,)] * zeros + columns)
                 assert got == (dfao_eval(d, i) == letter)
 
 
@@ -80,9 +94,9 @@ def test_combine_aligns_track_sets():
     b = au.eq_predicate("y", "z", 2)
     c = au.combine(a, b, "and")
     assert c.tracks == ("x", "y", "z")
-    assert au.accepts(c, {"x": 2, "y": 5, "z": 5})
-    assert not au.accepts(c, {"x": 2, "y": 5, "z": 4})
-    assert not au.accepts(c, {"x": 7, "y": 5, "z": 5})
+    assert accepts(c, {"x": 2, "y": 5, "z": 5})
+    assert not accepts(c, {"x": 2, "y": 5, "z": 4})
+    assert not accepts(c, {"x": 7, "y": 5, "z": 5})
 
 
 @given(small, small)
@@ -91,14 +105,14 @@ def test_de_morgan(x, y):
     b = au.eq_predicate("x", "y", 2)
     lhs = au.complement(au.combine(a, b, "and"))
     rhs = au.combine(au.complement(a), au.complement(b), "or")
-    assert au.equivalent(lhs, rhs)
-    assert au.accepts(lhs, {"x": x, "y": y}) == (not (x < y and x == y))
+    assert au.minimize(lhs) == au.minimize(rhs)
+    assert accepts(lhs, {"x": x, "y": y}) == (not (x < y and x == y))
 
 
 def test_double_complement_is_identity():
     for build in (au.lt_predicate, au.leq_predicate, au.eq_predicate):
         a = build("x", "y", 3)
-        assert au.equivalent(au.complement(au.complement(a)), a)
+        assert au.minimize(au.complement(au.complement(a))) == au.minimize(a)
 
 
 def test_projection_against_bounded_witness_search():
@@ -113,7 +127,7 @@ def test_projection_against_bounded_witness_search():
             witness = any(
                 x + y == z and x < z for x in range(z + 2)
             )
-            assert au.accepts(proj, {"y": y, "z": z}) == witness
+            assert accepts(proj, {"y": y, "z": z}) == witness
 
 
 def test_projection_of_absent_track_is_identity():
@@ -123,9 +137,9 @@ def test_projection_of_absent_track_is_identity():
 
 def test_forall_via_complements():
     a = au.leq_predicate("x", "y", 2)
-    assert au.is_empty(au.forall(a, "x"))
-    b = au.accept_all(2, ("x", "y"))
-    assert au.is_universal(au.forall(b, "x"))
+    assert not au.minimize(au.forall(a, "x")).accepting
+    b = au.MultiTrackDfa(2, ("x", "y"), [[0] * 4], frozenset({0}))
+    assert au.forall(b, "x") == au.MultiTrackDfa(2, ("y",), [[0] * 2], frozenset({0}))
 
 
 def test_forall_bounded_hypothesis():
@@ -136,7 +150,7 @@ def test_forall_bounded_hypothesis():
     f = au.forall(au.combine(au.complement(guard), body, "or"), "x")
     for n in range(12):
         for m in range(12):
-            assert au.accepts(f, {"n": n, "m": m}) == (n <= m)
+            assert accepts(f, {"n": n, "m": m}) == (n <= m)
 
 
 def test_minimize_is_idempotent_and_canonical():
@@ -146,7 +160,7 @@ def test_minimize_is_idempotent_and_canonical():
     m1 = au.minimize(a)
     m2 = au.minimize(m1)
     assert au.to_text(m1) == au.to_text(m2)
-    assert au.equivalent(a, m1)
+    assert au.minimize(a) == au.minimize(m1)
 
 
 def test_equivalent_constructions_share_canonical_form():
@@ -169,34 +183,34 @@ def test_padding_closure():
                     for t in a.tracks
                 )
             )
-        assert au.accepts_string(a, cols)
-        assert au.accepts_string(a, [(0,) * len(a.tracks)] * 3 + cols)
+        assert accepts_string(a, cols)
+        assert accepts_string(a, [(0,) * len(a.tracks)] * 3 + cols)
 
 
 def test_rename_tracks():
     a = au.lt_predicate("x", "y", 2)
     b = au.rename_tracks(a, {"x": "p", "y": "q"})
     assert b.tracks == ("p", "q")
-    assert au.accepts(b, {"p": 3, "q": 7})
-    assert not au.accepts(b, {"p": 7, "q": 3})
+    assert accepts(b, {"p": 3, "q": 7})
+    assert not accepts(b, {"p": 7, "q": 3})
 
 
 def test_accepts_requires_all_tracks():
     a = au.lt_predicate("x", "y", 2)
     with pytest.raises(UnknownTrack):
-        au.accepts(a, {"x": 1})
+        accepts(a, {"x": 1})
 
 
 def test_accepted_values_scan():
     a = au.lt_predicate("x", "y", 2)
-    assert au.accepted_values(a, {"y": 5}, "x", 20) == [0, 1, 2, 3, 4]
+    assert accepted_values(a, {"y": 5}, "x", 20) == [0, 1, 2, 3, 4]
 
 
 def test_text_round_trip_preserves_language():
     a = au.conjoin([au.add_predicate("x", "y", "z", 3), au.lt_predicate("y", "z", 3)])
     b = au.from_text(au.to_text(a))
     assert b.tracks == a.tracks
-    assert au.equivalent(a, b)
+    assert au.minimize(a) == au.minimize(b)
     assert au.to_text(b) == au.to_text(a)
 
 
@@ -209,9 +223,9 @@ def test_arithmetic_bulk_samples():
             x = rng.randrange(0, 1 << 16)
             y = rng.randrange(0, 1 << 16)
             z = rng.randrange(0, 1 << 17)
-            assert au.accepts(add, {"x": x, "y": y, "z": z}) == (x + y == z)
-            assert au.accepts(add, {"x": x, "y": y, "z": x + y})
-            assert au.accepts(lt, {"x": x, "y": y}) == (x < y)
+            assert accepts(add, {"x": x, "y": y, "z": z}) == (x + y == z)
+            assert accepts(add, {"x": x, "y": y, "z": x + y})
+            assert accepts(lt, {"x": x, "y": y}) == (x < y)
 
 
 def test_large_projection_falls_back_to_reversal(twelve_library):
@@ -225,7 +239,7 @@ def test_large_projection_falls_back_to_reversal(twelve_library):
         i = rng.randrange(0, 2000)
         j = rng.randrange(0, 2000)
         expected = prefix[i : i + n] == prefix[j : j + n]
-        assert au.accepts(feq, {"i": i, "j": j, "n": n}) == expected
+        assert accepts(feq, {"i": i, "j": j, "n": n}) == expected
 
 
 @st.composite
@@ -280,7 +294,7 @@ def test_normalize_padding_closes_raw_tables_under_zero_columns(a):
         for col in _columns(a, values):
             sym = column_symbol(col, a.base)
             states = {rows[q][sym] for q in states}
-        assert au.accepts(norm, dict(zip(a.tracks, values))) == bool(states & a.accepting)
+        assert accepts(norm, dict(zip(a.tracks, values))) == bool(states & a.accepting)
 
 
 @given(raw_tables(max_states=8, copies=5))
@@ -394,7 +408,7 @@ def test_live_states_against_the_coreachability_oracle(a):
     assert au._live(m).tolist() == loop_coreachable(m)
     coreachable = loop_coreachable(a)
     assert au._live(a)[coreachable].all()
-    assert au.is_empty(a) == (not coreachable[a.initial])
+    assert (not au.minimize(a).accepting) == (not coreachable[a.initial])
 
 
 @given(raw_tables(max_states=8, copies=3))

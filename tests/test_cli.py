@@ -11,6 +11,7 @@ from liewords import counting
 from liewords import words
 from liewords.cli import main
 from liewords.words import parse_dfao
+from oracles import accepts
 
 
 def run(capsys, *argv):
@@ -159,9 +160,10 @@ def test_logic_compile_past_the_state_cap_exits_one(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "base, formula",
     [
-        # three tracks: 10^15 symbols
+        # three tracks: 10^15 symbols, and 102^3 is just past 2^20
         ("100000", "x+y=z"),
-        # each adder meets its equation on four tracks: 40^4 symbols
+        ("102", "x+y=z"),
+        # two adders that share c meet on five tracks: 40^5 symbols
         ("40", "a+b=c & c+d=e & e+f=g"),
     ],
 )
@@ -179,6 +181,14 @@ def test_logic_compile_past_the_symbol_cap_exits_one(base, formula):
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("CompileBlowup: ")
     assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize("base", ["33", "101"])
+def test_logic_compile_of_an_equation_reads_three_tracks(capsys, base):
+    # the adder writes into z: 101^3 symbols are within the cap, where a
+    # temporary for x+y would make four tracks
+    code, out, err = run(capsys, "logic", "compile", "--base", base, "--formula", "x+y=z")
+    assert (code, out, err) == (0, "tracks: x y z\nstates: 3\n", "")
 
 
 @pytest.mark.parametrize(
@@ -236,8 +246,8 @@ def test_logic_compile_and_reload(tmp_path, capsys):
     assert code == 0
     assert "tracks: x y" in out
     a = au.from_text(target.read_text())
-    assert au.accepts(a, {"x": 3, "y": 9})
-    assert not au.accepts(a, {"x": 9, "y": 9})
+    assert accepts(a, {"x": 3, "y": 9})
+    assert not accepts(a, {"x": 9, "y": 9})
 
 
 def test_logic_compile_with_sequence(capsys):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liewords import automata as au
 from liewords import counting
 from liewords.bundled import PIPELINE_WORDS, get_word
 from liewords.counting import (
@@ -24,13 +23,19 @@ from liewords.errors import (
 )
 from liewords.golden import closed_form
 from liewords.words import Dfao, dfao_eval
-from oracles import count_direct, eval_int, evaluate, two_pass_minimize_representation
+from oracles import (
+    accepted_values,
+    count_direct,
+    eval_int,
+    evaluate,
+    two_pass_minimize_representation,
+)
 
 
 def test_count_direct_equals_position_scan(tm_library):
     lie = tm_library["lie"]
     for n in range(0, 24):
-        scanned = len(au.accepted_values(lie, {"n": n}, "i", 512))
+        scanned = len(accepted_values(lie, {"n": n}, "i", 512))
         assert count_direct(lie, n) == scanned
         assert scanned == closed_form("thue-morse", n)
 

@@ -48,7 +48,7 @@ def test_multitrack_format():
     assert head[1] == "tracks: i n z"
     b = au.from_text(text)
     assert au.to_text(b) == text
-    assert au.equivalent(a, b)
+    assert au.minimize(a) == au.minimize(b)
 
 
 def test_linear_representation_format(tm_library):
