@@ -4,8 +4,10 @@ An automaton reads tuples of digits, one per named track, most significant
 column first.  Acceptance is by value: every automaton built here is
 padding invariant (prepending all-zero columns never changes acceptance),
 so a tuple of naturals is accepted iff any common-length digit string for
-it is.  Operations return minimized automata with a canonical breadth
-first state numbering, which makes textual equality an equivalence test.
+it is.  That is a precondition which every operation keeps, not a pass:
+`normalize_padding` checks it and refuses a table that breaks it.
+Operations return minimized automata with a canonical breadth first
+state numbering, which makes textual equality an equivalence test.
 
 There is one of each core algorithm.  `minimize` is Moore's partition
 refinement on hashed signatures (after Valmari's refinement-based
@@ -14,14 +16,14 @@ state's acceptance bit and successor blocks into one 64-bit key with
 fixed odd multipliers and numbers the keys with np.unique.  When the
 block count stops growing, an exact check confirms that every state's
 signature equals that of its block's first state; a hash collision fails
-the check, and refinement restarts from the acceptance partition with
+the check, and refinement begins again from the acceptance partition with
 the next multipliers.  `minimize` makes at most one breadth-first pass,
 the trim: a table already trimmed and numbered breadth first (every
 search output and every `minimize` output) is refined as it is, and the
 quotient is numbered by its blocks' first states, which on such rows is
-its breadth-first order.  Every subset construction (projection, padding
-normalization) runs `_det_by_sets` over boolean state vectors, and every
-product (`combine`, and the sequence atoms in `logic`) runs `_product`.
+its breadth-first order.  Every subset construction (both projection
+paths) runs `_det_by_sets` over boolean state vectors, and every product
+(`combine`, and the sequence atoms in `logic`) runs `_product`.
 
 Both run one breadth-first search, `_search`, over keys (int64 pair
 codes p*nb + q, or packed subset bits), a chunk of the frontier at a
@@ -63,7 +65,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BaseMismatch, CompileBlowup, FormatError, UnknownLetter, UnknownTrack
+from .errors import (
+    BaseMismatch,
+    CompileBlowup,
+    FormatError,
+    InvalidParameter,
+    UnknownLetter,
+    UnknownTrack,
+)
 from .words import Dfao, _base_header, _numbered_lines, _parse_int, _read_states, digits_msd
 
 
@@ -348,42 +357,31 @@ def _live(a: MultiTrackDfa) -> np.ndarray:
 
 
 def normalize_padding(a: MultiTrackDfa) -> MultiTrackDfa:
-    """Close the language under leading all-zero columns, both ways.
+    """The minimal automaton of a padding-invariant `a`: one whose
+    acceptance never changes when all-zero columns are prepended.
 
-    Afterwards a string is accepted iff any string with the same track
-    values is, so acceptance depends on values only.  All primitive
-    constructions here are already padding invariant, in which case this
-    is the identity (checked cheaply on the minimal automaton: the
-    initial state must be fixed by the zero column).
+    Padding invariance is a precondition, checked here and not restored:
+    InvalidParameter is raised when the zero column moves the minimal
+    automaton's start state.  The check is exact.  If the zero column
+    fixes the start state, 0^j w and w end in the same state.  If the
+    language is invariant, the start state and its zero-column successor
+    accept the same strings, so minimization has merged them.
+
+    Every automaton built here is padding invariant.  The primitive
+    automata (`_serial`, `padded_dfao`) fix their start state on the zero
+    column.  A product's start pair is fixed when both starts are, since
+    the zero column over all tracks reads as the zero column on each
+    side; complement keeps the table, and renaming maps the zero column
+    to the zero column.  Projection keeps it too: its start subset is
+    closed under columns that are zero on the kept tracks, so a leading
+    zero column is absorbed, and an accepted string stays accepted with
+    a zero column in front because the input accepts it with a zero
+    guessed digit there.
     """
     a = minimize(a)
-    table = a.transitions
-    if table[a.initial, 0] == a.initial:
-        return a
-    n = a.n_states
-    chain = []
-    q = a.initial
-    while q not in chain:
-        chain.append(q)
-        q = int(table[q, 0])
-
-    # subsets get one extra slot, n, for the sentinel "input so far is all
-    # zero columns"; it carries the zero-closure states with it so
-    # acceptance of 0^j s needs no lookahead
-    restart = np.array(chain + [n])
-    syms = np.arange(a.n_symbols)[None, :]
-
-    def step(subsets: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(subsets), a.n_symbols, n + 1), dtype=bool)
-        b, q = np.nonzero(subsets[:, :n])
-        out[b[:, None], syms, table[q]] = True
-        out[np.flatnonzero(subsets[:, n])[:, None], 0, restart] = True
-        return out
-
-    rows, accepting = _det_by_sets(
-        _mask(n + 1, restart), step, a.n_symbols, _mask(n + 1, a.accepting), STATE_CAP
-    )
-    return minimize(MultiTrackDfa(a.base, a.tracks, rows, accepting, 0))
+    if a.transitions[a.initial, 0] != a.initial:
+        raise InvalidParameter("leading zero columns change its language")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +664,9 @@ def project(a: MultiTrackDfa, track: str) -> MultiTrackDfa:
     tracks, so start states are closed under columns that are zero on
     the kept tracks.  States that cannot reach acceptance are pruned
     before the subset construction (all of them when `a` is minimal, as
-    every operation's output is; see `_live`).
+    every operation's output is; see `_live`).  The result is checked by
+    `normalize_padding`, so a table that is not padding invariant may be
+    refused with InvalidParameter.
     """
     if track not in a.tracks:
         return a

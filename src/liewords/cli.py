@@ -71,14 +71,7 @@ def _generator(args) -> WordGenerator:
     if args.morphism_file:
         with open(args.morphism_file) as fh:
             m = wd.parse_morphism(fh.read())
-        seed = args.seed
-        if seed is None:
-            seed = next(
-                (c for c in m.alphabet if m.is_prolongable_on(c)), None
-            )
-            if seed is None:
-                raise ToolError("morphism is not prolongable on any letter")
-        return WordGenerator("file:%s" % args.morphism_file, morphism=m, seed=seed)
+        return WordGenerator("file:%s" % args.morphism_file, morphism=m, seed=args.seed)
     with open(args.dfao_file) as fh:
         d = wd.parse_dfao(fh.read())
     return WordGenerator("file:%s" % args.dfao_file, dfao=d)

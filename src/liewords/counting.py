@@ -96,6 +96,8 @@ def counting_representation(a: MultiTrackDfa) -> LinearRepresentation:
     exact on the minimal automaton `normalize_padding` returns) after
     n_states zero columns has repeated a state, so its cycle admits
     infinitely many i: the fold stops there and raises InfiniteCount.
+    An automaton that is not padding invariant is refused with
+    InvalidParameter.
     """
     if set(a.tracks) != {"i", "n"}:
         raise UnknownTrack("expected tracks (i, n), automaton has (%s)" % ", ".join(a.tracks))

@@ -26,7 +26,9 @@ class WindowExceeded(ToolError):
 
 class InvalidParameter(ToolError, ValueError):
     """A parameter outside its range: a negative factor length, an exponent
-    below 2, or construction parameters that name no construction."""
+    below 2, construction parameters that name no construction, or an
+    automaton whose language leading zero columns change (it is not
+    padding invariant, see `automata.normalize_padding`)."""
 
 
 class FormatError(ToolError, ValueError):

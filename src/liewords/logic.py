@@ -77,8 +77,9 @@ class _Terms:
         self.temps.append("#%d" % (len(self.temps) + 1))
         return self.temps[-1]
 
-    def close(self, core: au.MultiTrackDfa) -> au.MultiTrackDfa:
-        """Conjoin the constraints to the core and project the temporaries.
+    def close(self, core: Optional[au.MultiTrackDfa] = None) -> au.MultiTrackDfa:
+        """Conjoin the constraints to the core, if any, and project the
+        temporaries.
 
         Temporaries go in reverse order of creation, and each is projected
         as soon as the parts that mention it are conjoined: since
@@ -87,7 +88,7 @@ class _Terms:
         created last and so leaves first, which keeps intermediates
         narrow: for `shift`'s `factoreq(i, (j+n)-t, t)` the widest has 5
         tracks, where conjoining every constraint first would read 6."""
-        parts = [core] + self.constraints
+        parts = ([] if core is None else [core]) + self.constraints
         for name in reversed(self.temps):
             mention = [p for p in parts if name in p.tracks]
             parts = [p for p in parts if name not in p.tracks]
@@ -153,11 +154,12 @@ class _Compiler:
     def comparison(self, f: fo.Compare) -> au.MultiTrackDfa:
         terms = _Terms(self.base)
         # an equation with one variable side writes the other side into
-        # it; the core is then eq(v, v), which the diagonal makes true
-        out = None
+        # it, and the constraints alone are the atom
         if f.op == "=" and isinstance(f.left, fo.Var) != isinstance(f.right, fo.Var):
-            out = (f.left if isinstance(f.left, fo.Var) else f.right).name
-        left, right = terms.track(f.left, out), terms.track(f.right, out)
+            var, side = (f.left, f.right) if isinstance(f.left, fo.Var) else (f.right, f.left)
+            terms.track(side, var.name)
+            return terms.close()
+        left, right = terms.track(f.left), terms.track(f.right)
         return terms.close(_COMPARE[f.op](left, right, self.base))
 
     def seq_is(self, f: fo.SeqIs) -> au.MultiTrackDfa:
@@ -219,7 +221,9 @@ def compile_formula(
 
     `base` may be left out when the formula reads a sequence; it must be
     at least 2.  Raises CompileBlowup when an operation would build more
-    than `automata.STATE_CAP` states."""
+    than `automata.STATE_CAP` states.  The result is the last operation's
+    output as it is: canonical, and padding invariant as every automaton
+    built here is."""
     seqs = dict(sequences or {})
     used = fo.sequence_names(f)
     missing = used - seqs.keys()
@@ -245,7 +249,7 @@ def compile_formula(
             "compiled tracks %s differ from the free variables %s"
             % (sorted(out.tracks), sorted(fo.free_vars(f)))
         )
-    return au.normalize_padding(out)
+    return out
 
 
 def apply_predicate(auto: au.MultiTrackDfa, args: Mapping[str, fo.Term]) -> au.MultiTrackDfa:

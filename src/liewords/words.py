@@ -201,29 +201,16 @@ def _require_prolongable(m: Morphism, seed: str) -> None:
 
 
 def is_primitive_morphism(m: Morphism) -> bool:
-    """True when some power of the incidence matrix is everywhere positive."""
-    letters = m.alphabet
-    idx = {a: i for i, a in enumerate(letters)}
-    d = len(letters)
-    reach = [[False] * d for _ in range(d)]
-    for a, image in m.rules:
-        for c in image:
-            reach[idx[a]][idx[c]] = True
-    cur = [row[:] for row in reach]
-    for _ in range(d * d + 1):
-        if all(all(row) for row in cur):
+    """True when some power of the incidence matrix is everywhere positive:
+    for some k, the k-th image of every letter holds every letter, and
+    k = (d-1)^2 + 1 suffices for d letters (Wielandt).  reach[a] is the
+    set of letters of the current image of a."""
+    step = {a: frozenset(image) for a, image in m.rules}
+    reach = dict(step)
+    for _ in range(len(step) ** 2 + 1):
+        if all(len(r) == len(step) for r in reach.values()):
             return True
-        nxt = [[False] * d for _ in range(d)]
-        for i in range(d):
-            row = cur[i]
-            out = nxt[i]
-            for j in range(d):
-                if row[j]:
-                    rj = reach[j]
-                    for t in range(d):
-                        if rj[t]:
-                            out[t] = True
-        cur = nxt
+        reach = {a: frozenset().union(*(step[c] for c in r)) for a, r in reach.items()}
     return False
 
 
@@ -354,7 +341,9 @@ class WordGenerator:
         if morphism is None and dfao is None:
             raise ValueError("need a morphism or a dfao")
         if morphism is not None and seed is None:
-            seed = morphism.alphabet[0]
+            seed = next((c for c in morphism.alphabet if morphism.is_prolongable_on(c)), None)
+            if seed is None:
+                raise NotProlongable("morphism is not prolongable on any letter")
         self.name = name
         self.morphism = morphism
         self.seed = seed

@@ -68,6 +68,22 @@ def growing_by_cycles(rules: dict) -> set:
     return {c for c in rules if ({c} | reach[c]) & pumps}
 
 
+def primitive_by_matrix_powers(rules: dict) -> bool:
+    """Whether the integer incidence matrix M (M[a][c] = occurrences of c
+    in the image of a) has an everywhere-positive power among its first
+    (d-1)^2 + 1, Wielandt's bound for d letters, by integer matrix
+    products."""
+    letters = sorted(rules)
+    d = len(letters)
+    m = np.array([[rules[a].count(c) for c in letters] for a in letters], dtype=object)
+    power = m
+    for _ in range((d - 1) ** 2 + 1):
+        if (power > 0).all():
+            return True
+        power = power.dot(m)
+    return False
+
+
 def closure_in_rounds(rules: dict, seed: str) -> tuple[set, int]:
     """2-factors of the fixed point from seed, by whole rounds, and the
     number K of rounds that added one.  Every 2-factor then occurs in
@@ -515,43 +531,11 @@ def loop_det_by_sets(initial, step_all, accepting) -> tuple:
     return tuple(rows), frozenset(acc)
 
 
-def loop_normalize_padding(a):
-    """Close the language under leading all-zero columns both ways, by
-    `loop_det_by_sets` over subsets with one extra slot for "all zero
-    columns so far", then `moore_minimal`."""
-    a = moore_minimal(a)
-    if a.transitions[0][0] == 0:
-        return a
-    n = a.n_states
-    chain = []
-    q = 0
-    while q not in chain:
-        chain.append(q)
-        q = a.transitions[q][0]
-    table = np.array(a.transitions, dtype=np.intp).reshape(n, a.n_symbols)
-    restart = chain + [n]
-
-    def step_all(subset):
-        out = np.zeros((a.n_symbols, n + 1), dtype=bool)
-        for q in np.flatnonzero(subset[:n]):
-            out[np.arange(a.n_symbols), table[q]] = True
-        if subset[n]:
-            out[0, restart] = True
-        return out
-
-    initial = np.zeros(n + 1, dtype=bool)
-    initial[restart] = True
-    accepting = np.zeros(n + 1, dtype=bool)
-    accepting[list(a.accepting)] = True
-    rows, acc = loop_det_by_sets(initial, step_all, accepting)
-    return moore_minimal(MultiTrackDfa(a.base, a.tracks, rows, acc, 0))
-
-
 def loop_project(a, track: str):
     """Existential projection of one track: the subset construction of the
     automaton with that track's digits guessed, started from the states
     reachable on columns that are zero on the kept tracks, subset by
-    subset and symbol by symbol, then `loop_normalize_padding`."""
+    subset and symbol by symbol, then `moore_minimal`."""
     base, m = a.base, len(a.tracks)
     p = a.tracks.index(track)
     kept = tuple(t for t in a.tracks if t != track)
@@ -580,7 +564,7 @@ def loop_project(a, track: str):
     accepting = np.zeros(a.n_states, dtype=bool)
     accepting[list(a.accepting)] = True
     rows, acc = loop_det_by_sets(initial, step_all, accepting)
-    return loop_normalize_padding(MultiTrackDfa(base, kept, rows, acc, 0))
+    return moore_minimal(MultiTrackDfa(base, kept, rows, acc, 0))
 
 
 def conjoin_then_project(auto, args):

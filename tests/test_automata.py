@@ -1,14 +1,14 @@
-import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liewords import automata as au
+from liewords import counting
 from liewords.bundled import get_word
-from liewords.errors import CompileBlowup, UnknownTrack
+from liewords.errors import CompileBlowup, InfiniteCount, InvalidParameter, UnknownTrack
 from liewords.words import Dfao, dfao_eval, digits_msd
 from oracles import (
     accepted_values,
@@ -16,10 +16,10 @@ from oracles import (
     accepts_string,
     bfs_trim,
     column_digits,
-    column_symbol,
+    count_direct,
+    eval_int,
     loop_coreachable,
     loop_det_by_sets,
-    loop_normalize_padding,
     loop_product,
     loop_project,
     loop_submap,
@@ -266,35 +266,61 @@ def raw_tables(draw, max_states=6, copies=1, base=None, track_sets=(("x",), ("x"
     return au.MultiTrackDfa(base, tracks, rows, accepting, initial)
 
 
-def _columns(a, values):
-    ds = [digits_msd(v, a.base) for v in values]
-    width = max(len(d) for d in ds)
-    padded = [[0] * (width - len(d)) + d for d in ds]
-    return list(zip(*padded))
+def _same_or_refused(build, want):
+    """build() returns want, the oracle's minimal automaton, when the zero
+    column fixes want's start state, and raises InvalidParameter when it
+    moves it: padding invariance is checked, never restored."""
+    if want.transitions[0, 0] == 0:
+        assert build() == want
+    else:
+        with pytest.raises(InvalidParameter, match="leading zero columns change its language"):
+            build()
 
 
-@settings(max_examples=60)
-@given(raw_tables())
-def test_normalize_padding_closes_raw_tables_under_zero_columns(a):
-    # only tables whose minimal form is not fixed by the zero column take
-    # the subset construction; the package itself never builds one
-    assume(au.minimize(a).transitions[0][0] != 0)
-    norm = au.normalize_padding(a)
-    assert norm.transitions[norm.initial][0] == norm.initial
-    assert au.to_text(norm) == au.to_text(loop_normalize_padding(a))
-    # a tuple is accepted iff some zero padding of its shortest columns is;
-    # within n_states zero columns the padded start state repeats
-    rows = a.transitions.tolist()
-    starts, q = set(), a.initial
-    for _ in range(a.n_states + 1):
-        starts.add(q)
-        q = rows[q][0]
-    for values in itertools.product(range(64), repeat=len(a.tracks)):
-        states = starts
-        for col in _columns(a, values):
-            sym = column_symbol(col, a.base)
-            states = {rows[q][sym] for q in states}
-        assert accepts(norm, dict(zip(a.tracks, values))) == bool(states & a.accepting)
+def _counts(count, ns):
+    """count(n) for each n, or InfiniteCount if one raises it."""
+    try:
+        return [count(n) for n in ns]
+    except InfiniteCount:
+        return InfiniteCount
+
+
+def _zero_cell(a, target):
+    """a with its start state's zero-column cell pointing to target."""
+    rows = a.transitions.copy()
+    rows[a.initial, 0] = target
+    return au.MultiTrackDfa(a.base, a.tracks, rows, a.accepting, a.initial)
+
+
+@settings(max_examples=100)
+@given(raw_tables(max_states=6, copies=2, track_sets=(("i", "n"), ("i", "n", "x"))))
+def test_padding_invariance_is_checked_not_restored(drawn):
+    # the drawn table, and the same with its start moved by the zero column
+    for a in (drawn, _zero_cell(drawn, (drawn.initial + 1) % drawn.n_states)):
+        want = moore_minimal(a)
+        _same_or_refused(lambda: au.normalize_padding(a), want)
+        for track in a.tracks:
+            _same_or_refused(lambda: au.project(a, track), loop_project(a, track))
+        if a.tracks == ("i", "n"):
+            _count_same_or_refused(a, want)
+
+
+def _count_same_or_refused(a, want):
+    """counting_representation(a) refuses a when the zero column moves the
+    start state of want, its minimal automaton; otherwise a count the
+    oracle finds infinite is refused, and finite counts are equal."""
+    if want.transitions[0, 0] != 0:
+        with pytest.raises(InvalidParameter, match="leading zero columns change its language"):
+            counting.counting_representation(a)
+        return
+    ns = range(3 * a.base**2)
+    direct = _counts(lambda n: count_direct(want, n), ns)
+    try:
+        rep = counting.counting_representation(a)
+    except InfiniteCount:
+        return
+    assert direct is not InfiniteCount
+    assert _counts(lambda n: eval_int(rep, n), ns) == direct
 
 
 @given(raw_tables(max_states=8, copies=5))
@@ -464,16 +490,18 @@ WIDE = (("x", "y"), ("x", "y", "z"))
 @given(raw_tables(max_states=6, copies=2, track_sets=(("x",),) + WIDE))
 def test_project_matches_the_subset_by_subset_oracle(a):
     for track in a.tracks:
-        assert au.to_text(au.project(a, track)) == au.to_text(loop_project(a, track))
+        _same_or_refused(lambda: au.project(a, track), loop_project(a, track))
 
 
 @settings(max_examples=100)
 @given(raw_tables(max_states=6, copies=2, track_sets=WIDE))
 def test_forward_and_reversal_projections_agree(a):
+    # both return the oracle's automaton, or both refuse it
     for track in a.tracks:
         nfa = au._GuessNfa(a, track)
-        forward = au._project_forward(nfa, au.STATE_CAP)
-        assert au.to_text(au._project_reversal(nfa)) == au.to_text(forward)
+        want = loop_project(a, track)
+        _same_or_refused(lambda: au._project_forward(nfa, au.STATE_CAP), want)
+        _same_or_refused(lambda: au._project_reversal(nfa), want)
 
 
 @pytest.mark.parametrize("cells", [1, 40, 300])
@@ -483,14 +511,15 @@ def test_small_chunks_give_the_same_automata(cells, pair):
     # one item per chunk, and chunks of a few items that end inside a
     # breadth-first level
     a, b, op = pair
+    # a start fixed by the zero column: a and its projections are padding
+    # invariant
+    a = _zero_cell(a, a.initial)
     raw, combined = _raw_product(a, b, op)
-    normalized = au.normalize_padding(a)
     projected = [au.project(a, t) for t in a.tracks]
     reversal = [au._project_reversal(au._GuessNfa(a, t)) for t in a.tracks]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(au, "CHUNK_CELLS", cells)
         assert _raw_product(a, b, op) == (raw, combined)
-        assert au.normalize_padding(a) == normalized
         assert [au.project(a, t) for t in a.tracks] == projected
         assert [au._project_reversal(au._GuessNfa(a, t)) for t in a.tracks] == reversal
 

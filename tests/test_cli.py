@@ -103,6 +103,24 @@ def test_morphism_file_with_a_non_growing_letter(tmp_path, capsys):
     assert [line.split("\t")[1] for line in out.strip().split("\n")[1:]] == ["25", "32", "40"]
 
 
+def test_morphism_file_prolongable_on_no_letter_exits_one(tmp_path, capsys):
+    path = tmp_path / "none.rules"
+    path.write_text("alphabet: 0 1\n0 -> 10\n1 -> 0\n")
+    code, out, err = run(capsys, "complexity", "--morphism-file", str(path), "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "NotProlongable: morphism is not prolongable on any letter\n"
+
+
+def test_morphism_file_seed_defaults_to_the_first_prolongable_letter(tmp_path, capsys):
+    # prolongable on b only, the second letter
+    path = tmp_path / "second.rules"
+    path.write_text("alphabet: a b\na -> b\nb -> ba\n")
+    argv = ("complexity", "--morphism-file", str(path), "--n", "0..8")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--seed", "b") == (0, out, "")
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -304,7 +304,7 @@ def _widest_product(build):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(au, "combine", record)
         out = build()
-    return out, max(widths)
+    return out, max(widths, default=0)
 
 
 V, C = fo.Var, fo.Const
@@ -327,11 +327,17 @@ def test_early_projection_matches_conjoining_first(word, tm_library, cantor_libr
 
 
 def test_an_equation_writes_into_its_variable_side():
-    # x+y=z is the adder on x, y and z; x+x=z reads x once
-    for text, add, tracks in (("x+y=z", "xyz", 3), ("x+x=z", "xxz", 2)):
+    # x+y=z is the adder on x, y and z, x+x=z reads x once, and z=x-y is
+    # z+y=x: each is its one constraint, with no product
+    cases = (
+        ("x+y=z", au.add_predicate("x", "y", "z", 2)),
+        ("x+x=z", au.add_predicate("x", "x", "z", 2)),
+        ("x=5", au.const_predicate("x", 5, 2)),
+        ("z=x-y", au.add_predicate("z", "y", "x", 2)),
+    )
+    for text, want in cases:
         out, widest = _widest_product(lambda: compile_formula(fo.parse(text), base=2))
-        assert out == au.add_predicate(*add, 2)
-        assert widest <= tracks, text
+        assert (out, widest) == (want, 0), text
 
 
 def test_early_projection_keeps_shift_to_five_tracks(tm_library):

@@ -27,6 +27,7 @@ from liewords.words import (
     factor_spans,
     fixed_point_prefix,
     growing_letters,
+    is_primitive_morphism,
     morphism,
     morphism_to_text,
     parse_dfao,
@@ -39,6 +40,7 @@ from oracles import (
     closure_in_rounds,
     dfao_prefix,
     growing_by_cycles,
+    primitive_by_matrix_powers,
     provable_prefix_length,
 )
 
@@ -71,6 +73,12 @@ def test_fixed_point_needs_prolongable_seed():
         fixed_point_prefix(m, "0", 8)
     with pytest.raises(UnknownLetter):
         fixed_point_prefix(m, "x", 8)
+
+
+def test_the_default_seed_is_the_first_prolongable_letter():
+    assert WordGenerator("w", morphism=morphism("ab", {"a": "b", "b": "ba"})).seed == "b"
+    with pytest.raises(NotProlongable, match="not prolongable on any letter"):
+        WordGenerator("w", morphism=morphism("01", {"0": "10", "1": "0"}))
 
 
 def test_digits_msd():
@@ -212,9 +220,10 @@ def _morphisms(draw):
 
 
 @st.composite
-def _rule_sets(draw):
-    """Rules on 1-4 letters with images of length 1-3, prolongable or not."""
-    letters = "abcd"[: draw(st.integers(min_value=1, max_value=4))]
+def _rule_sets(draw, alphabet="abcd"):
+    """Rules on 1 to len(alphabet) letters with images of length 1-3,
+    prolongable or not."""
+    letters = alphabet[: draw(st.integers(min_value=1, max_value=len(alphabet)))]
     return {c: draw(st.text(alphabet=letters, min_size=1, max_size=3)) for c in letters}
 
 
@@ -222,6 +231,12 @@ def _rule_sets(draw):
 def test_growing_letters_match_the_cycle_oracle(rules):
     m = morphism("".join(rules), rules)
     assert growing_letters(m) == growing_by_cycles(rules)
+
+
+@given(_rule_sets("abcde"))
+def test_primitivity_matches_the_matrix_power_oracle(rules):
+    m = morphism("".join(rules), rules)
+    assert is_primitive_morphism(m) == primitive_by_matrix_powers(rules)
 
 
 @given(_morphisms(), st.booleans())
